@@ -28,6 +28,7 @@ from .core import (
     require_valid,
     weight_parameter,
 )
+from .lower_bound import _log_odds_ratio
 
 
 def covert_capacity(inst: CovertInstance) -> float:
@@ -74,7 +75,7 @@ def binary_dichotomy(inst: CovertInstance) -> DichotomyResult:
     relabeled = bool(w[0, 0] + w[1, 1] < w[0, 1] + w[1, 0])
     if relabeled:
         qq = qq[:, ::-1]
-    log_rho = math.log(qq[0, 0]) + math.log(qq[1, 1]) - math.log(qq[0, 1]) - math.log(qq[1, 0])
+    log_rho = _log_odds_ratio(qq)
     if log_rho > 0.0:
         cap = wp.t * kl_divergence(inst.p1, inst.p0)  # label-invariant
         return DichotomyResult(capacity=cap, case=DichotomyCase.POSITIVE, relabeled=relabeled)

@@ -133,15 +133,10 @@ def objective_kl(jc: JointConditional) -> float:
     return float(np.sum(m1[mask] * (np.log(m1[mask]) - np.log(m0[mask]))))
 
 
-def _lmo(grad: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    # vertex minimizing <grad, v>: per (x, y) all mass on the allowed yhat
-    # with the smallest gradient coordinate, smallest index on exact ties
-    masked = np.where(allowed, grad, np.inf)
-    idx = np.argmin(masked, axis=2)  # first occurrence = smallest index
-    vertex = np.zeros_like(grad)
-    x_ix, y_ix = np.indices(idx.shape)
-    vertex[x_ix, y_ix, idx] = 1.0
-    return vertex
+def _lmo_targets(grad: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    # the linear oracle: per (x, y) all mass on the allowed yhat with the
+    # smallest gradient coordinate, smallest index on exact ties
+    return np.argmin(np.where(allowed, grad, np.inf), axis=2)
 
 
 def fw_linear_oracle(gradient: np.ndarray, table: MaximalSetTable, wy: Bdmc) -> JointConditional:
@@ -150,13 +145,20 @@ def fw_linear_oracle(gradient: np.ndarray, table: MaximalSetTable, wy: Bdmc) -> 
         raise DimensionError(
             f"gradient shape {gradient.shape} does not match table shape {table.allowed.shape}"
         )
-    return JointConditional(wy=wy, table=table, v=_lmo(np.asarray(gradient, dtype=float), table.allowed))
+    idx = _lmo_targets(np.asarray(gradient, dtype=float), table.allowed)
+    vertex = np.zeros(gradient.shape)
+    x_ix, y_ix = np.indices(idx.shape)
+    vertex[x_ix, y_ix, idx] = 1.0
+    return JointConditional(wy=wy, table=table, v=vertex)
 
 
 @dataclass(frozen=True)
 class UpperBoundResult:
     """Converse bound t * kl_value with the coupling that achieves it.
 
+    ``converged`` is False when some eps stage stopped on ``max_iters`` or on
+    a zero line-search step with the duality gap still at or above ``tol``;
+    ``fw_gap`` is the gap where the last stage stopped.
     ``oracle_gap`` is filled in only when a grid-oracle cross-check was run;
     it is kl_value minus the oracle's lattice minimum.
     """
@@ -166,39 +168,47 @@ class UpperBoundResult:
     minimizer: JointConditional
     fw_gap: float
     t_delta: float
+    converged: bool
     oracle_gap: float | None = None
-
-
-def _smoothed_objective(m1: np.ndarray, m0t: np.ndarray) -> float:
-    mask = m1 > 0.0
-    return float(np.sum(m1[mask] * (np.log(m1[mask]) - np.log(m0t[mask]))))
 
 
 def _line_search(m1, d1, m0t, d0, eps: float, gmax: float = 1.0) -> float:
     """Exact minimization over gamma in [0, gmax] along a FW segment.
 
     The objective restricted to the segment is convex; 30 bisection steps on
-    its derivative locate the minimum to ~1e-9 of the interval.
+    its derivative locate the minimum to ~1e-9 of the interval.  They run as
+    six rounds of five levels: a round sets the 31 midpoints of its subtree,
+    each 0.5 * (lo + hi) of its enclosing interval, evaluates the derivative
+    at all of them in one call and walks down, so the result is the one
+    step-by-step bisection returns, bit for bit.
     """
 
-    def dphi(g: float) -> float:
+    def dphi(g: np.ndarray) -> np.ndarray:
+        g = g[:, None]
         a1 = m1 + g * d1
         a0 = m0t + g * (1.0 - eps) * d0
         term1 = d1 * (np.log(np.maximum(a1, _TINY)) - np.log(a0) + 1.0)
         term2 = (1.0 - eps) * (a1 / a0) * d0
-        return float(term1.sum() - term2.sum())
+        return term1.sum(axis=1) - term2.sum(axis=1)
 
-    if dphi(0.0) >= 0.0:
+    at_ends = dphi(np.array([0.0, gmax]))
+    if at_ends[0] >= 0.0:
         return 0.0
-    if dphi(gmax) <= 0.0:
+    if at_ends[1] <= 0.0:
         return gmax
+    halves = (16, 8, 4, 2, 1)
+    grid = np.empty(33)
     lo, hi = 0.0, gmax
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        if dphi(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    for _ in range(6):
+        grid[0], grid[32] = lo, hi
+        for half in halves:
+            grid[half :: 2 * half] = 0.5 * (grid[: -1 : 2 * half] + grid[2 * half :: 2 * half])
+        below = dphi(grid[1:-1]) < 0.0
+        k = 0
+        for half in halves:
+            if below[k + half - 1]:
+                k += half
+        lo, hi = float(grid[k]), float(grid[k + 1])
     return 0.5 * (lo + hi)
 
 
@@ -216,9 +226,13 @@ def upper_bound(
     ``max_iters``.  Each step moves mass from the worst vertex of the current
     convex decomposition onto the linear-oracle vertex, which avoids the
     zig-zag stall of plain conditional gradients when the optimum sits on a
-    face.  The reported kl_value is the raw (unsmoothed) objective at the
-    final iterate, or at the diagonal coupling if that is better; the diagonal
-    guarantee caps kl_value at D(P1 || P0).
+    face.  The decomposition is kept as arrays: row i of ``active`` holds
+    the flat indices into the gradient of one one-hot vertex, in the order
+    the vertices entered, and ``wts[i]`` its weight; the away vertex is the
+    first row with the largest gradient sum.  The reported kl_value is the
+    raw (unsmoothed) objective at the final iterate, or at the diagonal
+    coupling if that is better; the diagonal guarantee caps kl_value at
+    D(P1 || P0).  ``converged`` says whether every stage reached ``tol``.
     """
     require_valid(inst)
     wp = weight_parameter(inst.delta, inst.q0, inst.q1)
@@ -227,20 +241,18 @@ def upper_bound(
     ny = inst.wy.num_outputs
     allowed = table.allowed
     uniform = 1.0 / ny
-    x_ix, y_ix = np.indices((2, ny))
+    cell_base = np.arange(2 * ny) * ny  # flat index of v[x, y, 0], cells in (x, y) order
 
-    def vertex_from(idx: np.ndarray) -> np.ndarray:
-        vert = np.zeros((2, ny, ny))
-        vert[x_ix, y_ix, idx] = 1.0
-        return vert
-
-    # current point and its convex decomposition over one-hot vertices,
-    # each keyed by the flat tuple of chosen targets
-    diag_idx = np.tile(np.arange(ny), (2, 1))
-    v = vertex_from(diag_idx)
-    weights: dict[tuple, float] = {tuple(diag_idx.ravel()): 1.0}
+    # current point and its convex decomposition over one-hot vertices
+    diag_row = cell_base + np.tile(np.arange(ny), 2)
+    v = np.zeros(2 * ny * ny)
+    v[diag_row] = 1.0
+    v = v.reshape(2, ny, ny)
+    active = diag_row[None, :]
+    wts = np.ones(1)
 
     gap = math.inf
+    converged = True
     for eps in eps_schedule:
         for _ in range(max_iters):
             m = np.einsum("xy,xyz->xz", w, v)
@@ -250,29 +262,38 @@ def upper_bound(
             g1 = w[1][:, None] * (logterm + 1.0)[None, :]
             g0 = -(1.0 - eps) * w[0][:, None] * (m1 / m0t)[None, :]
             grad = np.stack([g0, g1])
-            masked = np.where(allowed, grad, np.inf)
-            idx_to = np.argmin(masked, axis=2)  # first occurrence = smallest index
-            gap = float(np.sum(grad * v) - grad[x_ix, y_ix, idx_to].sum())
+            to_row = cell_base + _lmo_targets(grad, allowed).ravel()
+            gap = float(np.sum(grad * v) - grad.ravel()[to_row].sum())
             if gap < tol:
                 break
             # away vertex: the active one the gradient most wants to leave
-            away_key = max(weights, key=lambda key: grad[x_ix, y_ix, np.reshape(key, (2, ny))].sum())
-            idx_from = np.array(away_key).reshape(2, ny)
-            gmax = weights[away_key]
-            direction = vertex_from(idx_to) - vertex_from(idx_from)
+            away = int(np.argmax(grad.ravel()[active].sum(axis=1)))
+            gmax = float(wts[away])
+            direction = np.zeros(2 * ny * ny)
+            direction[to_row] = 1.0
+            direction[active[away]] -= 1.0
+            direction = direction.reshape(2, ny, ny)
             dm = np.einsum("xy,xyz->xz", w, direction)
             gamma = _line_search(m1, dm[1], m0t, dm[0], eps, gmax)
             if gamma <= 0.0:
+                converged = False
                 break
             v = v + gamma * direction
-            to_key = tuple(idx_to.ravel())
-            weights[to_key] = weights.get(to_key, 0.0) + gamma
+            hit = np.flatnonzero((active == to_row).all(axis=1))
+            if hit.size:
+                wts[hit[0]] += gamma
+            else:
+                active = np.vstack([active, to_row])
+                wts = np.append(wts, gamma)
             left = gmax - gamma
             if left <= 1e-15:
-                del weights[away_key]
+                active = np.delete(active, away, axis=0)
+                wts = np.delete(wts, away)
                 np.maximum(v, 0.0, out=v)  # scrub the dropped vertex's float dust
             else:
-                weights[away_key] = left
+                wts[away] = left
+        else:
+            converged = False
 
     # exact renormalization before wrapping; off-allowed entries are exact zeros
     v = v / v.sum(axis=2, keepdims=True)
@@ -292,6 +313,7 @@ def upper_bound(
         minimizer=best,
         fw_gap=gap,
         t_delta=wp.t,
+        converged=converged,
     )
 
 

@@ -254,13 +254,18 @@ class ErrorReport:
     ci95_halfwidth: float
 
 
-def _pair_errors(inst, codebook, k, j, trials, seed, cum0, cum1, rhat, chunk=1024):
-    """Error count for pair (k, j) over its Philox substream; chunking is stream-neutral."""
+def _pair_errors(codebook, k, j, trials, seed, cum0, cum1, rhat, chunk=1024):
+    """Error count for pair (k, j) over its Philox substream; chunking is stream-neutral.
+
+    A block holds at most ``chunk`` trials and at most 2**22 output symbols,
+    so its (trials, n) intermediates stay bounded as n grows.
+    """
     x = codebook.codewords[k, j]
     words = codebook.codewords[k].astype(np.float64)
     pair = k * codebook.num_messages + j
     gen = _stream(seed, _TAG_ERROR, c1=pair)
     n = codebook.params.n
+    chunk = min(chunk, max(1, (1 << 22) // n))
     failures = 0
     done = 0
     while done < trials:
@@ -300,7 +305,7 @@ def estimate_error(
 
     def run(p):
         k, j = p
-        return _pair_errors(inst, codebook, k, j, trials_per_pair, seed, cum0, cum1, rhat)
+        return _pair_errors(codebook, k, j, trials_per_pair, seed, cum0, cum1, rhat)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

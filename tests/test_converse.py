@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertcap import (
     Bdmc,
@@ -31,6 +33,7 @@ from covertcap import (
     upper_bound_grid_oracle,
     verify_maximal,
 )
+from covertcap.converse import _TINY, _line_search
 
 from conftest import (
     WZ1,
@@ -358,6 +361,12 @@ class TestUpperBound:
             assert verify_maximal(res.minimizer, table, inst.wy)
             assert objective_kl(res.minimizer) == pytest.approx(res.kl_value, abs=1e-12)
 
+    def test_converged_flag(self):
+        assert upper_bound(example1(3.0)).converged
+        res = upper_bound(random_instance(np.random.default_rng(0), ny=12), max_iters=1)
+        assert not res.converged
+        assert res.fw_gap >= 1e-8
+
     def test_invalid_instance_rejected(self):
         inst = CovertInstance(
             wy=Bdmc(np.array([[0.6, 0.4], [0.3, 0.7]])),
@@ -367,6 +376,101 @@ class TestUpperBound:
         )
         with pytest.raises(ValidationError):
             upper_bound(inst)
+
+
+def sequential_line_search(m1, d1, m0t, d0, eps, gmax):
+    """Reference: one derivative evaluation per bisection step, 30 steps."""
+
+    def dphi(g):
+        a1 = m1 + g * d1
+        a0 = m0t + g * (1.0 - eps) * d0
+        term1 = d1 * (np.log(np.maximum(a1, _TINY)) - np.log(a0) + 1.0)
+        term2 = (1.0 - eps) * (a1 / a0) * d0
+        return float(term1.sum() - term2.sum())
+
+    if dphi(0.0) >= 0.0:
+        return 0.0
+    if dphi(gmax) <= 0.0:
+        return gmax
+    lo, hi = 0.0, gmax
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        if dphi(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def segment(seed, ny, gmax, eps, zeros):
+    """A segment on which m1 moves from p1 toward r1 and m0 from p0 toward r0.
+
+    With ``zeros`` some entries of the pmfs are exactly zero, as on faces of
+    the coupling polytope.
+    """
+    rng = np.random.default_rng(seed)
+    pmfs = rng.dirichlet(np.ones(ny), size=4)
+    if zeros:
+        pmfs[rng.random((4, ny)) < 0.3] = 0.0
+        pmfs[:, 0] += 1e-3
+        pmfs /= pmfs.sum(axis=1, keepdims=True)
+    p1, r1, p0, r0 = pmfs
+    m0t = (1.0 - eps) * p0 + eps / ny
+    return p1, r1 - p1, m0t, r0 - p0, eps, gmax
+
+
+class TestLineSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ny=st.integers(2, 16),
+        gmax=st.one_of(st.just(1.0), st.floats(1e-9, 1.0)),
+        eps=st.sampled_from([1e-3, 1e-5, 1e-7]),
+        zeros=st.booleans(),
+    )
+    def test_matches_sequential_bisection(self, seed, ny, gmax, eps, zeros):
+        args = segment(seed, ny, gmax, eps, zeros)
+        assert _line_search(*args) == sequential_line_search(*args)
+
+    @pytest.mark.parametrize(
+        "p1, r1, p0, r0, gmax, expected",
+        [
+            # moving m1 away from m0 = m1: the derivative at 0 is 0
+            ([0.5, 0.5], [0.9, 0.1], [0.5, 0.5], [0.5, 0.5], 1.0, "zero"),
+            # moving m1 onto m0 with the segment cut short: still descending at gmax
+            ([0.5, 0.5], [0.9, 0.1], [0.9, 0.1], [0.9, 0.1], 0.5, "gmax"),
+            # m1 and m0 crossing over: the minimum lies strictly inside
+            ([0.5, 0.5], [0.2, 0.8], [0.9, 0.1], [0.1, 0.9], 1.0, "inside"),
+        ],
+    )
+    def test_endpoint_exits_and_interior(self, p1, r1, p0, r0, gmax, expected):
+        eps = 1e-3
+        p1, r1, p0, r0 = (np.array(a) for a in (p1, r1, p0, r0))
+        args = (p1, r1 - p1, (1.0 - eps) * p0 + eps / 2, r0 - p0, eps, gmax)
+        gamma = _line_search(*args)
+        assert gamma == sequential_line_search(*args)
+        assert {"zero": gamma == 0.0, "gmax": gamma == gmax, "inside": 0.0 < gamma < gmax}[expected]
+
+
+class TestUpperBoundPinned:
+    # float.hex of (kl_value, fw_gap) recorded with the dictionary-based
+    # pairwise Frank-Wolfe; the array active set and batched bisection visit
+    # the same iterates, so the bits must not move
+    PINNED = [
+        (3, 0, "0x1.178bedb1ad909p+0", "0x1.15e9c00000000p-33"),
+        (3, 4, "0x1.9ebd56d000000p-51", "0x1.7329644000000p-28"),
+        (8, 0, "0x1.30505619c4167p-4", "0x1.cfd4cbc000000p-28"),
+        (8, 4, "0x1.290b5d47395a1p-6", "0x1.4a8a0b9c00000p-27"),
+        (12, 1, "0x1.e1e1b3d7956dcp-6", "0x1.a845080000000p-29"),
+        (12, 3, "0x1.2410cbfe316eap-8", "0x1.b694778000000p-28"),
+    ]
+
+    @pytest.mark.parametrize("ny, seed, kl_hex, gap_hex", PINNED)
+    def test_bits_match_recorded_values(self, ny, seed, kl_hex, gap_hex):
+        res = upper_bound(random_instance(np.random.default_rng([ny, seed]), ny=ny))
+        assert res.kl_value.hex() == kl_hex
+        assert res.fw_gap.hex() == gap_hex
+        assert res.converged
 
 
 class TestGridOracle:

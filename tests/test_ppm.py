@@ -38,6 +38,7 @@ from covertcap import (
     sample_codeword,
     sample_s_statistic,
 )
+from covertcap.ppm import _cumulative, _log_ratio, _pair_errors
 
 from conftest import WZ1, example1
 
@@ -263,6 +264,21 @@ class TestEstimateError:
         threaded = estimate_error(inst, cb, trials_per_pair=300, seed=8, workers=4)
         np.testing.assert_array_equal(serial.errors, threaded.errors)
         assert 0 < serial.errors.sum() < serial.errors.size * 300  # nondegenerate
+
+    def test_trial_block_size_does_not_change_counts(self):
+        # blocks cut one Philox substream at different points; the draws, and
+        # so the counts, are the same for any block size
+        inst = make_instance([[0.7, 0.3], [0.4, 0.6]], [[0.9, 0.1], [0.1, 0.9]])
+        cb = generate_codebook(PpmParams(6, 2, 3, 0), num_messages=3, num_keys=2, seed=7)
+        default = estimate_error(inst, cb, trials_per_pair=300, seed=8).errors
+        cum0, cum1 = _cumulative(inst.wy.w[0]), _cumulative(inst.wy.w[1])
+        rhat = _log_ratio(inst.q)
+        for chunk in (1, 7):
+            counts = [
+                [_pair_errors(cb, k, j, 300, 8, cum0, cum1, rhat, chunk=chunk) for j in range(3)]
+                for k in range(2)
+            ]
+            np.testing.assert_array_equal(counts, default)
 
     def test_seed_sensitivity_and_reproducibility(self):
         inst = make_instance([[0.7, 0.3], [0.4, 0.6]], [[0.9, 0.1], [0.1, 0.9]])
