@@ -9,6 +9,14 @@ Randomness is counter-based (Philox): every codeword, decode trial, and
 Monte-Carlo sample sits on a substream indexed by (master seed, purpose tag,
 pair index, trial index), so regenerating any piece is bit-identical no matter
 the iteration order or thread schedule.
+
+Decode trials and covertness samples draw all n uniforms of every block but
+turn into channel outputs only those at pulse positions, the columns where
+some word of the book (or sub-code) is active.  Neither the metric score nor
+the warden's mixture likelihood depends on an output where every word is idle,
+and with l ~ sqrt(n) pulses per word those columns are a shrinking share of
+the block.  Drawing the full block keeps the Philox streams, and so every
+result, the same as sampling all n outputs.
 """
 
 from __future__ import annotations
@@ -42,6 +50,8 @@ _TAG_OUTPUT_KL = 5
 
 _MASK64 = (1 << 64) - 1
 
+MAX_CODEBOOK_BYTES = 2**30  # largest (K, M, n) uint8 book generate_codebook builds
+
 
 def _stream(seed: int, tag: int, c1: int = 0, c2: int = 0) -> np.random.Generator:
     """Generator on the Philox substream keyed by (seed, tag) at counter (0, c1, c2, 0)."""
@@ -59,6 +69,28 @@ def _cumulative(p: np.ndarray) -> np.ndarray:
     cum = np.cumsum(p)
     cum[-1] = 1.0
     return cum
+
+
+def _pulse_columns(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(columns where some word is active, the words on those columns as floats)."""
+    cols = np.flatnonzero(words.any(axis=0))
+    return cols, words[:, cols].astype(np.float64)
+
+
+def _sample_at_pulses(gen, t, n, cols, pulses, cum0, cum1) -> np.ndarray:
+    """Outputs at columns ``cols`` of t channel blocks of length n.
+
+    All t*n uniforms are drawn, so the stream advances exactly as for dense
+    sampling, but only the ``cols`` columns are inverse-CDF sampled: from cum1
+    where ``pulses`` (broadcastable to (t, |cols|)) is true, cum0 elsewhere.
+    The cum1 samples overwrite the few pulse entries of a cum0 sample, which
+    costs less than sampling every entry from both and selecting.
+    """
+    u = gen.random((t, n))[:, cols]
+    y = _sample_symbols(cum0, u)
+    on = np.broadcast_to(pulses, u.shape)
+    y[on] = _sample_symbols(cum1, u[on])
+    return y
 
 
 @dataclass(frozen=True)
@@ -191,10 +223,18 @@ def generate_codebook(params: PpmParams, num_messages: int, num_keys: int, seed:
     """Independent uniform chunk positions for every (key, message) pair.
 
     Word (m, k) is a pure function of (seed, m, k): regeneration is
-    bit-identical no matter the order pairs are visited in.
+    bit-identical no matter the order pairs are visited in.  Raises
+    ResourceLimitError, before allocating, when the book would take more than
+    MAX_CODEBOOK_BYTES.
     """
     if num_messages < 1 or num_keys < 1:
         raise DomainError("need at least one message and one key")
+    size = num_keys * num_messages * params.n
+    if size > MAX_CODEBOOK_BYTES:
+        raise ResourceLimitError(
+            f"codebook of {num_keys} keys x {num_messages} messages x n={params.n} "
+            f"needs {size} bytes, above the cap {MAX_CODEBOOK_BYTES}"
+        )
     cw = np.empty((num_keys, num_messages, params.n), dtype=np.uint8)
     for k in range(num_keys):
         for m in range(num_messages):
@@ -219,14 +259,14 @@ def q_decode(codebook: PpmCodebook, k: int, y: np.ndarray, metric: DecodingMetri
 
     The winning word maximizes sum_i log q(x_i, y_i); because all words share
     the term sum_i log q(0, y_i), only the active positions' log-ratios are
-    scored.  A top score shared within TIE_TOL is a TIE (counted as an error
-    by callers).
+    scored, on the sub-code's pulse columns as in estimate_error.  A top score
+    shared within TIE_TOL is a TIE (counted as an error by callers).
     """
     y = np.asarray(y)
     if y.shape != (codebook.params.n,):
         raise DimensionError(f"output block must have length {codebook.params.n}")
-    rhat_y = _log_ratio(metric)[y]
-    scores = codebook.codewords[k].astype(np.float64) @ rhat_y
+    cols, words = _pulse_columns(codebook.codewords[k])
+    scores = words @ _log_ratio(metric)[y[cols]]
     top = float(scores.max())
     winners = np.flatnonzero(scores >= top - TIE_TOL)
     if winners.size > 1:
@@ -254,14 +294,20 @@ class ErrorReport:
     ci95_halfwidth: float
 
 
-def _pair_errors(codebook, k, j, trials, seed, cum0, cum1, rhat, chunk=1024):
+def _pair_errors(codebook, k, j, trials, seed, cum0, cum1, rhat, chunk=1024, pulses=None):
     """Error count for pair (k, j) over its Philox substream; chunking is stream-neutral.
 
-    A block holds at most ``chunk`` trials and at most 2**22 output symbols,
-    so its (trials, n) intermediates stay bounded as n grows.
+    ``pulses`` is ``_pulse_columns`` of sub-code k, computed here when not
+    given; estimate_error always passes it, and only the block-size test in
+    tests/test_ppm.py relies on the default.  Every trial draws all n
+    uniforms but samples and scores only the sub-code's pulse columns: a
+    column where all its words are idle adds the same log q(0, y) to every
+    score, so it cannot change the verdict.  A block holds at most
+    ``chunk`` trials and at most 2**22 uniforms, so its intermediates stay
+    bounded as n grows.
     """
-    x = codebook.codewords[k, j]
-    words = codebook.codewords[k].astype(np.float64)
+    cols, words = _pulse_columns(codebook.codewords[k]) if pulses is None else pulses
+    x = words[j] == 1.0
     pair = k * codebook.num_messages + j
     gen = _stream(seed, _TAG_ERROR, c1=pair)
     n = codebook.params.n
@@ -270,8 +316,7 @@ def _pair_errors(codebook, k, j, trials, seed, cum0, cum1, rhat, chunk=1024):
     done = 0
     while done < trials:
         t = min(chunk, trials - done)
-        u = gen.random((t, n))
-        y = np.where(x[None, :] == 1, _sample_symbols(cum1, u), _sample_symbols(cum0, u))
+        y = _sample_at_pulses(gen, t, n, cols, x, cum0, cum1)
         scores = rhat[y] @ words.T
         top = scores.max(axis=1)
         at_top = (scores >= top[:, None] - TIE_TOL).sum(axis=1)
@@ -302,10 +347,11 @@ def estimate_error(
     rhat = _log_ratio(inst.q)
     K, M = codebook.num_keys, codebook.num_messages
     pairs = [(k, j) for k in range(K) for j in range(M)]
+    pulses = [_pulse_columns(codebook.codewords[k]) for k in range(K)]
 
     def run(p):
         k, j = p
-        return _pair_errors(codebook, k, j, trials_per_pair, seed, cum0, cum1, rhat)
+        return _pair_errors(codebook, k, j, trials_per_pair, seed, cum0, cum1, rhat, pulses=pulses[k])
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -440,7 +486,9 @@ def covertness_mc(codebook: PpmCodebook, wz: Bdmc, samples: int, seed: int) -> C
     Draws (key, message) uniformly, pushes the word through the adversary
     channel, and averages log Qhat(z) - log Q0^n(z); the mixture likelihood is
     evaluated exactly over all retained words, so the estimator's only error
-    is sampling noise (stderr is reported).
+    is sampling noise (stderr is reported).  Each sample draws all n uniforms
+    but samples and scores only the book's pulse columns: where every word is
+    idle, Qhat and Q0^n share the factor Q0(z_i), which cancels in the ratio.
     """
     if samples < 100:
         raise DomainError(f"need at least 100 samples, got {samples!r}")
@@ -449,7 +497,7 @@ def covertness_mc(codebook: PpmCodebook, wz: Bdmc, samples: int, seed: int) -> C
     words = codebook.flat_words()
     if np.any((qz1 > 0.0) & (qz0 <= 0.0)) and np.any(words.sum(axis=1) > 0):
         return CovertnessReport(METHOD_MC, float("inf"), None, samples)
-    wmat = words.astype(np.float64)
+    cols, wmat = _pulse_columns(words)
     log_c = math.log(wmat.shape[0])
     d_full = np.where(qz0 > 0.0, np.log(np.maximum(qz1, 1e-300)) - np.log(np.maximum(qz0, 1e-300)), 0.0)
     cum0 = _cumulative(qz0)
@@ -461,9 +509,7 @@ def covertness_mc(codebook: PpmCodebook, wz: Bdmc, samples: int, seed: int) -> C
     while done < samples:
         t = min(block, samples - done)
         choice = gen.integers(0, wmat.shape[0], size=t)
-        u = gen.random((t, n))
-        x = words[choice]
-        z = np.where(x == 1, _sample_symbols(cum1, u), _sample_symbols(cum0, u))
+        z = _sample_at_pulses(gen, t, n, cols, wmat[choice] == 1.0, cum0, cum1)
         scores = d_full[z] @ wmat.T
         vals[done : done + t] = _logsumexp_rows(scores) - log_c
         done += t

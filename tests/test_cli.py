@@ -4,8 +4,10 @@ Every test drives ``main(argv)`` in-process; nothing shells out.  Exit-code
 contract: 0 success, 1 parse/IO, 2 validation/domain, 3 resource limits.
 """
 
+import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +235,60 @@ class TestSimulate:
         config = write_json(tmp_path, "tiny.json", dict(SIM_CONFIG, n=5))
         assert main(["simulate", spec, config]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_oversize_codebook_exits_3_without_allocating(self, sim_files, tmp_path, capsys):
+        spec, _ = sim_files
+        config = write_json(tmp_path, "huge.json", dict(SIM_CONFIG, num_messages=2**30))
+        tracemalloc.start()
+        try:
+            code = main(["simulate", spec, config, "--out-dir", str(tmp_path / "huge")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert "cap" in capsys.readouterr().err
+        assert peak < 4 * 2**20
+        assert not (tmp_path / "huge").exists()
+
+
+# Recorded before outputs were sampled only at pulse positions; a new digest
+# means the random streams moved, which must be declared as a stream change.
+PINNED_MC_CONFIG = {
+    "n": 2000,
+    "num_messages": 16,
+    "num_keys": 2,
+    "trials_per_pair": 25,
+    "covertness_samples": 200,
+    "expurgate_fraction": 0.125,
+    "seed": 2021,
+}
+
+
+@pytest.mark.parametrize(
+    "spec, config, errors_sha, covertness_sha",
+    [
+        (
+            EXAMPLE_SPEC,
+            PINNED_MC_CONFIG,
+            "b0bc0c31ea69579106e9d5d416e20986df6c5e599672f67e055ef831a748a9f2",
+            "3a6c3cdfbcff9fd9ad29270934d3362d5e070385f108d8f3e60988569705596e",
+        ),
+        (
+            SIM_SPEC,
+            SIM_CONFIG,
+            "021b019a8fb1010c86440439f0bebf06e1d7c4d6d6b0d2d2a0c381281b665d9e",
+            "5260b34d6bf44500c0b75d305d2d825812a8e282d8de8f250235a8483ee40d55",
+        ),
+    ],
+    ids=["monte_carlo", "exact"],
+)
+def test_simulate_streams_are_pinned(tmp_path, capsys, spec, config, errors_sha, covertness_sha):
+    spec_path = write_json(tmp_path, "spec.json", spec)
+    config_path = write_json(tmp_path, "config.json", config)
+    assert main(["simulate", spec_path, config_path, "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert (digest("errors.csv"), digest("covertness.csv")) == (errors_sha, covertness_sha)
 
 
 def test_unknown_command_is_a_usage_error(capsys):

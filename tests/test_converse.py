@@ -284,6 +284,18 @@ class TestLinearOracle:
         with pytest.raises(DimensionError):
             fw_linear_oracle(np.zeros((2, 2, 2)), maximal_sets(inst.q), inst.wy)
 
+    def test_nested_list_gradient_is_converted(self):
+        inst = example1(3.0)
+        table = maximal_sets(inst.q)
+        grad = np.random.default_rng(45).normal(size=(2, 3, 3))
+        from_list = fw_linear_oracle(grad.tolist(), table, inst.wy)
+        np.testing.assert_array_equal(from_list.v, fw_linear_oracle(grad, table, inst.wy).v)
+
+    def test_wrong_shape_list_rejected(self):
+        inst = example1(3.0)
+        with pytest.raises(DimensionError):
+            fw_linear_oracle(np.zeros((2, 2, 2)).tolist(), maximal_sets(inst.q), inst.wy)
+
 
 class TestUpperBound:
     def test_example_matched_point(self):

@@ -10,6 +10,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertcap import (
     TIE,
@@ -38,7 +40,16 @@ from covertcap import (
     sample_codeword,
     sample_s_statistic,
 )
-from covertcap.ppm import _cumulative, _log_ratio, _pair_errors
+from covertcap.core import TIE_TOL
+from covertcap.ppm import (
+    _TAG_COVERT,
+    _TAG_ERROR,
+    MAX_CODEBOOK_BYTES,
+    _cumulative,
+    _log_ratio,
+    _pair_errors,
+    _stream,
+)
 
 from conftest import WZ1, example1
 
@@ -170,6 +181,11 @@ class TestGenerateCodebook:
         a = generate_codebook(self.PARAMS, 6, 4, seed=14)
         b = generate_codebook(self.PARAMS, 6, 4, seed=15)
         assert np.any(a.codewords != b.codewords)
+
+    def test_oversize_book_refused_before_allocation(self):
+        params = PpmParams(1 << 20, 1, 1 << 20, 0)
+        with pytest.raises(ResourceLimitError, match="cap"):
+            generate_codebook(params, num_messages=MAX_CODEBOOK_BYTES >> 20, num_keys=2, seed=0)
 
     def test_needs_messages_and_keys(self):
         with pytest.raises(DomainError):
@@ -307,6 +323,76 @@ class TestEstimateError:
         cb = generate_codebook(PpmParams(4, 2, 2, 0), 2, 1, seed=0)
         with pytest.raises(DomainError):
             estimate_error(inst, cb, trials_per_pair=0, seed=0)
+
+
+def dense_sample(cum0, cum1, pulses, u):
+    return np.where(pulses, np.searchsorted(cum1, u, side="right"), np.searchsorted(cum0, u, side="right"))
+
+
+def dense_pair_errors(cb, k, j, trials, seed, cum0, cum1, rhat):
+    """Error count of pair (k, j) from all n outputs, as before pulse-column scoring."""
+    words = cb.codewords[k].astype(np.float64)
+    u = _stream(seed, _TAG_ERROR, c1=k * cb.num_messages + j).random((trials, cb.params.n))
+    scores = rhat[dense_sample(cum0, cum1, cb.codewords[k, j] == 1, u)] @ words.T
+    top = scores.max(axis=1)
+    ok = ((scores >= top[:, None] - TIE_TOL).sum(axis=1) == 1) & (scores[:, j] >= top - TIE_TOL)
+    return int(trials - ok.sum())
+
+
+def dense_covertness_mc(cb, wz, samples, seed):
+    """Monte-Carlo D(Qhat || Q0^n) from all n outputs, as before pulse-column scoring."""
+    words = cb.flat_words()
+    qz0, qz1 = wz.w
+    d_full = np.where(qz0 > 0.0, np.log(np.maximum(qz1, 1e-300)) - np.log(np.maximum(qz0, 1e-300)), 0.0)
+    gen = _stream(seed, _TAG_COVERT)
+    choice = gen.integers(0, words.shape[0], size=samples)
+    u = gen.random((samples, cb.params.n))
+    scores = d_full[dense_sample(_cumulative(qz0), _cumulative(qz1), words[choice] == 1, u)] @ words.T.astype(np.float64)
+    top = scores.max(axis=1)
+    return float(np.mean(top + np.log(np.exp(scores - top[:, None]).sum(axis=1)) - math.log(words.shape[0])))
+
+
+class TestPulseColumnsMatchDense:
+    """Sampling and scoring only the pulse columns gives the dense loops' results."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 64),
+        num_keys=st.integers(1, 3),
+        num_messages=st.integers(1, 5),
+        ny=st.integers(2, 4),
+        kind=st.sampled_from(["sparse", "dense", "idle_subcode", "every_position"]),
+    )
+    def test_error_counts_and_covertness_equal_dense(self, seed, n, num_keys, num_messages, ny, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "every_position":  # w = 1: every word is active everywhere
+            params = PpmParams(n, n, 1, 0)
+            words = generate_codebook(params, num_messages, num_keys, seed).codewords
+        else:
+            l = int(rng.integers(1, n + 1))
+            params = PpmParams(n, l, n // l, n - (n // l) * l)
+            density = 0.5 if kind == "dense" else 2.0 / (n + 1)  # sparse books hold weight-0 words
+            words = (rng.random((num_keys, num_messages, n)) < density).astype(np.uint8)
+            if kind == "idle_subcode":
+                words[0] = 0
+        cb = book(params, words)
+        inst = CovertInstance(
+            wy=Bdmc(rng.dirichlet(np.ones(ny), size=2)),
+            wz=Bdmc(rng.dirichlet(np.ones(3), size=2)),
+            q=DecodingMetric(rng.uniform(0.1, 1.0, size=(2, ny))),
+            delta=0.1,
+        )
+        trials = int(rng.integers(1, 200))
+        cum0, cum1, rhat = _cumulative(inst.wy.w[0]), _cumulative(inst.wy.w[1]), _log_ratio(inst.q)
+        dense = [
+            [dense_pair_errors(cb, k, j, trials, seed, cum0, cum1, rhat) for j in range(num_messages)]
+            for k in range(num_keys)
+        ]
+        assert estimate_error(inst, cb, trials, seed).errors.tolist() == dense
+        samples = int(rng.integers(100, 400))
+        mc = covertness_mc(cb, inst.wz, samples, seed).kl_estimate
+        assert mc == pytest.approx(dense_covertness_mc(cb, inst.wz, samples, seed), rel=1e-12, abs=0.0)
 
 
 def report_for(p_hat: np.ndarray, trials: int = 100) -> ErrorReport:
