@@ -17,6 +17,11 @@ the warden's mixture likelihood depends on an output where every word is idle,
 and with l ~ sqrt(n) pulses per word those columns are a shrinking share of
 the block.  Drawing the full block keeps the Philox streams, and so every
 result, the same as sampling all n outputs.
+
+Exact divergences (covertness_exact, and ppm_output_kl over one chunk) share
+one enumerator, _mixture_kl.  It too keeps only the pulse columns, splits them
+into two halves, and gets the mixture's likelihood ratio on every output state
+from one matrix product of the two halves' score tables.
 """
 
 from __future__ import annotations
@@ -431,10 +436,76 @@ class CovertnessReport:
 
 
 def _warden_deltas(wz: Bdmc) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(active symbol set, base log-probs, active-vs-idle log ratios)."""
+    """(active symbol set, base log-probs, active-vs-idle log ratios with q1 floored at 1e-300)."""
     qz0, qz1 = wz.w[0], wz.w[1]
     active = np.flatnonzero(qz0 > 0.0)
-    return active, np.log(qz0[active]), np.log(qz1[active]) - np.log(qz0[active])
+    base_logs = np.log(qz0[active])
+    return active, base_logs, np.log(np.maximum(qz1[active], 1e-300)) - base_logs
+
+
+_PRODUCT_BLOCK = 1 << 18  # entries of one ratio block in _mixture_kl
+_REPAIR_BELOW = 1e-250  # ratio sums below this are recomputed in the log domain
+
+
+def _half_states(wcols: np.ndarray, base_logs: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(scores, base log-probs) of every output state on the k columns of ``wcols`` (C, k).
+
+    State i spells its symbols as the k base-a digits of i (a = d.size), most
+    significant first; scores[i, c] = sum_t d[z_t] wcols[c, t] and
+    base[i] = sum_t base_logs[z_t].
+    """
+    a, k = d.size, wcols.shape[1]
+    idx = np.arange(a**k, dtype=np.int64)
+    z = (idx[:, None] // a ** np.arange(k - 1, -1, -1, dtype=np.int64)) % a
+    return d[z] @ wcols.T, base_logs[z].sum(axis=1)
+
+
+def _mixture_kl(words: np.ndarray, base_logs: np.ndarray, d: np.ndarray) -> float:
+    """D(Qhat || Q0^n) of the uniform mixture of the binary ``words`` (C, n), unclamped.
+
+    Outputs range over the active alphabet, with log Q0 = ``base_logs`` and
+    active-vs-idle log ratios ``d`` (finite).  Only the pulse columns U count:
+    where every word is idle, Qhat and Q0^n share the factor Q0(z_t), which
+    cancels from the ratio R = Qhat / Q0^n and sums out of the divergence.
+    R factorises over columns, R(z) = (1/C) sum_c exp(S_A[z_A, c] + S_B[z_B, c])
+    for any split of U into halves A and B, so the a^|U| ratios are products of
+    one (a^|A|, C) and one (C, a^|B|) matrix.  Shifting the factors by
+    beta_c = max S_B[:, c] and alpha_i = max_c (S_A[i, c] + beta_c) keeps every
+    entry of both in (0, 1]; a ratio block whose product falls below
+    _REPAIR_BELOW, where underflow in the factors could matter, is recomputed
+    from a log-sum-exp over the words.  Blocks hold at most _PRODUCT_BLOCK
+    ratios, whatever n and C are.
+    """
+    _, wmat = _pulse_columns(words)
+    num_words = wmat.shape[0]
+    half = wmat.shape[1] // 2
+    s_a, b_a = _half_states(wmat[:, :half], base_logs, d)
+    s_b, b_b = _half_states(wmat[:, half:], base_logs, d)
+    beta = s_b.max(axis=0)
+    alpha = (s_a + beta).max(axis=1)
+    e_a = np.exp(s_a + beta - alpha[:, None])
+    e_b = np.exp(s_b - beta).T
+    log_c = np.log(np.float64(num_words))  # the ufunc of log(m) below: m == C gives log R == 0 exactly
+    n_a, n_b = s_a.shape[0], s_b.shape[0]
+    cols_blk = min(n_b, _PRODUCT_BLOCK)
+    rows_blk = max(1, _PRODUCT_BLOCK // cols_blk)
+    repair_blk = max(1, _PRODUCT_BLOCK // num_words)
+    kl = 0.0
+    for i0 in range(0, n_a, rows_blk):
+        rows = slice(i0, min(i0 + rows_blk, n_a))
+        for j0 in range(0, n_b, cols_blk):
+            cols = slice(j0, min(j0 + cols_blk, n_b))
+            m = e_a[rows] @ e_b[:, cols]
+            with np.errstate(divide="ignore"):
+                log_r = np.log(m) + (alpha[rows] - log_c)[:, None]
+            if m.min() < _REPAIR_BELOW:
+                low_i, low_j = np.nonzero(m < _REPAIR_BELOW)
+                for k0 in range(0, low_i.size, repair_blk):
+                    ii, jj = low_i[k0 : k0 + repair_blk], low_j[k0 : k0 + repair_blk]
+                    log_r[ii, jj] = _logsumexp_rows(s_a[rows][ii] + s_b[cols][jj]) - log_c
+            log_q = log_r + b_a[rows, None] + b_b[None, cols]
+            kl += float(np.sum(np.exp(log_q) * log_r))
+    return kl
 
 
 def covertness_exact(codebook: PpmCodebook, wz: Bdmc, max_states: int = 2**24) -> CovertnessReport:
@@ -442,10 +513,13 @@ def covertness_exact(codebook: PpmCodebook, wz: Bdmc, max_states: int = 2**24) -
 
     Qhat is the uniform mixture over all retained (key, message) words pushed
     through the adversary channel.  Raises ResourceLimitError when |Z|^n
-    exceeds ``max_states``; below the cap, only supp(Q0)^n is walked (the rest
+    exceeds ``max_states``; below the cap, only supp(Q0)^n counts (the rest
     carries no Qhat mass, or makes the divergence infinite, which is detected
-    up front).  Returns +inf when an active word can emit a symbol Q0 never
-    emits.
+    up front), and ``samples`` reports those a^n states.  Returns +inf when an
+    active word can emit a symbol Q0 never emits.  The sum runs over the pulse
+    columns only and is split into two column halves, so it costs about
+    a^|U| ratio entries from one matrix product instead of a^n word scores
+    (see _mixture_kl).
     """
     n = codebook.params.n
     if wz.num_outputs**n > max_states:
@@ -458,21 +532,8 @@ def covertness_exact(codebook: PpmCodebook, wz: Bdmc, max_states: int = 2**24) -
     if np.any((qz1 > 0.0) & (qz0 <= 0.0)) and np.any(words.sum(axis=1) > 0):
         return CovertnessReport(METHOD_EXACT, float("inf"), None, 0)
     active, base_logs, d = _warden_deltas(wz)
-    a = active.size
-    states = a**n
-    wmat = words.astype(np.float64)
-    log_c = math.log(wmat.shape[0])
-    kl = 0.0
-    block = 1 << 14
-    digits_pow = a ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    for start in range(0, states, block):
-        idx = np.arange(start, min(start + block, states), dtype=np.int64)
-        z = (idx[:, None] // digits_pow[None, :]) % a  # digits over the active alphabet
-        base = base_logs[z].sum(axis=1)
-        scores = d[z] @ wmat.T
-        log_qhat = base + _logsumexp_rows(scores) - log_c
-        kl += float(np.sum(np.exp(log_qhat) * (log_qhat - base)))
-    return CovertnessReport(METHOD_EXACT, max(kl, 0.0), None, int(states))
+    kl = _mixture_kl(words, base_logs, d)
+    return CovertnessReport(METHOD_EXACT, max(kl, 0.0), None, int(active.size**n))
 
 
 def _logsumexp_rows(m: np.ndarray) -> np.ndarray:
@@ -533,6 +594,9 @@ def ppm_output_kl(
     l times the single-chunk divergence D(P_chunk || Q0^w); the idle tail
     contributes nothing.  "exact" enumerates the chunk alphabet, "mc" draws
     chunk samples and averages the log-ratio (unbiased; stderr reported).
+    The chunk law is the uniform mixture of the w one-pulse words, so "exact"
+    is _mixture_kl on the w x w identity, over two column halves of the
+    chunk; ``samples`` still counts the a^w chunk states.
     """
     w, l = params.w, params.l
     method = method.lower()
@@ -540,30 +604,18 @@ def ppm_output_kl(
         raise DomainError(f"method must be 'exact' or 'mc', got {method!r}")
     if np.any((q1.probs > 0.0) & (q0.probs <= 0.0)):
         return CovertnessReport(METHOD_EXACT if method == "exact" else METHOD_MC, float("inf"), None, 0)
-    active = np.flatnonzero(q0.probs > 0.0)
-    base_logs = np.log(q0.probs[active])
-    d = np.log(np.maximum(q1.probs[active], 1e-300)) - base_logs
-    a = active.size
-    log_w = math.log(w)
     if method == "exact":
         if len(q0) ** w > max_states:
             raise ResourceLimitError(
                 f"exact chunk law needs {len(q0)}^{w} = {len(q0)**w} states, "
                 f"above the cap {max_states}; use method='mc'"
             )
-        states = a**w
-        digits_pow = a ** np.arange(w - 1, -1, -1, dtype=np.int64)
-        kl = 0.0
-        block = 1 << 14
-        for start in range(0, states, block):
-            idx = np.arange(start, min(start + block, states), dtype=np.int64)
-            z = (idx[:, None] // digits_pow[None, :]) % a
-            base = base_logs[z].sum(axis=1)
-            ratio = _logsumexp_rows(d[z]) - log_w
-            kl += float(np.sum(np.exp(base + ratio) * ratio))
-        return CovertnessReport(METHOD_EXACT, max(kl, 0.0) * l, None, int(states))
+        active, base_logs, d = _warden_deltas(Bdmc(np.stack([q0.probs, q1.probs])))
+        kl = _mixture_kl(np.eye(w, dtype=np.uint8), base_logs, d)
+        return CovertnessReport(METHOD_EXACT, max(kl, 0.0) * l, None, int(active.size**w))
     if samples < 2:
         raise DomainError("need at least 2 samples for a standard error")
+    log_w = math.log(w)
     gen = _stream(seed, _TAG_OUTPUT_KL)
     cum0 = _cumulative(q0.probs)
     cum1 = _cumulative(q1.probs)

@@ -7,10 +7,11 @@ provably never errs (or always does).
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covertcap import (
@@ -520,6 +521,132 @@ class TestCovertness:
         cb = generate_codebook(self.PARAMS, num_messages=2, num_keys=1, seed=34)
         with pytest.raises(DomainError):
             covertness_mc(cb, WZ_BIN, samples=99, seed=0)
+
+
+def reference_covertness_exact(cb, wz):
+    """D(Qhat || Q0^n) by the block loop over all a^n output states, as before the column-half product."""
+    n = cb.params.n
+    qz0, qz1 = wz.w
+    active = np.flatnonzero(qz0 > 0.0)
+    base_logs = np.log(qz0[active])
+    d = np.log(qz1[active]) - base_logs
+    a = active.size
+    wmat = cb.flat_words().astype(np.float64)
+    log_c = math.log(wmat.shape[0])
+    digits_pow = a ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    kl = 0.0
+    block = 1 << 14
+    for start in range(0, a**n, block):
+        idx = np.arange(start, min(start + block, a**n), dtype=np.int64)
+        z = (idx[:, None] // digits_pow[None, :]) % a
+        base = base_logs[z].sum(axis=1)
+        scores = d[z] @ wmat.T
+        top = scores.max(axis=1)
+        log_qhat = base + top + np.log(np.exp(scores - top[:, None]).sum(axis=1)) - log_c
+        kl += float(np.sum(np.exp(log_qhat) * (log_qhat - base)))
+    return max(kl, 0.0)
+
+
+def reference_chunk_kl(w, q0, q1):
+    """Single-chunk D(P_chunk || Q0^w) by the old base-a digit loop of ppm_output_kl."""
+    active = np.flatnonzero(q0.probs > 0.0)
+    base_logs = np.log(q0.probs[active])
+    d = np.log(np.maximum(q1.probs[active], 1e-300)) - base_logs
+    a = active.size
+    z = (np.arange(a**w, dtype=np.int64)[:, None] // a ** np.arange(w - 1, -1, -1, dtype=np.int64)) % a
+    ratio = np.log(np.exp(d[z]).sum(axis=1)) - math.log(w)
+    return max(float(np.sum(np.exp(base_logs[z].sum(axis=1) + ratio) * ratio)), 0.0)
+
+
+# a warden whose idle law puts 1e-60 on the symbol the active law favours
+WZ_EXTREME = Bdmc(np.array([[1.0 - 1e-60, 1e-60], [0.5, 0.5]]))
+
+
+class TestCovertnessExactKernel:
+    """The column-half product gives the values of the full state loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ny=st.sampled_from([2, 3]),
+        num_words=st.integers(1, 8),
+        kind=st.sampled_from(["half_dense", "sparse", "all_idle", "ppm"]),
+        tiny_exp=st.sampled_from([0, 20, 40, 56, 60]),
+    )
+    @example(seed=1, ny=2, num_words=8, kind="half_dense", tiny_exp=60)
+    def test_matches_the_state_loop(self, seed, ny, num_words, kind, tiny_exp):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, (14 if ny == 2 else 9) + 1))
+        if kind == "ppm":
+            l = int(rng.integers(1, n + 1))
+            cb = generate_codebook(PpmParams(n, l, n // l, n - (n // l) * l), num_words, 1, seed)
+        else:
+            density = {"half_dense": 0.5, "sparse": 2.0 / (n + 1), "all_idle": 0.0}[kind]
+            cb = book(PpmParams(n, n, 1, 0), [(rng.random((num_words, n)) < density).astype(np.uint8)])
+        q = rng.dirichlet(np.ones(ny), size=2)
+        if tiny_exp:  # one idle-law entry near 10^-tiny_exp sends some ratio blocks to the log-domain path
+            q[0, rng.integers(ny)] = 10.0**-tiny_exp
+            q[0] /= q[0].sum()
+        wz = Bdmc(q)
+        got = covertness_exact(cb, wz)
+        assert got.samples == ny**n
+        assert got.kl_estimate == pytest.approx(reference_covertness_exact(cb, wz), rel=1e-10, abs=1e-13)
+
+    def test_underflowing_ratio_blocks_are_repaired(self):
+        # word 1 pulses on the first half only, word 2 everywhere: the ratios of
+        # the likely states with the rare symbol on the first half underflow in
+        # the shifted product and must come from the log-domain path
+        cb = book(PpmParams(12, 12, 1, 0), [[[1] * 6 + [0] * 6, [1] * 12]])
+        exact = covertness_exact(cb, WZ_EXTREME).kl_estimate
+        assert math.isfinite(exact)
+        assert exact == pytest.approx(reference_covertness_exact(cb, WZ_EXTREME), rel=1e-10, abs=1e-13)
+
+    @pytest.mark.parametrize(
+        "params, num_messages, num_keys, seed, wz, value",
+        [
+            (PpmParams(16, 4, 4, 0), 6, 2, 11, WZ_BIN, "0x1.1a7676d4431c3p-2"),
+            (PpmParams(10, 3, 3, 1), 5, 2, 12, Bdmc(np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]])), "0x1.7003bc35e5d6cp-2"),
+        ],
+    )
+    def test_pinned_values_of_seeded_books(self, params, num_messages, num_keys, seed, wz, value):
+        cb = generate_codebook(params, num_messages, num_keys, seed)
+        assert covertness_exact(cb, wz).kl_estimate == pytest.approx(float.fromhex(value), rel=1e-12, abs=0.0)
+
+    def test_block_size_does_not_change_the_value(self, monkeypatch):
+        cb = generate_codebook(PpmParams(12, 3, 4, 0), 6, 2, seed=13)
+        for wz in (WZ_BIN, WZ_EXTREME):
+            whole = covertness_exact(cb, wz).kl_estimate
+            monkeypatch.setattr("covertcap.ppm._PRODUCT_BLOCK", 16)  # 1 x 16 ratio blocks, one-row repairs
+            assert covertness_exact(cb, wz).kl_estimate == pytest.approx(whole, rel=1e-12, abs=1e-15)
+            monkeypatch.undo()
+
+    def test_zero_active_probability_stays_finite(self):
+        # q1 = 0 on a symbol q0 emits: the log ratio is floored, as in covertness_mc
+        wz = Bdmc(np.array([[0.5, 0.3, 0.2], [0.6, 0.4, 0.0]]))
+        cb = book(PpmParams(6, 2, 3, 0), [[[1, 0, 0, 0, 1, 0], [0, 1, 0, 1, 0, 0]]])
+        exact = covertness_exact(cb, wz)
+        mc = covertness_mc(cb, wz, samples=20_000, seed=14)
+        assert math.isfinite(exact.kl_estimate)
+        assert abs(mc.kl_estimate - exact.kl_estimate) <= 4 * mc.stderr
+
+    def test_peak_memory_within_the_state_loop(self):
+        params = ppm_params(20, 0.3, ProbVector(WZ_BIN.w[0]), ProbVector(WZ_BIN.w[1]))
+        cb = generate_codebook(params, num_messages=12, num_keys=4, seed=1)  # 2^20 states, 48 words
+        peaks = []
+        for run in (lambda: reference_covertness_exact(cb, WZ_BIN), lambda: covertness_exact(cb, WZ_BIN)):
+            tracemalloc.start()
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
+
+    @pytest.mark.parametrize("w", [1, 2, 5, 9])
+    @pytest.mark.parametrize("floor", [1.0, 1e-60])
+    def test_chunk_kl_matches_the_digit_loop(self, w, floor):
+        q0 = ProbVector(np.array([0.5, 0.3 * floor, 0.2]) / (0.7 + 0.3 * floor))
+        rep = ppm_output_kl(PpmParams(2 * w, 2, w, 0), q0, Q1, method="exact")
+        assert rep.samples == 3**w
+        assert rep.kl_estimate == pytest.approx(2 * reference_chunk_kl(w, q0, Q1), rel=1e-10, abs=1e-13)
 
 
 class TestPpmOutputKl:
