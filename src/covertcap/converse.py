@@ -38,6 +38,7 @@ from .core import (
 
 _TINY = 1e-300        # clamp inside logs; never influences a finite optimum
 _NEG_CLAMP = -1e18    # stands in for log(0) in the grid oracle, excludes the point
+_ORACLE_BLOCK = 1 << 18  # entries of one cross-term block in the grid oracle
 
 
 @dataclass(frozen=True)
@@ -329,27 +330,20 @@ def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _lattice_marginals(
-    w_row: np.ndarray, allowed_x: np.ndarray, grid_g: int, max_points: int
-) -> np.ndarray:
-    """All marginals m_x reachable when every v[x, y] lies on the 1/grid_g lattice."""
+def _lattice_marginals(w_row: np.ndarray, allowed_x: np.ndarray, grid_g: int) -> np.ndarray:
+    """The distinct marginals m_x reachable when every v[x, y] lies on the 1/grid_g lattice.
+
+    Only bit-distinct rows are kept after each cell; rows equal after one cell
+    stay equal after every later one, so this is full enumeration's row set.
+    """
     ny = w_row.size
     m = np.zeros((1, ny))
-    count = 1
-    for y in range(ny):
-        if w_row[y] == 0.0:
-            continue  # this cell cannot move any mass
+    for y in np.flatnonzero(w_row):  # a cell with zero weight cannot move any mass
         targets = np.flatnonzero(allowed_x[y])
         comps = np.array(_compositions(grid_g, targets.size), dtype=float) / grid_g
-        count *= comps.shape[0]
-        if count > max_points:
-            raise ResourceLimitError(
-                f"grid oracle lattice exceeds {max_points} points per input; "
-                f"lower grid_g or raise max_points"
-            )
         cell = np.zeros((comps.shape[0], ny))
         cell[:, targets] = w_row[y] * comps
-        m = (m[:, None, :] + cell[None, :, :]).reshape(-1, ny)
+        m = np.unique((m[:, None, :] + cell[None, :, :]).reshape(-1, ny), axis=0)
     return m
 
 
@@ -360,26 +354,32 @@ def upper_bound_grid_oracle(
 
     Every conditional row is restricted to coordinates that are multiples of
     1/grid_g; the true minimum is at most the returned value.  Enumeration is
-    factored through the two marginal families, so cost is (#m1 points) x
-    (#m0 points) inner products rather than a walk over raw couplings.
-    Raises ResourceLimitError when a marginal family would exceed
-    ``max_points``.
+    factored through the two families of distinct marginals, so the cost is
+    (#distinct m1) x (#distinct m0) inner products, taken in blocks with a row
+    max.  Raises ResourceLimitError, before enumerating, when either input's
+    raw lattice (duplicates included) would exceed ``max_points`` points.
     """
     if grid_g < 1:
         raise DomainError(f"grid_g must be a positive integer, got {grid_g!r}")
     require_valid(inst)
     table = maximal_sets(inst.q)
-    m0s = _lattice_marginals(inst.wy.w[0], table.allowed[0], grid_g, max_points)
-    m1s = _lattice_marginals(inst.wy.w[1], table.allowed[1], grid_g, max_points)
+    w = inst.wy.w
+    cell_targets = [table.allowed[x][w[x] != 0.0].sum(axis=1).tolist() for x in range(2)]
+    if max(math.prod(math.comb(grid_g + k - 1, k - 1) for k in ks) for ks in cell_targets) > max_points:
+        raise ResourceLimitError(
+            f"grid oracle lattice exceeds {max_points} points per input; "
+            f"lower grid_g or raise max_points"
+        )
+    m0s = _lattice_marginals(w[0], table.allowed[0], grid_g)
+    m1s = _lattice_marginals(w[1], table.allowed[1], grid_g)
 
     log_m0 = np.where(m0s > 0.0, np.log(np.maximum(m0s, _TINY)), _NEG_CLAMP)
     self_term = np.sum(np.where(m1s > 0.0, m1s * np.log(np.maximum(m1s, _TINY)), 0.0), axis=1)
 
     best = math.inf
-    chunk = max(1, int(5_000_000 // max(1, m0s.shape[0])))
+    chunk = max(1, _ORACLE_BLOCK // m0s.shape[0])
     for start in range(0, m1s.shape[0], chunk):
-        block = m1s[start : start + chunk]
-        cross = block @ log_m0.T  # (chunk, N0); exact zeros kill clamped entries
-        d = self_term[start : start + chunk, None] - cross
-        best = min(best, float(d.min()))
+        cross = m1s[start : start + chunk] @ log_m0.T  # exact zeros kill clamped entries
+        # fl(s - c) falls as c grows, so a row's least s - c is s minus its largest c
+        best = min(best, float(np.min(self_term[start : start + chunk] - cross.max(axis=1))))
     return max(best, 0.0)

@@ -15,7 +15,7 @@ import pytest
 from covertcap import upper_bound_grid_oracle, weight_parameter
 from covertcap.cli import main
 
-from conftest import example1
+from conftest import example1, random_instance
 
 EXAMPLE_SPEC = {
     "wy": [[0.6, 0.2, 0.2], [0.2, 0.2, 0.6]],
@@ -109,6 +109,15 @@ class TestBounds:
         t = weight_parameter(inst.delta, inst.q0, inst.q1).t
         expected = t * upper_bound_grid_oracle(inst, 12)
         assert float(fields[5]) == pytest.approx(expected, abs=1e-9)
+
+    def test_oversize_grid_check_exits_3(self, tmp_path, capsys):
+        # eight outputs: at G = 40 the idle input's raw lattice is far over 5,000,000 points
+        inst = random_instance(np.random.default_rng(3), ny=8)
+        spec = {"wy": inst.wy.w.tolist(), "wz": inst.wz.w.tolist(), "q": inst.q.q.tolist(),
+                "delta": inst.delta}
+        path = write_json(tmp_path, "wide.json", spec)
+        assert main(["bounds", path, "--grid-check", "40"]) == 3
+        assert "grid oracle lattice exceeds" in capsys.readouterr().err
 
 
 class TestSweep:

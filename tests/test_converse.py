@@ -8,10 +8,11 @@ resolution.  Frozen literals were produced by those oracles.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covertcap import (
@@ -33,7 +34,7 @@ from covertcap import (
     upper_bound_grid_oracle,
     verify_maximal,
 )
-from covertcap.converse import _TINY, _line_search
+from covertcap.converse import _TINY, _compositions, _lattice_marginals, _line_search
 
 from conftest import (
     WZ1,
@@ -535,3 +536,142 @@ class TestGridOracle:
         )
         with pytest.raises(ResourceLimitError):
             upper_bound_grid_oracle(loose, 200)
+
+
+def full_enumeration_oracle(inst: CovertInstance, grid_g: int, max_points: int) -> float:
+    """The lattice oracle as it was before deduplication, kept as the reference.
+
+    Every raw lattice point of both marginal families is enumerated, the
+    cross terms come in blocks of about 5M entries and the minimum is taken
+    over the full difference matrix.
+    """
+    table = maximal_sets(inst.q)
+    families = []
+    for x in range(2):
+        w_row, ny = inst.wy.w[x], inst.wy.num_outputs
+        m = np.zeros((1, ny))
+        count = 1
+        for y in range(ny):
+            if w_row[y] == 0.0:
+                continue
+            targets = np.flatnonzero(table.allowed[x, y])
+            comps = np.array(_compositions(grid_g, targets.size), dtype=float) / grid_g
+            count *= comps.shape[0]
+            if count > max_points:
+                raise ResourceLimitError("lattice too large")
+            cell = np.zeros((comps.shape[0], ny))
+            cell[:, targets] = w_row[y] * comps
+            m = (m[:, None, :] + cell[None, :, :]).reshape(-1, ny)
+        families.append(m)
+    m0s, m1s = families
+    log_m0 = np.where(m0s > 0.0, np.log(np.maximum(m0s, _TINY)), -1e18)
+    self_term = np.sum(np.where(m1s > 0.0, m1s * np.log(np.maximum(m1s, _TINY)), 0.0), axis=1)
+    best = math.inf
+    chunk = max(1, int(5_000_000 // max(1, m0s.shape[0])))
+    for start in range(0, m1s.shape[0], chunk):
+        d = self_term[start : start + chunk, None] - m1s[start : start + chunk] @ log_m0.T
+        best = min(best, float(d.min()))
+    return max(best, 0.0)
+
+
+LATTICE_WARDEN = Bdmc(np.array([[0.7, 0.3], [0.4, 0.6]]))
+MAX_GRID = {2: 24, 3: 12, 4: 6}
+
+
+def lattice_instance(counts0, counts1, q) -> CovertInstance:
+    """Channel rows proportional to small integer counts, so entries repeat or are commensurate."""
+    wy = np.array([counts0, counts1], dtype=float)
+    return CovertInstance(
+        wy=Bdmc(wy / wy.sum(axis=1, keepdims=True)),
+        wz=LATTICE_WARDEN,
+        q=DecodingMetric(np.reshape(np.asarray(q, dtype=float), (2, -1))),
+        delta=0.1,
+    )
+
+
+@st.composite
+def lattice_cases(draw):
+    ny = draw(st.integers(2, 4))
+    counts = st.lists(st.integers(0, 4), min_size=ny, max_size=ny)
+    counts0 = draw(counts.filter(any))
+    # A3: the sending row may put mass only where the idle row has some
+    counts1 = draw(counts.map(lambda c: [b if a else 0 for a, b in zip(counts0, c)]).filter(any))
+    # few metric values, so ties widen the maximal sets
+    q = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]), min_size=2 * ny, max_size=2 * ny))
+    grid_g = draw(st.integers(1, MAX_GRID[ny]))
+    return lattice_instance(counts0, counts1, q), grid_g
+
+
+# Recorded at the last commit that enumerated every raw lattice point: the
+# figure's u = 0.5 check at G = 24, and criterion 5's first three instances
+# at G = 20.
+EXAMPLE1_ORACLE_HEX = "0x1.871305a70a5bcp-2"
+CRITERION5_ORACLE_HEX = ["0x1.9b0db29e44528p-3", "0x1.83d0bb135eb80p-7", "0x1.21ec77a5a8d16p-1"]
+
+
+class TestGridOracleDistinctMarginals:
+    """The deduplicated, blocked oracle returns the full enumeration's minimum bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_cases())
+    # the binary instance whose marginal intervals meet at a 1/16 multiple
+    @example((lattice_instance([3, 1], [2, 2], [1.0, 2.0, 1.0, 1.0]), 16))
+    # a flat metric allows every move, so both families contain each vertex
+    @example((lattice_instance([1, 2, 0, 1], [0, 1, 0, 3], [1.0] * 8), 4))
+    def test_matches_full_enumeration(self, case):
+        inst, grid_g = case
+        try:
+            expected = full_enumeration_oracle(inst, grid_g, max_points=3000)
+        except ResourceLimitError:
+            with pytest.raises(ResourceLimitError):
+                upper_bound_grid_oracle(inst, grid_g, max_points=3000)
+            return
+        assert upper_bound_grid_oracle(inst, grid_g, max_points=3000) == expected
+
+    def test_flat_metric_lattice_has_an_exact_zero(self):
+        inst = lattice_instance([1, 2, 0, 1], [0, 1, 0, 3], [1.0] * 8)
+        assert upper_bound_grid_oracle(inst, 4) == 0.0
+
+    def test_bits_match_recorded_values(self):
+        assert upper_bound_grid_oracle(example1(0.5), 24).hex() == EXAMPLE1_ORACLE_HEX
+        rng = np.random.default_rng(505)  # the draw order of acceptance criterion 5
+        values = [upper_bound_grid_oracle(random_instance(rng), 20).hex() for _ in range(3)]
+        assert values == CRITERION5_ORACLE_HEX
+
+    def test_families_hold_only_distinct_points(self):
+        inst = example1(0.5)
+        table = maximal_sets(inst.q)
+        sizes = []
+        for x in range(2):
+            m = _lattice_marginals(inst.wy.w[x], table.allowed[x], 24)
+            assert np.unique(m, axis=0).shape == m.shape
+            sizes.append(m.shape[0])
+        assert sizes == [4993, 1733]  # of 8125 raw points each
+
+    def test_peak_memory(self):
+        inst = example1(0.5)
+        tracemalloc.start()
+        try:
+            upper_bound_grid_oracle(inst, 24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
+    def test_oversize_lattice_refused_before_allocating(self):
+        # eight outputs; the idle input's first cell alone has C(45, 5) points at G = 40
+        inst = random_instance(np.random.default_rng(3), ny=8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="exceeds 1000 points"):
+                upper_bound_grid_oracle(inst, 40, max_points=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_refusal_follows_the_raw_count(self):
+        # example1(0.5) has 8125 raw points per input and fewer distinct ones
+        assert upper_bound_grid_oracle(example1(0.5), 24, max_points=8125) > 0.0
+        with pytest.raises(ResourceLimitError):
+            upper_bound_grid_oracle(example1(0.5), 24, max_points=8124)
