@@ -39,6 +39,7 @@ from .core import (
 _TINY = 1e-300        # clamp inside logs; never influences a finite optimum
 _NEG_CLAMP = -1e18    # stands in for log(0) in the grid oracle, excludes the point
 _ORACLE_BLOCK = 1 << 18  # entries of one cross-term block in the grid oracle
+_MAX_PAIRS = 1 << 30  # most (m1, m0) raw lattice pairs the grid oracle scores
 
 
 @dataclass(frozen=True)
@@ -357,7 +358,8 @@ def upper_bound_grid_oracle(
     factored through the two families of distinct marginals, so the cost is
     (#distinct m1) x (#distinct m0) inner products, taken in blocks with a row
     max.  Raises ResourceLimitError, before enumerating, when either input's
-    raw lattice (duplicates included) would exceed ``max_points`` points.
+    raw lattice (duplicates included) would exceed ``max_points`` points, or
+    the two raw lattices together would make more than _MAX_PAIRS pairs.
     """
     if grid_g < 1:
         raise DomainError(f"grid_g must be a positive integer, got {grid_g!r}")
@@ -365,10 +367,15 @@ def upper_bound_grid_oracle(
     table = maximal_sets(inst.q)
     w = inst.wy.w
     cell_targets = [table.allowed[x][w[x] != 0.0].sum(axis=1).tolist() for x in range(2)]
-    if max(math.prod(math.comb(grid_g + k - 1, k - 1) for k in ks) for ks in cell_targets) > max_points:
+    raw = [math.prod(math.comb(grid_g + k - 1, k - 1) for k in ks) for ks in cell_targets]
+    if max(raw) > max_points:
         raise ResourceLimitError(
             f"grid oracle lattice exceeds {max_points} points per input; "
             f"lower grid_g or raise max_points"
+        )
+    if raw[0] * raw[1] > _MAX_PAIRS:
+        raise ResourceLimitError(
+            f"grid oracle lattice pairs {raw[0]} x {raw[1]} exceed {_MAX_PAIRS}; lower grid_g"
         )
     m0s = _lattice_marginals(w[0], table.allowed[0], grid_g)
     m1s = _lattice_marginals(w[1], table.allowed[1], grid_g)

@@ -10,13 +10,12 @@ Monte-Carlo sample sits on a substream indexed by (master seed, purpose tag,
 pair index, trial index), so regenerating any piece is bit-identical no matter
 the iteration order or thread schedule.
 
-Decode trials and covertness samples draw all n uniforms of every block but
-turn into channel outputs only those at pulse positions, the columns where
-some word of the book (or sub-code) is active.  Neither the metric score nor
-the warden's mixture likelihood depends on an output where every word is idle,
-and with l ~ sqrt(n) pulses per word those columns are a shrinking share of
-the block.  Drawing the full block keeps the Philox streams, and so every
-result, the same as sampling all n outputs.
+Decode trials and covertness samples draw uniforms, and so channel outputs,
+only at pulse positions, the columns where some word of the book (or sub-code)
+is active.  Neither the metric score nor the warden's mixture likelihood
+depends on an output where every word is idle, and with l ~ sqrt(n) pulses
+per word those columns are a shrinking share of the block: idle columns cost
+no draws, and a block's memory does not grow with n.
 
 Exact divergences (covertness_exact, and ppm_output_kl over one chunk) share
 one enumerator, _mixture_kl.  It too keeps only the pulse columns, splits them
@@ -56,6 +55,9 @@ _TAG_OUTPUT_KL = 5
 _MASK64 = (1 << 64) - 1
 
 MAX_CODEBOOK_BYTES = 2**30  # largest (K, M, n) uint8 book generate_codebook builds
+# uniforms per block of decode trials or covertness samples; every one is
+# sampled and scored, so a block's temporaries take a few times 8 MiB
+_PULSE_BLOCK = 1 << 20
 
 
 def _stream(seed: int, tag: int, c1: int = 0, c2: int = 0) -> np.random.Generator:
@@ -82,16 +84,16 @@ def _pulse_columns(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cols, words[:, cols].astype(np.float64)
 
 
-def _sample_at_pulses(gen, t, n, cols, pulses, cum0, cum1) -> np.ndarray:
-    """Outputs at columns ``cols`` of t channel blocks of length n.
+def _sample_at_pulses(gen, t, cols, pulses, cum0, cum1) -> np.ndarray:
+    """Outputs at columns ``cols`` of t channel blocks, one uniform per entry.
 
-    All t*n uniforms are drawn, so the stream advances exactly as for dense
-    sampling, but only the ``cols`` columns are inverse-CDF sampled: from cum1
-    where ``pulses`` (broadcastable to (t, |cols|)) is true, cum0 elsewhere.
-    The cum1 samples overwrite the few pulse entries of a cum0 sample, which
-    costs less than sampling every entry from both and selecting.
+    The stream advances by t*|cols| uniforms, row by row, so idle columns
+    draw nothing.  Entries are inverse-CDF sampled from cum1 where ``pulses``
+    (broadcastable to (t, |cols|)) is true, cum0 elsewhere.  The cum1 samples
+    overwrite the few pulse entries of a cum0 sample, which costs less than
+    sampling every entry from both and selecting.
     """
-    u = gen.random((t, n))[:, cols]
+    u = gen.random((t, cols.size))
     y = _sample_symbols(cum0, u)
     on = np.broadcast_to(pulses, u.shape)
     y[on] = _sample_symbols(cum1, u[on])
@@ -304,24 +306,23 @@ def _pair_errors(codebook, k, j, trials, seed, cum0, cum1, rhat, chunk=1024, pul
 
     ``pulses`` is ``_pulse_columns`` of sub-code k, computed here when not
     given; estimate_error always passes it, and only the block-size test in
-    tests/test_ppm.py relies on the default.  Every trial draws all n
-    uniforms but samples and scores only the sub-code's pulse columns: a
-    column where all its words are idle adds the same log q(0, y) to every
-    score, so it cannot change the verdict.  A block holds at most
-    ``chunk`` trials and at most 2**22 uniforms, so its intermediates stay
-    bounded as n grows.
+    tests/test_ppm.py relies on the default.  Every trial draws uniforms,
+    samples and scores only at the sub-code's pulse columns: a column where
+    all its words are idle adds the same log q(0, y) to every score, so it
+    cannot change the verdict.  A block holds at most ``chunk`` trials and
+    about _PULSE_BLOCK uniforms (at least one trial), so its intermediates do
+    not grow with n.
     """
     cols, words = _pulse_columns(codebook.codewords[k]) if pulses is None else pulses
     x = words[j] == 1.0
     pair = k * codebook.num_messages + j
     gen = _stream(seed, _TAG_ERROR, c1=pair)
-    n = codebook.params.n
-    chunk = min(chunk, max(1, (1 << 22) // n))
+    chunk = min(chunk, max(1, _PULSE_BLOCK // max(1, cols.size)))
     failures = 0
     done = 0
     while done < trials:
         t = min(chunk, trials - done)
-        y = _sample_at_pulses(gen, t, n, cols, x, cum0, cum1)
+        y = _sample_at_pulses(gen, t, cols, x, cum0, cum1)
         scores = rhat[y] @ words.T
         top = scores.max(axis=1)
         at_top = (scores >= top[:, None] - TIE_TOL).sum(axis=1)
@@ -547,13 +548,16 @@ def covertness_mc(codebook: PpmCodebook, wz: Bdmc, samples: int, seed: int) -> C
     Draws (key, message) uniformly, pushes the word through the adversary
     channel, and averages log Qhat(z) - log Q0^n(z); the mixture likelihood is
     evaluated exactly over all retained words, so the estimator's only error
-    is sampling noise (stderr is reported).  Each sample draws all n uniforms
-    but samples and scores only the book's pulse columns: where every word is
+    is sampling noise (stderr is reported).  Each sample draws uniforms,
+    samples and scores only at the book's pulse columns U: where every word is
     idle, Qhat and Q0^n share the factor Q0(z_i), which cancels in the ratio.
+    Samples come in blocks of t = min(samples, _PULSE_BLOCK // max(1, |U|)),
+    at least one; each block draws t word choices, then t*|U| uniforms, so the
+    block size is part of the random stream, and a block's memory does not
+    grow with n.
     """
     if samples < 100:
         raise DomainError(f"need at least 100 samples, got {samples!r}")
-    n = codebook.params.n
     qz0, qz1 = wz.w[0], wz.w[1]
     words = codebook.flat_words()
     if np.any((qz1 > 0.0) & (qz0 <= 0.0)) and np.any(words.sum(axis=1) > 0):
@@ -566,11 +570,11 @@ def covertness_mc(codebook: PpmCodebook, wz: Bdmc, samples: int, seed: int) -> C
     gen = _stream(seed, _TAG_COVERT)
     vals = np.empty(samples)
     done = 0
-    block = max(1, min(samples, (1 << 22) // max(1, n)))
+    block = max(1, min(samples, _PULSE_BLOCK // max(1, cols.size)))
     while done < samples:
         t = min(block, samples - done)
         choice = gen.integers(0, wmat.shape[0], size=t)
-        z = _sample_at_pulses(gen, t, n, cols, wmat[choice] == 1.0, cum0, cum1)
+        z = _sample_at_pulses(gen, t, cols, wmat[choice] == 1.0, cum0, cum1)
         scores = d_full[z] @ wmat.T
         vals[done : done + t] = _logsumexp_rows(scores) - log_c
         done += t

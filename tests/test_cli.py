@@ -119,6 +119,15 @@ class TestBounds:
         assert main(["bounds", path, "--grid-check", "40"]) == 3
         assert "grid oracle lattice exceeds" in capsys.readouterr().err
 
+    def test_oversize_grid_pair_count_exits_3(self, tmp_path, capsys):
+        # all mass on one output under a flat metric: 501,501 raw points per
+        # input at G = 1000, within the per-input cap, but about 2.5e11 pairs
+        spec = {"wy": [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], "wz": EXAMPLE_SPEC["wz"],
+                "q": [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]], "delta": 0.1}
+        path = write_json(tmp_path, "flat.json", spec)
+        assert main(["bounds", path, "--grid-check", "1000"]) == 3
+        assert "grid oracle lattice pairs" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_table_shape_and_ordering(self, spec_file, capsys):
@@ -260,8 +269,9 @@ class TestSimulate:
         assert not (tmp_path / "huge").exists()
 
 
-# Recorded before outputs were sampled only at pulse positions; a new digest
-# means the random streams moved, which must be declared as a stream change.
+# Recorded when uniforms began to be drawn only at pulse columns (a declared
+# stream change); a new digest means the random streams moved again, which
+# must be declared as a stream change.
 PINNED_MC_CONFIG = {
     "n": 2000,
     "num_messages": 16,
@@ -279,13 +289,13 @@ PINNED_MC_CONFIG = {
         (
             EXAMPLE_SPEC,
             PINNED_MC_CONFIG,
-            "b0bc0c31ea69579106e9d5d416e20986df6c5e599672f67e055ef831a748a9f2",
-            "3a6c3cdfbcff9fd9ad29270934d3362d5e070385f108d8f3e60988569705596e",
+            "969f34663f293c6b20a79f42484552967c30a614cf1792102f0873ad20ed11e1",
+            "852a58993261a3aab03d8492c67ad3ab332b208e18bde40cebf4b9b28de45012",
         ),
         (
             SIM_SPEC,
             SIM_CONFIG,
-            "021b019a8fb1010c86440439f0bebf06e1d7c4d6d6b0d2d2a0c381281b665d9e",
+            "7a7b7c322e20afc182fb6f488fcdee42e17acadf2dca282d4bc3f1e25ca507d7",
             "5260b34d6bf44500c0b75d305d2d825812a8e282d8de8f250235a8483ee40d55",
         ),
     ],

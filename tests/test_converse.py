@@ -675,3 +675,22 @@ class TestGridOracleDistinctMarginals:
         assert upper_bound_grid_oracle(example1(0.5), 24, max_points=8125) > 0.0
         with pytest.raises(ResourceLimitError):
             upper_bound_grid_oracle(example1(0.5), 24, max_points=8124)
+
+    def test_oversize_pair_count_refused_before_allocating(self):
+        # one output carries all mass and the metric is flat: each input has
+        # C(1002, 2) = 501,501 raw points at G = 1000, within max_points, but
+        # about 2.5e11 pairs
+        inst = CovertInstance(
+            wy=Bdmc(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])),
+            wz=Bdmc(WZ1),
+            q=DecodingMetric(np.ones((2, 3))),
+            delta=0.1,
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="501501 x 501501"):
+                upper_bound_grid_oracle(inst, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

@@ -330,10 +330,18 @@ def dense_sample(cum0, cum1, pulses, u):
     return np.where(pulses, np.searchsorted(cum1, u, side="right"), np.searchsorted(cum0, u, side="right"))
 
 
+def dense_uniforms(gen, t, n, cols):
+    """(t, n) uniforms drawn at ``cols`` only, as the simulator draws them; idle columns hold 0.5."""
+    u = np.full((t, n), 0.5)
+    u[:, cols] = gen.random((t, cols.size))
+    return u
+
+
 def dense_pair_errors(cb, k, j, trials, seed, cum0, cum1, rhat):
     """Error count of pair (k, j) from all n outputs, as before pulse-column scoring."""
     words = cb.codewords[k].astype(np.float64)
-    u = _stream(seed, _TAG_ERROR, c1=k * cb.num_messages + j).random((trials, cb.params.n))
+    gen = _stream(seed, _TAG_ERROR, c1=k * cb.num_messages + j)
+    u = dense_uniforms(gen, trials, cb.params.n, np.flatnonzero(cb.codewords[k].any(axis=0)))
     scores = rhat[dense_sample(cum0, cum1, cb.codewords[k, j] == 1, u)] @ words.T
     top = scores.max(axis=1)
     ok = ((scores >= top[:, None] - TIE_TOL).sum(axis=1) == 1) & (scores[:, j] >= top - TIE_TOL)
@@ -347,7 +355,7 @@ def dense_covertness_mc(cb, wz, samples, seed):
     d_full = np.where(qz0 > 0.0, np.log(np.maximum(qz1, 1e-300)) - np.log(np.maximum(qz0, 1e-300)), 0.0)
     gen = _stream(seed, _TAG_COVERT)
     choice = gen.integers(0, words.shape[0], size=samples)
-    u = gen.random((samples, cb.params.n))
+    u = dense_uniforms(gen, samples, cb.params.n, np.flatnonzero(words.any(axis=0)))
     scores = d_full[dense_sample(_cumulative(qz0), _cumulative(qz1), words[choice] == 1, u)] @ words.T.astype(np.float64)
     top = scores.max(axis=1)
     return float(np.mean(top + np.log(np.exp(scores - top[:, None]).sum(axis=1)) - math.log(words.shape[0])))
@@ -394,6 +402,59 @@ class TestPulseColumnsMatchDense:
         samples = int(rng.integers(100, 400))
         mc = covertness_mc(cb, inst.wz, samples, seed).kl_estimate
         assert mc == pytest.approx(dense_covertness_mc(cb, inst.wz, samples, seed), rel=1e-12, abs=0.0)
+
+
+class TestIdleColumnsDrawNothing:
+    """Uniforms are drawn only at pulse columns, so idle columns cost neither draws nor memory."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        extra=st.integers(0, 3000),
+        num_keys=st.integers(1, 3),
+        num_messages=st.integers(1, 5),
+        ny=st.integers(2, 4),
+        density=st.sampled_from([0.05, 0.2, 0.5, 1.0]),
+    )
+    def test_inserted_idle_columns_change_nothing(self, seed, n, extra, num_keys, num_messages, ny, density):
+        rng = np.random.default_rng(seed)
+        words = (rng.random((num_keys, num_messages, n)) < density).astype(np.uint8)
+        wide = np.zeros((num_keys, num_messages, n + extra), dtype=np.uint8)
+        wide[:, :, np.sort(rng.choice(n + extra, size=n, replace=False))] = words
+        narrow_cb = book(PpmParams(n, 1, n, 0), words)
+        wide_cb = book(PpmParams(n + extra, 1, n + extra, 0), wide)
+        inst = CovertInstance(
+            wy=Bdmc(rng.dirichlet(np.ones(ny), size=2)),
+            wz=Bdmc(rng.dirichlet(np.ones(3), size=2)),
+            q=DecodingMetric(rng.uniform(0.1, 1.0, size=(2, ny))),
+            delta=0.1,
+        )
+        trials = int(rng.integers(1, 200))
+        assert np.array_equal(
+            estimate_error(inst, wide_cb, trials, seed).errors,
+            estimate_error(inst, narrow_cb, trials, seed).errors,
+        )
+        samples = int(rng.integers(100, 400))
+        wide_mc = covertness_mc(wide_cb, inst.wz, samples, seed)
+        narrow_mc = covertness_mc(narrow_cb, inst.wz, samples, seed)
+        assert (wide_mc.kl_estimate, wide_mc.stderr) == (narrow_mc.kl_estimate, narrow_mc.stderr)
+
+    def test_covertness_block_memory_does_not_grow_with_n(self):
+        # a full (t, n) float64 uniform block takes 8 MB per sample at n = 10^6;
+        # with draws at the three pulse columns only, the 1 MB column scan dominates
+        n = 10**6
+        words = np.zeros((2, 2, n), dtype=np.uint8)
+        words[:, :, [10, 500_000, n - 1]] = [[[1, 0, 0], [0, 1, 0]], [[0, 0, 1], [1, 1, 0]]]
+        cb = book(PpmParams(n, 1, n, 0), words)
+        tracemalloc.start()
+        try:
+            report = covertness_mc(cb, WZ_BIN, 1000, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(report.kl_estimate)
+        assert peak < 4 * 2**20
 
 
 def report_for(p_hat: np.ndarray, trials: int = 100) -> ErrorReport:
