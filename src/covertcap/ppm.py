@@ -15,7 +15,10 @@ only at pulse positions, the columns where some word of the book (or sub-code)
 is active.  Neither the metric score nor the warden's mixture likelihood
 depends on an output where every word is idle, and with l ~ sqrt(n) pulses
 per word those columns are a shrinking share of the block: idle columns cost
-no draws, and a block's memory does not grow with n.
+no draws, and a block's memory does not grow with n.  Every sampler inverts
+a channel row's cumulative law by counting the thresholds at or below each
+uniform (_sample_symbols), which for these few-output alphabets is faster
+than a binary search and returns the same index.
 
 Exact divergences (covertness_exact, and ppm_output_kl over one chunk) share
 one enumerator, _mixture_kl.  It too keeps only the pulse columns, splits them
@@ -68,8 +71,20 @@ def _stream(seed: int, tag: int, c1: int = 0, c2: int = 0) -> np.random.Generato
 
 
 def _sample_symbols(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # inverse-CDF sampling; cum[-1] is pinned to 1 so u in [0,1) never overflows
-    return np.searchsorted(cum, u, side="right")
+    """Inverse-CDF samples of the law with cumsum ``cum`` at uniforms ``u``.
+
+    Counts the thresholds cum[:-1] at or below each u (sequential-search
+    inversion; Devroye 1986, section III.2).  cum is a cumsum with cum[-1]
+    pinned to 1 > u, so the thresholds at or below u form a prefix and the
+    count is searchsorted(cum, u, side="right").  Its cost is linear in the
+    alphabet, but for the few outputs of the channels here it beats a binary
+    search (they tie near 128 outputs), helped by an index of the narrowest
+    unsigned type that holds cum.size (uint8 below 256 outputs).
+    """
+    y = np.zeros(u.shape, dtype=np.min_scalar_type(cum.size))
+    for c in cum[:-1]:
+        y += u >= c
+    return y
 
 
 def _cumulative(p: np.ndarray) -> np.ndarray:
@@ -84,19 +99,17 @@ def _pulse_columns(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cols, words[:, cols].astype(np.float64)
 
 
-def _sample_at_pulses(gen, t, cols, pulses, cum0, cum1) -> np.ndarray:
+def _sample_at_pulses(gen, t, cols, at, cum0, cum1) -> np.ndarray:
     """Outputs at columns ``cols`` of t channel blocks, one uniform per entry.
 
     The stream advances by t*|cols| uniforms, row by row, so idle columns
-    draw nothing.  Entries are inverse-CDF sampled from cum1 where ``pulses``
-    (broadcastable to (t, |cols|)) is true, cum0 elsewhere.  The cum1 samples
-    overwrite the few pulse entries of a cum0 sample, which costs less than
-    sampling every entry from both and selecting.
+    draw nothing.  Every entry is inverse-CDF sampled from cum0, then the
+    pulse entries, selected by the index expression ``at`` into the
+    (t, |cols|) block, are sampled again from cum1 and overwrite theirs.
     """
     u = gen.random((t, cols.size))
     y = _sample_symbols(cum0, u)
-    on = np.broadcast_to(pulses, u.shape)
-    y[on] = _sample_symbols(cum1, u[on])
+    y[at] = _sample_symbols(cum1, u[at])
     return y
 
 
@@ -206,7 +219,7 @@ class PpmCodebook:
             raise DimensionError(f"codewords must have shape {shape}, got {cw.shape}")
         if ids.shape != shape[:2]:
             raise DimensionError(f"message_ids must have shape {shape[:2]}, got {ids.shape}")
-        if np.any((cw != 0) & (cw != 1)):
+        if cw.max(initial=0) > 1:  # the binary check on uint8, without book-sized temporaries
             raise DomainError("codewords must be binary")
         cw.setflags(write=False)
         ids.setflags(write=False)
@@ -301,20 +314,19 @@ class ErrorReport:
     ci95_halfwidth: float
 
 
-def _pair_errors(codebook, k, j, trials, seed, cum0, cum1, rhat, chunk=1024, pulses=None):
+def _pair_errors(codebook, k, j, trials, seed, cum0, cum1, rhat, pulses, chunk=1024):
     """Error count for pair (k, j) over its Philox substream; chunking is stream-neutral.
 
-    ``pulses`` is ``_pulse_columns`` of sub-code k, computed here when not
-    given; estimate_error always passes it, and only the block-size test in
-    tests/test_ppm.py relies on the default.  Every trial draws uniforms,
-    samples and scores only at the sub-code's pulse columns: a column where
-    all its words are idle adds the same log q(0, y) to every score, so it
-    cannot change the verdict.  A block holds at most ``chunk`` trials and
-    about _PULSE_BLOCK uniforms (at least one trial), so its intermediates do
-    not grow with n.
+    ``pulses`` is ``_pulse_columns`` of sub-code k.  Every trial draws
+    uniforms, samples and scores only at the sub-code's pulse columns: a
+    column where all its words are idle adds the same log q(0, y) to every
+    score, so it cannot change the verdict.  Word j's pulses sit on the same
+    columns in every trial, so they are overwritten as whole columns.  A block
+    holds at most ``chunk`` trials and about _PULSE_BLOCK uniforms (at least
+    one trial), so its intermediates do not grow with n.
     """
-    cols, words = _pulse_columns(codebook.codewords[k]) if pulses is None else pulses
-    x = words[j] == 1.0
+    cols, words = pulses
+    at = (slice(None), np.flatnonzero(words[j]))
     pair = k * codebook.num_messages + j
     gen = _stream(seed, _TAG_ERROR, c1=pair)
     chunk = min(chunk, max(1, _PULSE_BLOCK // max(1, cols.size)))
@@ -322,7 +334,7 @@ def _pair_errors(codebook, k, j, trials, seed, cum0, cum1, rhat, chunk=1024, pul
     done = 0
     while done < trials:
         t = min(chunk, trials - done)
-        y = _sample_at_pulses(gen, t, cols, x, cum0, cum1)
+        y = _sample_at_pulses(gen, t, cols, at, cum0, cum1)
         scores = rhat[y] @ words.T
         top = scores.max(axis=1)
         at_top = (scores >= top[:, None] - TIE_TOL).sum(axis=1)
@@ -357,7 +369,7 @@ def estimate_error(
 
     def run(p):
         k, j = p
-        return _pair_errors(codebook, k, j, trials_per_pair, seed, cum0, cum1, rhat, pulses=pulses[k])
+        return _pair_errors(codebook, k, j, trials_per_pair, seed, cum0, cum1, rhat, pulses[k])
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -49,6 +49,8 @@ from covertcap.ppm import (
     _cumulative,
     _log_ratio,
     _pair_errors,
+    _pulse_columns,
+    _sample_symbols,
     _stream,
 )
 
@@ -200,6 +202,18 @@ class TestGenerateCodebook:
         with pytest.raises(DomainError):
             book(self.PARAMS, [[[2, 0, 0, 0, 1, 0, 0, 0]]])  # non-binary
 
+    def test_binary_check_makes_no_book_sized_temporaries(self):
+        words = np.zeros((2, 32, 1 << 20), dtype=np.uint8)  # 64 MiB
+        words[:, :, 0] = 1
+        ids = np.tile(np.arange(32), (2, 1))
+        tracemalloc.start()
+        try:
+            PpmCodebook(PpmParams(1 << 20, 1, 1 << 20, 0), 32, 2, 0, words, ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestQDecode:
     PARAMS = PpmParams(4, 2, 2, 0)
@@ -292,7 +306,10 @@ class TestEstimateError:
         rhat = _log_ratio(inst.q)
         for chunk in (1, 7):
             counts = [
-                [_pair_errors(cb, k, j, 300, 8, cum0, cum1, rhat, chunk=chunk) for j in range(3)]
+                [
+                    _pair_errors(cb, k, j, 300, 8, cum0, cum1, rhat, pulses=_pulse_columns(cb.codewords[k]), chunk=chunk)
+                    for j in range(3)
+                ]
                 for k in range(2)
             ]
             np.testing.assert_array_equal(counts, default)
@@ -324,6 +341,36 @@ class TestEstimateError:
         cb = generate_codebook(PpmParams(4, 2, 2, 0), 2, 1, seed=0)
         with pytest.raises(DomainError):
             estimate_error(inst, cb, trials_per_pair=0, seed=0)
+
+
+class TestSampleSymbols:
+    """Counting thresholds at or below u is the binary search searchsorted(side="right")."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ny=st.integers(1, 300),
+        zero_share=st.sampled_from([0.0, 0.3, 0.9]),
+        scale=st.sampled_from([1.0, 0.999, 1.001, 1.5]),
+    )
+    @example(seed=0, ny=1, zero_share=0.0, scale=1.0)
+    @example(seed=1, ny=255, zero_share=0.3, scale=1.0)
+    @example(seed=2, ny=256, zero_share=0.3, scale=1.0)
+    @example(seed=3, ny=257, zero_share=0.3, scale=1.5)
+    def test_equals_searchsorted(self, seed, ny, zero_share, scale):
+        # zero entries repeat cum values; scale != 1 leaves the cumsum short of
+        # 1.0 or reaching it (and beyond) before the pinned last entry
+        rng = np.random.default_rng(seed)
+        p = rng.random(ny) * (rng.random(ny) >= zero_share)
+        p = p / p.sum() * scale if p.sum() > 0 else np.eye(ny)[0]
+        cum = _cumulative(p)
+        edges = np.concatenate([[0.0], cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0), rng.random(500)])
+        u = edges[(edges >= 0.0) & (edges < 1.0)]
+        y = _sample_symbols(cum, u)
+        np.testing.assert_array_equal(y, np.searchsorted(cum, u, side="right"))
+        assert np.iinfo(y.dtype).max >= cum.size - 1
+        blocks = u[: 2 * (u.size // 2)].reshape(2, -1)
+        np.testing.assert_array_equal(_sample_symbols(cum, blocks), np.searchsorted(cum, blocks, side="right"))
 
 
 def dense_sample(cum0, cum1, pulses, u):
