@@ -16,7 +16,7 @@ log-domain; no exp of a positive quantity is ever taken unshifted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +47,9 @@ class TiltFunction:
 
     ``log_ratio`` is rhat per output symbol; ``mean_under_p1`` is E_P1[rhat];
     ``rmax`` is the largest rhat on the support of P0 and ``limit_mass`` the
-    P0-mass of symbols within ``ARGMAX_TOL`` of it.
+    P0-mass of symbols within ``ARGMAX_TOL`` of it.  The shifted log-ratios
+    rhat - rmax and the P0 masses on the support of P0, which every f_s call
+    needs, are derived once here.
     """
 
     log_ratio: np.ndarray
@@ -56,6 +58,13 @@ class TiltFunction:
     mean_under_p1: float
     rmax: float
     limit_mass: float
+    _shifted: np.ndarray = field(init=False, repr=False, compare=False)
+    _p0_supp: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        supp = self.p0.probs > 0.0
+        object.__setattr__(self, "_shifted", self.log_ratio[supp] - self.rmax)
+        object.__setattr__(self, "_p0_supp", self.p0.probs[supp])
 
 
 def tilt_function(q: DecodingMetric, p0: ProbVector, p1: ProbVector) -> TiltFunction:
@@ -85,10 +94,9 @@ def f_s(tf: TiltFunction, s: float) -> float:
     if s == 0.0:
         # exp(0) = 1 and p0 is a pmf, so f(0) = -log 1; skip the float noise
         return 0.0
-    supp = tf.p0.probs > 0.0
     # shift by s*rmax so every exponent is <= 0
-    z = np.exp(s * (tf.log_ratio[supp] - tf.rmax))
-    return s * (tf.mean_under_p1 - tf.rmax) - float(np.log(np.dot(tf.p0.probs[supp], z)))
+    z = np.exp(s * tf._shifted)
+    return s * (tf.mean_under_p1 - tf.rmax) - float(np.log(np.dot(tf._p0_supp, z)))
 
 
 def slope_at_infinity(tf: TiltFunction) -> tuple[float, float]:
@@ -161,15 +169,18 @@ def lower_bound(inst: CovertInstance, tol: float = GOLDEN_WIDTH) -> LowerBoundRe
             return LowerBoundResult(wp.t * f_star, s_star, f_star, True, wp.t)
         return LowerBoundResult(wp.t * limit, AT_INFINITY, limit, False, wp.t)
 
-    # slope < 0: finite maximizer. Double until f turns over.
+    # slope < 0: finite maximizer. Double until f turns over; each f(2s)
+    # is the next step's f(s).
     s = 1.0
-    while f_s(tf, 2.0 * s) > f_s(tf, s):
+    f_lo, f_hi = f(s), f(2.0 * s)
+    while f_hi > f_lo:
         s *= 2.0
         if s > BRACKET_CAP:
             raise RuntimeError(
                 "bracketing exceeded 2**40 yet the slope at infinity is negative; "
                 "this contradicts concavity and indicates a numerical fault"
             )
+        f_lo, f_hi = f_hi, f(2.0 * s)
     s_star, f_star = _golden_max(f, 0.0, 2.0 * s, tol)
     if f_star <= 0.0:
         # concavity and f(0)=0 make 0 the exact sup here

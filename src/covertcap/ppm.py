@@ -18,7 +18,9 @@ per word those columns are a shrinking share of the block: idle columns cost
 no draws, and a block's memory does not grow with n.  Every sampler inverts
 a channel row's cumulative law by counting the thresholds at or below each
 uniform (_sample_symbols), which for these few-output alphabets is faster
-than a binary search and returns the same index.
+than a binary search and returns the same index.  Decode trials are scored
+word-major: a block's scores form an (M, t) matrix whose verdict reductions
+(top score, tie count, own-word test) run over the words of each trial.
 
 Exact divergences (covertness_exact, and ppm_output_kl over one chunk) share
 one enumerator, _mixture_kl.  It too keeps only the pulse columns, splits them
@@ -324,6 +326,15 @@ def _pair_errors(codebook, k, j, trials, seed, cum0, cum1, rhat, pulses, chunk=1
     columns in every trial, so they are overwritten as whole columns.  A block
     holds at most ``chunk`` trials and about _PULSE_BLOCK uniforms (at least
     one trial), so its intermediates do not grow with n.
+
+    Scores are word-major, ``words @ rhat(y).T`` of shape (M, t): the top
+    score, the count of words within TIE_TOL of it and the own-word test then
+    reduce down the M rows together, which takes a fraction of the time of
+    reducing the short M-entry rows of a (t, M) block one trial at a time.
+    The gather is np.take, which on short blocks beats fancy indexing with
+    the narrow sampler index (2.4x on 1024 trials x 17 columns), though it
+    copies the index to intp first.  Only BLAS rounding separates these
+    scores from the trial-major ones, and TIE_TOL absorbs it.
     """
     cols, words = pulses
     at = (slice(None), np.flatnonzero(words[j]))
@@ -335,11 +346,10 @@ def _pair_errors(codebook, k, j, trials, seed, cum0, cum1, rhat, pulses, chunk=1
     while done < trials:
         t = min(chunk, trials - done)
         y = _sample_at_pulses(gen, t, cols, at, cum0, cum1)
-        scores = rhat[y] @ words.T
-        top = scores.max(axis=1)
-        at_top = (scores >= top[:, None] - TIE_TOL).sum(axis=1)
-        ok = (at_top == 1) & (scores[:, j] >= top - TIE_TOL)
-        failures += int(t - ok.sum())
+        scores = words @ np.take(rhat, y).T
+        hits = scores >= scores.max(axis=0) - TIE_TOL
+        ok = (hits.sum(axis=0) == 1) & hits[j]
+        failures += t - np.count_nonzero(ok)
         done += t
     return failures
 
@@ -418,7 +428,10 @@ def expurgate(report: ErrorReport, codebook: PpmCodebook, fraction: float = 1.0 
         # sort worst-first: high p_hat, then low id; drop the head
         order = sorted(range(codebook.num_messages), key=lambda j: (-report.p_hat[k, j], codebook.message_ids[k, j]))
         kept = sorted(order[drop:])
-        new_words[k] = codebook.codewords[k, kept]
+        # kept indexes range(num_messages), so clipping moves nothing; unlike
+        # the default mode="raise", "clip" writes into out without buffering
+        # a (keep, n) copy of the words
+        np.take(codebook.codewords[k], kept, axis=0, out=new_words[k], mode="clip")
         new_ids[k] = codebook.message_ids[k, kept]
     return PpmCodebook(
         params=codebook.params,
@@ -566,7 +579,9 @@ def covertness_mc(codebook: PpmCodebook, wz: Bdmc, samples: int, seed: int) -> C
     Samples come in blocks of t = min(samples, _PULSE_BLOCK // max(1, |U|)),
     at least one; each block draws t word choices, then t*|U| uniforms, so the
     block size is part of the random stream, and a block's memory does not
-    grow with n.
+    grow with n.  The outputs gather their log ratios by fancy indexing:
+    np.take would first copy the uint8 sampler index to an intp array, eight
+    bytes per entry, which adds about 8 MiB to a full block.
     """
     if samples < 100:
         raise DomainError(f"need at least 100 samples, got {samples!r}")

@@ -5,10 +5,13 @@ formula (no log-sum-exp shift) and the supremum located by a dense 1-D grid.
 Expected values quoted as literals were frozen from those oracles.
 """
 
+import importlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertcap import (
     AT_INFINITY,
@@ -17,6 +20,7 @@ from covertcap import (
     DecodingMetric,
     DimensionError,
     DomainError,
+    ProbVector,
     ValidationError,
     WeightParam,
     binary_f_derivative,
@@ -112,6 +116,53 @@ class TestTiltFunction:
             assert f_s(tf_of(inst), s) == pytest.approx(
                 f_s(tf_of(scaled), s), abs=1e-10
             )
+
+
+def reference_f_s(tf, s: float) -> float:
+    """f_s as it was before the support arrays were precomputed in tilt_function."""
+    if s < 0.0:
+        raise DomainError(f"f is only defined for s >= 0, got {s!r}")
+    if s == 0.0:
+        return 0.0
+    supp = tf.p0.probs > 0.0
+    z = np.exp(s * (tf.log_ratio[supp] - tf.rmax))
+    return s * (tf.mean_under_p1 - tf.rmax) - float(np.log(np.dot(tf.p0.probs[supp], z)))
+
+
+class TestPrecomputedSupport:
+    """f_s on the support arrays built once in tilt_function is bit-identical to the per-call masks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ny=st.integers(2, 16),
+        zero_share=st.sampled_from([0.0, 0.3, 0.7]),
+        s=st.one_of(
+            st.just(0.0),
+            st.floats(0.0, 1.0),
+            st.floats(1.0, 1e3),
+            st.floats(1e3, float(2**41)),
+        ),
+    )
+    def test_equals_the_per_call_masks(self, seed, ny, zero_share, s):
+        rng = np.random.default_rng(seed)
+        p0 = rng.random(ny) * (rng.random(ny) >= zero_share)
+        p0[rng.integers(ny)] += 0.1  # keep the support of P0 nonempty
+        tf = tilt_function(
+            DecodingMetric(np.exp(rng.uniform(-3.0, 3.0, size=(2, ny)))),
+            ProbVector(p0 / p0.sum()),
+            ProbVector(rng.dirichlet(np.ones(ny))),
+        )
+        assert f_s(tf, s).hex() == reference_f_s(tf, s).hex()
+
+    def test_figure_sweep_rows_are_bit_equal(self, monkeypatch):
+        # the 200 rows of the CLI's default sweep of q(0, 0) on example1
+        insts = [example1(float(u)) for u in np.linspace(0.05, 10.0, 200)]
+        fields = lambda r: (r.value.hex(), r.s_star.hex(), r.f_at_s_star.hex(), r.attained, r.t_delta.hex())
+        now = [fields(lower_bound(inst)) for inst in insts]
+        # the package re-exports the function lower_bound under the module's name
+        monkeypatch.setattr(importlib.import_module("covertcap.lower_bound"), "f_s", reference_f_s)
+        assert now == [fields(lower_bound(inst)) for inst in insts]
 
 
 class TestSlopeAtInfinity:

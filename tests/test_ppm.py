@@ -49,7 +49,9 @@ from covertcap.ppm import (
     _cumulative,
     _log_ratio,
     _pair_errors,
+    _PULSE_BLOCK,
     _pulse_columns,
+    _sample_at_pulses,
     _sample_symbols,
     _stream,
 )
@@ -451,6 +453,64 @@ class TestPulseColumnsMatchDense:
         assert mc == pytest.approx(dense_covertness_mc(cb, inst.wz, samples, seed), rel=1e-12, abs=0.0)
 
 
+def row_major_pair_errors(cb, k, j, trials, seed, cum0, cum1, rhat, chunk=1024):
+    """Error count of pair (k, j) from trial-major (t, M) scores, as before word-major scoring."""
+    cols, words = _pulse_columns(cb.codewords[k])
+    at = (slice(None), np.flatnonzero(words[j]))
+    gen = _stream(seed, _TAG_ERROR, c1=k * cb.num_messages + j)
+    chunk = min(chunk, max(1, _PULSE_BLOCK // max(1, cols.size)))
+    failures = 0
+    done = 0
+    while done < trials:
+        t = min(chunk, trials - done)
+        y = _sample_at_pulses(gen, t, cols, at, cum0, cum1)
+        scores = rhat[y] @ words.T
+        top = scores.max(axis=1)
+        at_top = (scores >= top[:, None] - TIE_TOL).sum(axis=1)
+        ok = (at_top == 1) & (scores[:, j] >= top - TIE_TOL)
+        failures += int(t - ok.sum())
+        done += t
+    return failures
+
+
+class TestWordMajorScoring:
+    """Scoring trials word-major, (M, t), gives the trial-major kernel's verdicts, exact ties included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 24),
+        num_keys=st.integers(1, 3),
+        num_messages=st.integers(1, 6),
+        ny=st.integers(2, 4),
+        density=st.sampled_from([0.1, 0.3, 0.6]),
+        trials=st.sampled_from([1, 37, 1500]),
+    )
+    def test_counts_equal_the_trial_major_kernel(self, seed, n, num_keys, num_messages, ny, density, trials):
+        # metric entries from {1, 3, 9}: every rhat is 0, +-log 3 or +-log 9, so
+        # scores of different words tie exactly or up to rounding (log 9 against
+        # log 3 + log 3); duplicate and weight-0 words force TIE verdicts
+        rng = np.random.default_rng(seed)
+        words = (rng.random((num_keys, num_messages, n)) < density).astype(np.uint8)
+        for k in range(num_keys):
+            j, i = rng.integers(num_messages, size=2)
+            words[k, j] = words[k, i]
+            words[k, rng.integers(num_messages)] = 0
+        cb = book(PpmParams(n, 1, n, 0), words)
+        inst = CovertInstance(
+            wy=Bdmc(rng.dirichlet(np.ones(ny), size=2)),
+            wz=WZ_BIN,
+            q=DecodingMetric(rng.choice([1.0, 3.0, 9.0], size=(2, ny))),
+            delta=0.1,
+        )
+        cum0, cum1, rhat = _cumulative(inst.wy.w[0]), _cumulative(inst.wy.w[1]), _log_ratio(inst.q)
+        reference = [
+            [row_major_pair_errors(cb, k, j, trials, seed, cum0, cum1, rhat) for j in range(num_messages)]
+            for k in range(num_keys)
+        ]
+        assert estimate_error(inst, cb, trials, seed).errors.tolist() == reference
+
+
 class TestIdleColumnsDrawNothing:
     """Uniforms are drawn only at pulse columns, so idle columns cost neither draws nor memory."""
 
@@ -570,6 +630,24 @@ class TestExpurgate:
         cb = self.full_book()
         with pytest.raises(DimensionError):
             expurgate(report_for(np.array([[0.5, 0.6]])), cb, fraction=0.25)
+
+    def test_kept_words_are_copied_without_a_temporary(self):
+        # a 24 MiB book: beyond its 22.5 MiB output, the copy of the kept words
+        # allocates nothing of their size (a (keep, n) gather would add 11 MiB)
+        n = 1 << 18
+        words = np.zeros((2, 48, n), dtype=np.uint8)
+        words[:, :, ::7] = np.arange(48)[None, :, None] % 2
+        cb = book(PpmParams(n, 1, n, 0), words)
+        rep = report_for(np.random.default_rng(23).random((2, 48)))
+        tracemalloc.start()
+        try:
+            new = expurgate(rep, cb, fraction=1 / 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - new.codewords.nbytes < 2**20
+        for k in range(2):
+            np.testing.assert_array_equal(new.codewords[k], cb.codewords[k, new.message_ids[k]])
 
 
 class TestCovertness:
