@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,46 +47,10 @@ from .ppm import (
     ppm_params,
 )
 
-_SWEEP_OUTPUTS = ("lower", "upper", "covert_capacity", "erasures_only")
-
 
 def _fmt(x: float) -> str:
     """Locale-independent 9-significant-digit rendering."""
     return format(float(x), ".9g")
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A family of instances differing in one metric entry.
-
-    ``cell`` is the (x, y) index into q; each value in ``values`` replaces
-    that entry (all must be positive).  ``outputs`` names the quantities to
-    compute per value, drawn from lower / upper / covert_capacity /
-    erasures_only.
-    """
-
-    base: CovertInstance
-    cell: tuple[int, int]
-    values: tuple[float, ...]
-    outputs: tuple[str, ...] = ("lower", "upper", "covert_capacity")
-
-    def __post_init__(self):
-        x, y = self.cell
-        if not (0 <= x < 2 and 0 <= y < self.base.q.num_outputs):
-            raise DimensionError(f"cell {self.cell} is outside the metric's shape")
-        for i, u in enumerate(self.values):
-            if not (u > 0.0 and math.isfinite(u)):
-                raise DomainError(f"swept value {u!r} at step {i} is not strictly positive")
-        bad = [name for name in self.outputs if name not in _SWEEP_OUTPUTS]
-        if bad:
-            raise DomainError(f"unknown sweep outputs: {', '.join(bad)}")
-
-    def instance_at(self, u: float) -> CovertInstance:
-        q = np.array(self.base.q.q)
-        q[self.cell] = u
-        return CovertInstance(
-            wy=self.base.wy, wz=self.base.wz, q=DecodingMetric(q), delta=self.base.delta
-        )
 
 
 def cmd_capacity(args: argparse.Namespace) -> int:
@@ -134,13 +97,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise DomainError(f"--cell expects 'x,y' with integers, got {args.cell!r}") from None
     if args.steps < 1:
         raise DomainError(f"--steps must be at least 1, got {args.steps}")
-    values = tuple(float(u) for u in np.linspace(args.start, args.stop, args.steps))
-    spec = SweepSpec(base=inst, cell=cell, values=values)
+    x, y = cell
+    if not (0 <= x < 2 and 0 <= y < inst.q.num_outputs):
+        raise DimensionError(f"cell {cell} is outside the metric's shape")
+    values = [float(u) for u in np.linspace(args.start, args.stop, args.steps)]
+    for i, u in enumerate(values):
+        if not (u > 0.0 and math.isfinite(u)):
+            raise DomainError(f"swept value {u!r} at step {i} is not strictly positive")
 
     print("u,lower,upper,covert_capacity")
     cap = covert_capacity(inst)  # metric-independent, same on every row
-    for u in spec.values:
-        inst_u = spec.instance_at(u)
+    for u in values:
+        q = np.array(inst.q.q)
+        q[cell] = u
+        inst_u = CovertInstance(wy=inst.wy, wz=inst.wz, q=DecodingMetric(q), delta=inst.delta)
         lb = lower_bound(inst_u)
         ub = upper_bound(inst_u, tol=args.tol)
         print(f"{_fmt(u)},{_fmt(lb.value)},{_fmt(ub.value)},{_fmt(cap)}")
@@ -233,7 +203,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, metavar="U64",
         help="master seed for all randomized work (default 0)",
     )
-    common.add_argument(
+    converse = argparse.ArgumentParser(add_help=False)
+    converse.add_argument(
         "--tol", type=float, default=1e-8, metavar="FLOAT",
         help="duality-gap tolerance of the upper-bound optimizer (default 1e-8)",
     )
@@ -248,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec_file", help="channel-spec JSON file")
     p.set_defaults(func=cmd_capacity)
 
-    p = sub.add_parser("bounds", parents=[common], help="print a CSV row with lower/upper bounds")
+    p = sub.add_parser("bounds", parents=[common, converse], help="print a CSV row with lower/upper bounds")
     p.add_argument("spec_file", help="channel-spec JSON file")
     p.add_argument(
         "--grid-check", type=int, default=None, metavar="G",
@@ -256,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("sweep", parents=[common], help="CSV table of bounds as one metric entry varies")
+    p = sub.add_parser("sweep", parents=[common, converse], help="CSV table of bounds as one metric entry varies")
     p.add_argument("spec_file", help="channel-spec JSON file")
     p.add_argument(
         "--cell", default="0,0", metavar="X,Y",

@@ -40,6 +40,7 @@ _TINY = 1e-300        # clamp inside logs; never influences a finite optimum
 _NEG_CLAMP = -1e18    # stands in for log(0) in the grid oracle, excludes the point
 _ORACLE_BLOCK = 1 << 18  # entries of one cross-term block in the grid oracle
 _MAX_PAIRS = 1 << 30  # most (m1, m0) raw lattice pairs the grid oracle scores
+_EPS_SCHEDULE = (1e-3, 1e-5, 1e-7)  # smoothing weights of the converse's warm-started stages
 
 
 @dataclass(frozen=True)
@@ -162,8 +163,6 @@ class UpperBoundResult:
     ``converged`` is False when some eps stage stopped on ``max_iters`` or on
     a zero line-search step with the duality gap still at or above ``tol``;
     ``fw_gap`` is the gap where the last stage stopped.
-    ``oracle_gap`` is filled in only when a grid-oracle cross-check was run;
-    it is kl_value minus the oracle's lattice minimum.
     """
 
     value: float
@@ -172,7 +171,6 @@ class UpperBoundResult:
     fw_gap: float
     t_delta: float
     converged: bool
-    oracle_gap: float | None = None
 
 
 def _line_search(m1, d1, m0t, d0, eps: float, gmax: float = 1.0) -> float:
@@ -215,16 +213,11 @@ def _line_search(m1, d1, m0t, d0, eps: float, gmax: float = 1.0) -> float:
     return 0.5 * (lo + hi)
 
 
-def upper_bound(
-    inst: CovertInstance,
-    tol: float = 1e-8,
-    eps_schedule: tuple[float, ...] = (1e-3, 1e-5, 1e-7),
-    max_iters: int = 20000,
-) -> UpperBoundResult:
+def upper_bound(inst: CovertInstance, tol: float = 1e-8, max_iters: int = 20000) -> UpperBoundResult:
     """Minimize D(m1 || m0) over maximal couplings; returns t * minimum.
 
     Pairwise Frank-Wolfe with exact line search on the smoothed objective
-    D(m1 || (1-eps) m0 + eps uniform), run once per eps in ``eps_schedule``
+    D(m1 || (1-eps) m0 + eps uniform), run once per eps in _EPS_SCHEDULE
     (warm-started), each stage stopping at duality gap < ``tol`` or
     ``max_iters``.  Each step moves mass from the worst vertex of the current
     convex decomposition onto the linear-oracle vertex, which avoids the
@@ -256,7 +249,7 @@ def upper_bound(
 
     gap = math.inf
     converged = True
-    for eps in eps_schedule:
+    for eps in _EPS_SCHEDULE:
         for _ in range(max_iters):
             m = np.einsum("xy,xyz->xz", w, v)
             m0, m1 = m[0], m[1]

@@ -5,10 +5,13 @@ r = n - w*l symbols always idle); each chunk carries exactly one active symbol
 whose position is the payload.  With l ~ t*sqrt(n) active symbols the code
 meets the adversary's divergence budget while carrying Theta(sqrt(n)) nats.
 
-Randomness is counter-based (Philox): every codeword, decode trial, and
-Monte-Carlo sample sits on a substream indexed by (master seed, purpose tag,
-pair index, trial index), so regenerating any piece is bit-identical no matter
-the iteration order or thread schedule.
+Randomness is counter-based (Philox), keyed by (master seed, purpose tag).
+Each codeword sits on the substream at counter (key k, message m); each
+(key, message) pair's decode trials are read in order from the one substream
+at counter (pair index), so regenerating any codeword or any pair's count is
+bit-identical no matter the iteration order or thread schedule.  Each
+Monte-Carlo estimator (covertness_mc among them) reads the single stream
+keyed by (seed, tag), and covertness_mc's block size is part of that stream.
 
 Decode trials and covertness samples draw uniforms, and so channel outputs,
 only at pulse positions, the columns where some word of the book (or sub-code)
@@ -363,10 +366,10 @@ def estimate_error(
 ) -> ErrorReport:
     """Monte-Carlo decoding-error probability for every (key, message) pair.
 
-    Each pair's trials live on the Philox substream indexed by
-    (seed, pair index, trial index), so the report is identical for any
-    ``workers`` count and any execution order.  ci95 is the normal-approximation
-    half-width 1.96 sqrt(p(1-p)/trials).
+    Each pair's trials are read in order from the one Philox substream keyed
+    by (seed, tag) at counter (pair index), so the report is identical for
+    any ``workers`` count and any execution order.  ci95 is the
+    normal-approximation half-width 1.96 sqrt(p(1-p)/trials).
     """
     if trials_per_pair < 1:
         raise DomainError("trials_per_pair must be >= 1")

@@ -314,3 +314,20 @@ def test_unknown_command_is_a_usage_error(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["bounds"], ["sweep", "--steps", "2"]], ids=["bounds", "sweep"])
+def test_tol_is_accepted_where_the_converse_runs(spec_file, capsys, argv):
+    assert main([*argv, spec_file, "--tol", "1e-6"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["capacity", "simulate"])
+def test_tol_is_refused_where_no_converse_runs(tmp_path, capsys, command):
+    argv = [command, write_json(tmp_path, "spec.json", SIM_SPEC)]
+    if command == "simulate":
+        argv += [write_json(tmp_path, "config.json", SIM_CONFIG), "--out-dir", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tol", "1e-6"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err

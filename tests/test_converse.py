@@ -538,6 +538,25 @@ class TestGridOracle:
             upper_bound_grid_oracle(loose, 200)
 
 
+def raw_lattice_marginals(w_row, allowed_x, grid_g: int, max_points: int) -> np.ndarray:
+    """Every raw lattice point of one marginal family, duplicates included."""
+    ny = w_row.size
+    m = np.zeros((1, ny))
+    count = 1
+    for y in range(ny):
+        if w_row[y] == 0.0:
+            continue
+        targets = np.flatnonzero(allowed_x[y])
+        comps = np.array(_compositions(grid_g, targets.size), dtype=float) / grid_g
+        count *= comps.shape[0]
+        if count > max_points:
+            raise ResourceLimitError("lattice too large")
+        cell = np.zeros((comps.shape[0], ny))
+        cell[:, targets] = w_row[y] * comps
+        m = (m[:, None, :] + cell[None, :, :]).reshape(-1, ny)
+    return m
+
+
 def full_enumeration_oracle(inst: CovertInstance, grid_g: int, max_points: int) -> float:
     """The lattice oracle as it was before deduplication, kept as the reference.
 
@@ -546,24 +565,9 @@ def full_enumeration_oracle(inst: CovertInstance, grid_g: int, max_points: int) 
     over the full difference matrix.
     """
     table = maximal_sets(inst.q)
-    families = []
-    for x in range(2):
-        w_row, ny = inst.wy.w[x], inst.wy.num_outputs
-        m = np.zeros((1, ny))
-        count = 1
-        for y in range(ny):
-            if w_row[y] == 0.0:
-                continue
-            targets = np.flatnonzero(table.allowed[x, y])
-            comps = np.array(_compositions(grid_g, targets.size), dtype=float) / grid_g
-            count *= comps.shape[0]
-            if count > max_points:
-                raise ResourceLimitError("lattice too large")
-            cell = np.zeros((comps.shape[0], ny))
-            cell[:, targets] = w_row[y] * comps
-            m = (m[:, None, :] + cell[None, :, :]).reshape(-1, ny)
-        families.append(m)
-    m0s, m1s = families
+    m0s, m1s = (
+        raw_lattice_marginals(inst.wy.w[x], table.allowed[x], grid_g, max_points) for x in range(2)
+    )
     log_m0 = np.where(m0s > 0.0, np.log(np.maximum(m0s, _TINY)), -1e18)
     self_term = np.sum(np.where(m1s > 0.0, m1s * np.log(np.maximum(m1s, _TINY)), 0.0), axis=1)
     best = math.inf
@@ -572,6 +576,23 @@ def full_enumeration_oracle(inst: CovertInstance, grid_g: int, max_points: int) 
         d = self_term[start : start + chunk, None] - m1s[start : start + chunk] @ log_m0.T
         best = min(best, float(d.min()))
     return max(best, 0.0)
+
+
+def dot_product_tolerance(ny: int, log_bound: float, expected: float) -> float:
+    """How far two lattice minima may differ when only BLAS summation order separates them.
+
+    Each value is fl(s - c) with s = sum m1 log m1 computed identically on
+    both sides and c = <m1, log m0> a length-ny dot product.  Summed in any
+    order, |fl(c) - c| <= gamma_ny * sum |m1| |log m0| <= gamma_ny * L, where
+    gamma_n = n u / (1 - n u), u is the unit roundoff, L bounds |log m0| on
+    the positive entries and m1 sums to one (Higham, Accuracy and Stability
+    of Numerical Algorithms, section 3.1); a clamped log(0) meets an exact
+    zero of m1 at any finite pair.  The final subtraction adds at most
+    u |value| per side, and a minimum moves no further than its terms do.
+    """
+    u = np.finfo(float).eps / 2
+    gamma = ny * u / (1 - ny * u)
+    return 2 * gamma * log_bound + 2 * u * abs(expected)
 
 
 LATTICE_WARDEN = Bdmc(np.array([[0.7, 0.3], [0.4, 0.6]]))
@@ -610,7 +631,12 @@ CRITERION5_ORACLE_HEX = ["0x1.9b0db29e44528p-3", "0x1.83d0bb135eb80p-7", "0x1.21
 
 
 class TestGridOracleDistinctMarginals:
-    """The deduplicated, blocked oracle returns the full enumeration's minimum bit for bit."""
+    """The deduplicated, blocked oracle scores exactly the full enumeration's marginals.
+
+    The marginal families and the refusals match exactly.  The minima match
+    to the dot-product rounding bound: BLAS may sum a pair's cross term in a
+    different order inside differently shaped products.
+    """
 
     @settings(max_examples=150, deadline=None)
     @given(lattice_cases())
@@ -618,15 +644,29 @@ class TestGridOracleDistinctMarginals:
     @example((lattice_instance([3, 1], [2, 2], [1.0, 2.0, 1.0, 1.0]), 16))
     # a flat metric allows every move, so both families contain each vertex
     @example((lattice_instance([1, 2, 0, 1], [0, 1, 0, 3], [1.0] * 8), 4))
+    # OpenBLAS sums the minimizing pair's cross term to -0.8056142094837069
+    # in the 35 x 525 raw product and to -0.805614209483707 in the 35 x 145
+    # distinct one, so the minima differ in the last bit
+    @example((lattice_instance([1, 1, 0, 0], [4, 1, 0, 0], [0.5] * 4 + [1, 0.5, 0.5, 0.5]), 4))
     def test_matches_full_enumeration(self, case):
         inst, grid_g = case
+        table = maximal_sets(inst.q)
         try:
+            raw = [
+                raw_lattice_marginals(inst.wy.w[x], table.allowed[x], grid_g, max_points=3000)
+                for x in range(2)
+            ]
             expected = full_enumeration_oracle(inst, grid_g, max_points=3000)
         except ResourceLimitError:
             with pytest.raises(ResourceLimitError):
                 upper_bound_grid_oracle(inst, grid_g, max_points=3000)
             return
-        assert upper_bound_grid_oracle(inst, grid_g, max_points=3000) == expected
+        for x in range(2):
+            distinct = _lattice_marginals(inst.wy.w[x], table.allowed[x], grid_g)
+            assert np.array_equal(distinct, np.unique(raw[x], axis=0))
+        log_bound = float(np.max(np.abs(np.log(raw[0][raw[0] > 0.0]))))
+        tol = dot_product_tolerance(inst.wy.num_outputs, log_bound, expected)
+        assert abs(upper_bound_grid_oracle(inst, grid_g, max_points=3000) - expected) <= tol
 
     def test_flat_metric_lattice_has_an_exact_zero(self):
         inst = lattice_instance([1, 2, 0, 1], [0, 1, 0, 3], [1.0] * 8)
