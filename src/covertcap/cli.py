@@ -100,6 +100,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     x, y = cell
     if not (0 <= x < 2 and 0 <= y < inst.q.num_outputs):
         raise DimensionError(f"cell {cell} is outside the metric's shape")
+    for name, end in (("--from", args.start), ("--to", args.stop)):
+        if not math.isfinite(end):
+            raise DomainError(f"{name} must be finite, got {end!r}")
     values = [float(u) for u in np.linspace(args.start, args.stop, args.steps)]
     for i, u in enumerate(values):
         if not (u > 0.0 and math.isfinite(u)):

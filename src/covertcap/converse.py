@@ -142,20 +142,6 @@ def _lmo_targets(grad: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     return np.argmin(np.where(allowed, grad, np.inf), axis=2)
 
 
-def fw_linear_oracle(gradient: np.ndarray, table: MaximalSetTable, wy: Bdmc) -> JointConditional:
-    """Vertex of the coupling polytope minimizing <gradient, v>."""
-    grad = np.asarray(gradient, dtype=float)
-    if grad.shape != table.allowed.shape:
-        raise DimensionError(
-            f"gradient shape {grad.shape} does not match table shape {table.allowed.shape}"
-        )
-    idx = _lmo_targets(grad, table.allowed)
-    vertex = np.zeros(grad.shape)
-    x_ix, y_ix = np.indices(idx.shape)
-    vertex[x_ix, y_ix, idx] = 1.0
-    return JointConditional(wy=wy, table=table, v=vertex)
-
-
 @dataclass(frozen=True)
 class UpperBoundResult:
     """Converse bound t * kl_value with the coupling that achieves it.

@@ -10,25 +10,27 @@ Each codeword sits on the substream at counter (key k, message m); each
 (key, message) pair's decode trials are read in order from the one substream
 at counter (pair index), so regenerating any codeword or any pair's count is
 bit-identical no matter the iteration order or thread schedule.  Each
-Monte-Carlo estimator (covertness_mc among them) reads the single stream
-keyed by (seed, tag), and covertness_mc's block size is part of that stream.
+Monte-Carlo estimator (covertness_mc, sample_s_statistic) reads the single
+stream keyed by (seed, tag).  Every Monte-Carlo loop takes its block sizes
+from one rule, _blocks, so a block's memory does not grow with n.
 
 Decode trials and covertness samples draw uniforms, and so channel outputs,
 only at pulse positions, the columns where some word of the book (or sub-code)
 is active.  Neither the metric score nor the warden's mixture likelihood
 depends on an output where every word is idle, and with l ~ sqrt(n) pulses
 per word those columns are a shrinking share of the block: idle columns cost
-no draws, and a block's memory does not grow with n.  Every sampler inverts
-a channel row's cumulative law by counting the thresholds at or below each
-uniform (_sample_symbols), which for these few-output alphabets is faster
-than a binary search and returns the same index.  Decode trials are scored
-word-major: a block's scores form an (M, t) matrix whose verdict reductions
-(top score, tie count, own-word test) run over the words of each trial.
+no draws.  Every sampler inverts a channel row's cumulative law by counting
+the thresholds at or below each uniform (_sample_symbols), which for these
+few-output alphabets is faster than a binary search and returns the same
+index.  Decode trials are scored word-major: a block's scores form an (M, t)
+matrix whose verdict reductions (top score, tie count, own-word test) run
+over the words of each trial.
 
-Exact divergences (covertness_exact, and ppm_output_kl over one chunk) share
-one enumerator, _mixture_kl.  It too keeps only the pulse columns, splits them
-into two halves, and gets the mixture's likelihood ratio on every output state
-from one matrix product of the two halves' score tables.
+covertness_exact keeps only the pulse columns, splits them into two halves,
+and gets the mixture's likelihood ratio on every output state from one matrix
+product of the two halves' score tables (_mixture_kl).  ppm_output_kl sums
+the one-pulse chunk law over types, not states: its ratio depends on a chunk
+only through the count of each output symbol.
 """
 
 from __future__ import annotations
@@ -58,13 +60,12 @@ _TAG_CODEBOOK = 1
 _TAG_ERROR = 2
 _TAG_COVERT = 3
 _TAG_SSTAT = 4
-_TAG_OUTPUT_KL = 5
 
 _MASK64 = (1 << 64) - 1
 
 MAX_CODEBOOK_BYTES = 2**30  # largest (K, M, n) uint8 book generate_codebook builds
-# uniforms per block of decode trials or covertness samples; every one is
-# sampled and scored, so a block's temporaries take a few times 8 MiB
+# uniforms per block of any Monte-Carlo loop; every one is sampled and
+# scored, so a block's temporaries take a few times 8 MiB
 _PULSE_BLOCK = 1 << 20
 
 
@@ -73,6 +74,13 @@ def _stream(seed: int, tag: int, c1: int = 0, c2: int = 0) -> np.random.Generato
     key = np.array([seed & _MASK64, tag], dtype=np.uint64)
     counter = np.array([0, c1 & _MASK64, c2 & _MASK64, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+def _blocks(total: int, width: int, most: int | None = None):
+    """(start, size) of consecutive blocks covering ``total`` draws of ``width`` uniforms each:
+    at most ``most`` draws and about _PULSE_BLOCK uniforms per block, at least one draw."""
+    step = max(1, min(most or total, _PULSE_BLOCK // max(1, width)))
+    return ((start, min(step, total - start)) for start in range(0, total, step))
 
 
 def _sample_symbols(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -326,9 +334,8 @@ def _pair_errors(codebook, k, j, trials, seed, cum0, cum1, rhat, pulses, chunk=1
     uniforms, samples and scores only at the sub-code's pulse columns: a
     column where all its words are idle adds the same log q(0, y) to every
     score, so it cannot change the verdict.  Word j's pulses sit on the same
-    columns in every trial, so they are overwritten as whole columns.  A block
-    holds at most ``chunk`` trials and about _PULSE_BLOCK uniforms (at least
-    one trial), so its intermediates do not grow with n.
+    columns in every trial, so they are overwritten as whole columns.  Blocks
+    come from _blocks, at most ``chunk`` trials each.
 
     Scores are word-major, ``words @ rhat(y).T`` of shape (M, t): the top
     score, the count of words within TIE_TOL of it and the own-word test then
@@ -343,17 +350,13 @@ def _pair_errors(codebook, k, j, trials, seed, cum0, cum1, rhat, pulses, chunk=1
     at = (slice(None), np.flatnonzero(words[j]))
     pair = k * codebook.num_messages + j
     gen = _stream(seed, _TAG_ERROR, c1=pair)
-    chunk = min(chunk, max(1, _PULSE_BLOCK // max(1, cols.size)))
     failures = 0
-    done = 0
-    while done < trials:
-        t = min(chunk, trials - done)
+    for _, t in _blocks(trials, cols.size, chunk):
         y = _sample_at_pulses(gen, t, cols, at, cum0, cum1)
         scores = words @ np.take(rhat, y).T
         hits = scores >= scores.max(axis=0) - TIE_TOL
         ok = (hits.sum(axis=0) == 1) & hits[j]
         failures += t - np.count_nonzero(ok)
-        done += t
     return failures
 
 
@@ -455,7 +458,7 @@ class CovertnessReport:
     """An adversary-divergence figure D(Qhat || Q0^n), exact or estimated.
 
     ``stderr`` is None for exact enumerations; ``samples`` counts Monte-Carlo
-    draws, or enumerated states for the exact method.
+    draws, or the states (chunk types for ppm_output_kl) an exact method sums.
     """
 
     method: str
@@ -579,12 +582,10 @@ def covertness_mc(codebook: PpmCodebook, wz: Bdmc, samples: int, seed: int) -> C
     is sampling noise (stderr is reported).  Each sample draws uniforms,
     samples and scores only at the book's pulse columns U: where every word is
     idle, Qhat and Q0^n share the factor Q0(z_i), which cancels in the ratio.
-    Samples come in blocks of t = min(samples, _PULSE_BLOCK // max(1, |U|)),
-    at least one; each block draws t word choices, then t*|U| uniforms, so the
-    block size is part of the random stream, and a block's memory does not
-    grow with n.  The outputs gather their log ratios by fancy indexing:
-    np.take would first copy the uint8 sampler index to an intp array, eight
-    bytes per entry, which adds about 8 MiB to a full block.
+    A block of _blocks draws t word choices, then t*|U| uniforms, so the block
+    size is part of the random stream.  The outputs gather their log ratios by
+    fancy indexing: np.take would first copy the uint8 sampler index to an
+    intp array, eight bytes per entry, which adds about 8 MiB to a full block.
     """
     if samples < 100:
         raise DomainError(f"need at least 100 samples, got {samples!r}")
@@ -599,75 +600,71 @@ def covertness_mc(codebook: PpmCodebook, wz: Bdmc, samples: int, seed: int) -> C
     cum1 = _cumulative(qz1)
     gen = _stream(seed, _TAG_COVERT)
     vals = np.empty(samples)
-    done = 0
-    block = max(1, min(samples, _PULSE_BLOCK // max(1, cols.size)))
-    while done < samples:
-        t = min(block, samples - done)
+    for done, t in _blocks(samples, cols.size):
         choice = gen.integers(0, wmat.shape[0], size=t)
         z = _sample_at_pulses(gen, t, cols, wmat[choice] == 1.0, cum0, cum1)
         scores = d_full[z] @ wmat.T
         vals[done : done + t] = _logsumexp_rows(scores) - log_c
-        done += t
     est = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(samples))
     return CovertnessReport(METHOD_MC, est, stderr, samples)
 
 
-def ppm_output_kl(
-    params: PpmParams,
-    q0: ProbVector,
-    q1: ProbVector,
-    method: str = "exact",
-    samples: int = 100_000,
-    seed: int = 0,
-    max_states: int = 2**24,
-) -> CovertnessReport:
-    """Divergence of the ensemble-average PPM output law from Q0^n.
+def _type_blocks(a: int, w: int, most: int):
+    """Every count vector of ``a`` symbols summing to ``w``, in (t, a) blocks of t <= ``most`` rows.
 
-    The ensemble law factorizes over chunks, so the full-block divergence is
-    l times the single-chunk divergence D(P_chunk || Q0^w); the idle tail
-    contributes nothing.  "exact" enumerates the chunk alphabet, "mc" draws
-    chunk samples and averages the log-ratio (unbiased; stderr reported).
-    The chunk law is the uniform mixture of the w one-pulse words, so "exact"
-    is _mixture_kl on the w x w identity, over two column halves of the
-    chunk; ``samples`` still counts the a^w chunk states.
+    Pending rows (leading counts, count left) are completed at once when a bound on
+    their completions fits in ``most``; else they are halved, or a lone row gains a symbol.
+    """
+    pending = [(np.zeros((1, 0), dtype=np.int64), np.array([w]))]
+    while pending:
+        head, rem = pending.pop()
+        free = a - head.shape[1]
+        if head.shape[0] * (int(rem.max()) + 1) ** (free - 1) <= most:
+            for _ in range(free - 1):
+                reps = rem + 1
+                k = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+                head, rem = np.column_stack([np.repeat(head, reps, axis=0), k]), np.repeat(rem, reps) - k
+            yield np.column_stack([head, rem])
+        elif head.shape[0] > 1:
+            half = head.shape[0] // 2
+            pending += [(head[half:], rem[half:]), (head[:half], rem[:half])]
+        else:
+            k = np.arange(rem[0] + 1)
+            pending.append((np.column_stack([np.repeat(head, k.size, axis=0), k]), rem[0] - k))
+
+
+def ppm_output_kl(params: PpmParams, q0: ProbVector, q1: ProbVector, max_states: int = 2**24) -> CovertnessReport:
+    """Exact divergence of the ensemble-average PPM output law from Q0^n.
+
+    The ensemble law factorizes over chunks, so the divergence is l times
+    D(P_chunk || Q0^w).  P_chunk mixes the w one-pulse words uniformly, so
+    R = P_chunk / Q0^w = (1/w) sum_a N_a e^{d_a} (d as in _warden_deltas)
+    depends on a chunk only through its type N, and D = sum_N Mult(w; q0)(N)
+    R(N) log R(N) sums over C(w + a - 1, a - 1) types (Csiszar, "The Method of
+    Types", 1998), log R shifted by the largest d_a in N so no term underflows.
+    ``samples`` is the number of types; above ``max_states`` of them this raises
+    ResourceLimitError.  covertness_mc on the w x w identity book samples it.
     """
     w, l = params.w, params.l
-    method = method.lower()
-    if method not in ("exact", "mc"):
-        raise DomainError(f"method must be 'exact' or 'mc', got {method!r}")
     if np.any((q1.probs > 0.0) & (q0.probs <= 0.0)):
-        return CovertnessReport(METHOD_EXACT if method == "exact" else METHOD_MC, float("inf"), None, 0)
-    if method == "exact":
-        if len(q0) ** w > max_states:
-            raise ResourceLimitError(
-                f"exact chunk law needs {len(q0)}^{w} = {len(q0)**w} states, "
-                f"above the cap {max_states}; use method='mc'"
-            )
-        active, base_logs, d = _warden_deltas(Bdmc(np.stack([q0.probs, q1.probs])))
-        kl = _mixture_kl(np.eye(w, dtype=np.uint8), base_logs, d)
-        return CovertnessReport(METHOD_EXACT, max(kl, 0.0) * l, None, int(active.size**w))
-    if samples < 2:
-        raise DomainError("need at least 2 samples for a standard error")
-    log_w = math.log(w)
-    gen = _stream(seed, _TAG_OUTPUT_KL)
-    cum0 = _cumulative(q0.probs)
-    cum1 = _cumulative(q1.probs)
-    d_full = np.where(q0.probs > 0.0, np.log(np.maximum(q1.probs, 1e-300)) - np.log(np.maximum(q0.probs, 1e-300)), 0.0)
-    vals = np.empty(samples)
-    done = 0
-    block = max(1, min(samples, (1 << 22) // max(1, w)))
-    while done < samples:
-        t = min(block, samples - done)
-        j = gen.integers(0, w, size=t)
-        u = gen.random((t, w))
-        z = _sample_symbols(cum0, u)
-        z[np.arange(t), j] = _sample_symbols(cum1, u[np.arange(t), j])
-        vals[done : done + t] = _logsumexp_rows(d_full[z]) - log_w
-        done += t
-    est = float(vals.mean()) * l
-    stderr = float(vals.std(ddof=1) / math.sqrt(samples)) * l
-    return CovertnessReport(METHOD_MC, est, stderr, samples)
+        return CovertnessReport(METHOD_EXACT, float("inf"), None, 0)
+    _, base_logs, d = _warden_deltas(Bdmc(np.stack([q0.probs, q1.probs])))
+    a = d.size
+    types = math.comb(w + a - 1, a - 1)
+    if types > max_states:
+        raise ResourceLimitError(
+            f"exact chunk law needs C({w + a - 1}, {a - 1}) = {types} types, above the cap "
+            f"{max_states}; covertness_mc on the {w} x {w} identity book estimates it"
+        )
+    log_fact = np.fromiter(map(math.lgamma, range(1, w + 2)), dtype=np.float64, count=w + 1)
+    kl = 0.0
+    for counts in _type_blocks(a, w, _PRODUCT_BLOCK):
+        log_mass = log_fact[w] - log_fact[counts].sum(axis=1) + counts @ base_logs
+        top = np.where(counts > 0, d, -np.inf).max(axis=1)  # absent d above it are clamped: no inf * 0
+        log_r = top + np.log((counts * np.exp(np.minimum(d - top[:, None], 0.0))).sum(axis=1) / w)
+        kl += float(np.sum(np.exp(log_mass + log_r) * log_r))
+    return CovertnessReport(METHOD_EXACT, max(kl, 0.0) * l, None, types)
 
 
 @dataclass(frozen=True)
@@ -697,7 +694,8 @@ def sample_s_statistic(
     S = -log[(1/w) sum_j exp(s (rhat(Yj) - rhat(Y1)))] with the j=1 term equal
     to 1.  Every sample lies in the closed interval [bound_low, bound_high]
     determined by the extreme metric ratios over the supports of p1 and p0;
-    the mean approaches the tilt value f(s) as w grows.
+    the mean approaches the tilt value f(s) as w grows.  Chunks are drawn by
+    _sample_at_pulses, active output in column 0.
     """
     if w < 2:
         raise DomainError(f"w must be at least 2, got {w!r}")
@@ -722,17 +720,11 @@ def sample_s_statistic(
     gen = _stream(seed, _TAG_SSTAT)
     cum0 = _cumulative(p0.probs)
     cum1 = _cumulative(p1.probs)
+    cols = np.arange(w)
     vals = np.empty(samples)
-    done = 0
-    block = max(1, min(samples, (1 << 22) // max(1, w)))
-    while done < samples:
-        t = min(block, samples - done)
-        y1 = _sample_symbols(cum1, gen.random(t))
-        rest = _sample_symbols(cum0, gen.random((t, w - 1)))
-        r_all = np.concatenate([rhat[y1][:, None], rhat[rest]], axis=1)
-        terms = s * (r_all - rhat[y1][:, None])
-        vals[done : done + t] = -(_logsumexp_rows(terms) - math.log(w))
-        done += t
+    for done, t in _blocks(samples, w):
+        r_all = rhat[_sample_at_pulses(gen, t, cols, (slice(None), 0), cum0, cum1)]
+        vals[done : done + t] = math.log(w) - _logsumexp_rows(s * (r_all - r_all[:, :1]))
     return SStatReport(
         mean=float(vals.mean()),
         stderr=float(vals.std(ddof=1) / math.sqrt(samples)),

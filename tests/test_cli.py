@@ -159,6 +159,14 @@ class TestSweep:
         assert main(["sweep", spec_file, "--from", "-1.0", "--steps", "3"]) == 2
         assert "positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("end, value", [("--to", "inf"), ("--from", "-inf"), ("--from", "nan")])
+    def test_nonfinite_endpoint_exits_2_naming_it(self, spec_file, capsys, end, value):
+        ends = {"--from": "1", "--to": "2", end: value}
+        assert main(["sweep", spec_file, *(f"{k}={v}" for k, v in ends.items()), "--steps", "3"]) == 2
+        captured = capsys.readouterr()
+        assert f"{end} must be finite" in captured.err
+        assert captured.out == ""
+
     def test_zero_steps_exits_2(self, spec_file, capsys):
         assert main(["sweep", spec_file, "--steps", "0"]) == 2
         capsys.readouterr()

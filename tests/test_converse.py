@@ -26,7 +26,6 @@ from covertcap import (
     ValidationError,
     diagonal_coupling,
     erasures_only_metric,
-    fw_linear_oracle,
     kl_divergence,
     maximal_sets,
     objective_kl,
@@ -34,7 +33,7 @@ from covertcap import (
     upper_bound_grid_oracle,
     verify_maximal,
 )
-from covertcap.converse import _TINY, _compositions, _lattice_marginals, _line_search
+from covertcap.converse import _TINY, _compositions, _lattice_marginals, _line_search, _lmo_targets
 
 from conftest import (
     WZ1,
@@ -247,24 +246,19 @@ class TestCouplings:
 
 class TestLinearOracle:
     def test_zero_gradient_takes_smallest_allowed_index(self):
-        inst = example1(3.0)
-        table = maximal_sets(inst.q)
-        jc = fw_linear_oracle(np.zeros((2, 3, 3)), table, inst.wy)
-        np.testing.assert_array_equal(jc.v[0], [[1, 0, 0], [1, 0, 0], [1, 0, 0]])
-        np.testing.assert_array_equal(jc.v[1], np.eye(3))
+        table = maximal_sets(example1(3.0).q)
+        idx = _lmo_targets(np.zeros((2, 3, 3)), table.allowed)
+        np.testing.assert_array_equal(idx, [[0, 0, 0], [0, 1, 2]])
 
     def test_hand_built_gradient(self):
-        inst = example1(3.0)
-        table = maximal_sets(inst.q)
+        table = maximal_sets(example1(3.0).q)
         grad = np.array(
             [
                 [[1.0, 2.0, 3.0], [4.0, 0.0, 6.0], [-1.0, -2.0, -3.0]],
                 [[5.0, 1.0, 2.0], [0.0, 0.0, 9.0], [7.0, 8.0, -1.0]],
             ]
         )
-        jc = fw_linear_oracle(grad, table, inst.wy)
-        np.testing.assert_array_equal(jc.v[0], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        np.testing.assert_array_equal(jc.v[1], [[0, 1, 0], [0, 1, 0], [0, 0, 1]])
+        np.testing.assert_array_equal(_lmo_targets(grad, table.allowed), [[0, 1, 2], [1, 1, 2]])
 
     def test_vertex_minimizes_linear_objective(self):
         rng = np.random.default_rng(44)
@@ -272,30 +266,14 @@ class TestLinearOracle:
             inst = random_instance(rng)
             table = maximal_sets(inst.q)
             grad = rng.normal(size=(2, 3, 3))
-            best = fw_linear_oracle(grad, table, inst.wy)
-            val = float(np.sum(grad * best.v))
+            idx = _lmo_targets(grad, table.allowed)
+            assert np.all(np.take_along_axis(table.allowed, idx[..., None], axis=2))
+            val = float(np.take_along_axis(grad, idx[..., None], axis=2).sum())
             for _ in range(5):
                 raw = np.where(table.allowed, rng.uniform(0.1, 1.0, size=(2, 3, 3)), 0.0)
                 v = raw / raw.sum(axis=2, keepdims=True)
                 feasible = JointConditional(wy=inst.wy, table=table, v=v)
                 assert val <= float(np.sum(grad * feasible.v)) + 1e-12
-
-    def test_shape_mismatch_rejected(self):
-        inst = example1(3.0)
-        with pytest.raises(DimensionError):
-            fw_linear_oracle(np.zeros((2, 2, 2)), maximal_sets(inst.q), inst.wy)
-
-    def test_nested_list_gradient_is_converted(self):
-        inst = example1(3.0)
-        table = maximal_sets(inst.q)
-        grad = np.random.default_rng(45).normal(size=(2, 3, 3))
-        from_list = fw_linear_oracle(grad.tolist(), table, inst.wy)
-        np.testing.assert_array_equal(from_list.v, fw_linear_oracle(grad, table, inst.wy).v)
-
-    def test_wrong_shape_list_rejected(self):
-        inst = example1(3.0)
-        with pytest.raises(DimensionError):
-            fw_linear_oracle(np.zeros((2, 2, 2)).tolist(), maximal_sets(inst.q), inst.wy)
 
 
 class TestUpperBound:

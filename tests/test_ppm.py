@@ -54,6 +54,7 @@ from covertcap.ppm import (
     _sample_at_pulses,
     _sample_symbols,
     _stream,
+    _type_blocks,
 )
 
 from conftest import WZ1, example1
@@ -830,37 +831,71 @@ class TestCovertnessExactKernel:
     @pytest.mark.parametrize("floor", [1.0, 1e-60])
     def test_chunk_kl_matches_the_digit_loop(self, w, floor):
         q0 = ProbVector(np.array([0.5, 0.3 * floor, 0.2]) / (0.7 + 0.3 * floor))
-        rep = ppm_output_kl(PpmParams(2 * w, 2, w, 0), q0, Q1, method="exact")
-        assert rep.samples == 3**w
+        rep = ppm_output_kl(PpmParams(2 * w, 2, w, 0), q0, Q1)
+        assert rep.samples == math.comb(w + 2, 2)
         assert rep.kl_estimate == pytest.approx(2 * reference_chunk_kl(w, q0, Q1), rel=1e-10, abs=1e-13)
 
 
 class TestPpmOutputKl:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ny=st.integers(2, 4),
+        w=st.integers(1, 9),
+        tiny_exp=st.sampled_from([0, 20, 60]),
+    )
+    def test_type_sum_matches_the_digit_loop(self, seed, ny, w, tiny_exp):
+        rng = np.random.default_rng(seed)
+        q = rng.dirichlet(np.ones(ny), size=2)
+        if tiny_exp:  # one idle-law entry near 10^-tiny_exp
+            q[0, rng.integers(ny)] = 10.0**-tiny_exp
+        q[0] = np.maximum(q[0], 1e-60)
+        q0, q1 = ProbVector(q[0] / q[0].sum()), ProbVector(q[1])
+        rep = ppm_output_kl(PpmParams(w, 1, w, 0), q0, q1)
+        assert rep.samples == math.comb(w + ny - 1, ny - 1)
+        assert rep.kl_estimate == pytest.approx(reference_chunk_kl(w, q0, q1), rel=1e-10, abs=1e-13)
+
+    @pytest.mark.parametrize("a, w, most", [(1, 5, 1), (2, 20, 3), (3, 7, 4), (4, 6, 5), (3, 30, 1000)])
+    def test_type_blocks_cover_every_type_once(self, a, w, most):
+        blocks = list(_type_blocks(a, w, most))
+        rows = np.concatenate(blocks)
+        assert max(b.shape[0] for b in blocks) <= most
+        assert np.all(rows >= 0) and np.all(rows.sum(axis=1) == w)
+        assert len({tuple(r) for r in rows}) == rows.shape[0] == math.comb(w + a - 1, a - 1)
+
+    def test_rare_idle_symbol_the_active_law_always_emits(self):
+        # d spans about -690.8 (q1 = 0, floored at 1e-300) to +138.2: a ratio
+        # shifted by the largest d of the alphabet underflows to 0 on the
+        # all-idle type, and 0 * log 0 is nan
+        rep = ppm_output_kl(PpmParams(5, 1, 5, 0), ProbVector([1.0 - 1e-60, 1e-60]), ProbVector([0.0, 1.0]))
+        assert math.isfinite(rep.kl_estimate)
+        assert rep.kl_estimate == pytest.approx(136.5456676672102, rel=1e-12)
+
     def test_identical_warden_laws_give_zero(self):
-        rep = ppm_output_kl(PpmParams(8, 2, 4, 0), Q0, Q0, method="exact")
+        rep = ppm_output_kl(PpmParams(8, 2, 4, 0), Q0, Q0)
         assert rep.kl_estimate == 0.0
 
     def test_width_one_chunks_give_l_times_divergence(self):
-        rep = ppm_output_kl(PpmParams(3, 3, 1, 0), Q0, Q1, method="exact")
+        rep = ppm_output_kl(PpmParams(3, 3, 1, 0), Q0, Q1)
         assert rep.kl_estimate == pytest.approx(3 * kl_divergence(Q1, Q0), abs=1e-12)
 
     def test_divergence_scales_with_chunk_count(self):
-        one = ppm_output_kl(PpmParams(3, 1, 3, 0), Q0, Q1, method="exact")
-        two = ppm_output_kl(PpmParams(6, 2, 3, 0), Q0, Q1, method="exact")
+        one = ppm_output_kl(PpmParams(3, 1, 3, 0), Q0, Q1)
+        two = ppm_output_kl(PpmParams(6, 2, 3, 0), Q0, Q1)
         assert two.kl_estimate == pytest.approx(2 * one.kl_estimate, abs=1e-15)
 
     def test_mc_brackets_exact(self):
-        params = PpmParams(6, 2, 3, 0)
-        exact = ppm_output_kl(params, Q0, Q1, method="exact")
-        mc = ppm_output_kl(params, Q0, Q1, method="mc", samples=30_000, seed=40)
+        # the chunk law is the uniform mixture of the w x w identity book's words
+        w = 50
+        exact = ppm_output_kl(PpmParams(w, 1, w, 0), Q0, Q1)
+        mc = covertness_mc(book(PpmParams(w, 1, w, 0), [np.eye(w)]), Bdmc(WZ1), samples=20_000, seed=40)
         assert abs(mc.kl_estimate - exact.kl_estimate) <= 4 * mc.stderr
 
     def test_method_and_caps(self):
-        params = PpmParams(6, 2, 3, 0)
-        with pytest.raises(DomainError):
-            ppm_output_kl(params, Q0, Q1, method="bogus")
-        with pytest.raises(ResourceLimitError, match="mc"):
-            ppm_output_kl(PpmParams(40, 2, 20, 0), Q0, Q1, method="exact")
+        params = PpmParams(40, 2, 20, 0)  # C(22, 2) = 231 types of 3 symbols
+        assert ppm_output_kl(params, Q0, Q1, max_states=231).samples == 231
+        with pytest.raises(ResourceLimitError, match="covertness_mc"):
+            ppm_output_kl(params, Q0, Q1, max_states=230)
 
     def test_undominated_symbol_is_infinite(self):
         rep = ppm_output_kl(
