@@ -2,6 +2,7 @@
 # end-to-end simulation: schedule, codebook, error trials, adversary KL
 ##########################################################################
 
+import itertools
 import math
 
 import numpy as np
@@ -61,7 +62,24 @@ print(f"covertness mc:    {mc.kl_estimate:.6f} +/- {mc.stderr:.6f}"
       f" ({mc.samples} samples)")
 assert abs(mc.kl_estimate - exact.kl_estimate) <= 4 * mc.stderr
 
-## chunk statistic: sample means approach the tilted rate as chunks widen
+## chunk statistic: sample means track the exact E[S_w], whose gap to the
+## tilted rate shrinks as chunks widen; a 50,000-sample mean carries a stderr
+## near 4e-3, too wide to order the gaps by itself
+
+
+def exact_chunk_mean(q, p0, p1, w, s):
+    """E[S_w] summed over the active output y and the type N of the w-1 idle outputs."""
+    r = np.log(q.q[1]) - np.log(q.q[0])
+    supp = np.flatnonzero(p0.probs > 0.0)
+    a, m = supp.size, w - 1
+    # stars and bars: a-1 bars among m+a-1 slots split the m idle outputs into counts N
+    bars = np.array(list(itertools.combinations(range(m + a - 1), a - 1))).reshape(-1, a - 1)
+    counts = np.diff(bars, prepend=-1, append=m + a - 1, axis=1) - 1
+    log_fact = np.array([math.lgamma(k + 1) for k in range(m + 1)])
+    mass = np.exp(log_fact[m] - log_fact[counts].sum(axis=1) + counts @ np.log(p0.probs[supp]))
+    return sum(p1.probs[y] * float(mass @ (math.log(w) - np.log1p(counts @ np.exp(s * (r[supp] - r[y])))))
+               for y in np.flatnonzero(p1.probs > 0.0))
+
 
 WY3 = np.array([[0.6, 0.2, 0.2], [0.2, 0.2, 0.6]])
 WZ3 = np.array([[0.8, 0.1, 0.1], [0.2, 0.3, 0.5]])
@@ -74,5 +92,7 @@ print(f"chunk statistic vs f(1) = {target:.6f}")
 for w in (50, 100, 200, 400):
     rep = sample_s_statistic(inst3.q, inst3.p0, inst3.p1, w=w, s=1.0,
                              samples=50_000, seed=SEED)
-    print(f"  w={w:4d}: mean={rep.mean:.6f} gap={abs(rep.mean - target):.6f}"
-          f" stderr={rep.stderr:.6f}")
+    exact_mean = exact_chunk_mean(inst3.q, inst3.p0, inst3.p1, w, 1.0)
+    print(f"  w={w:4d}: mean={rep.mean:.6f} stderr={rep.stderr:.6f}"
+          f" exact={exact_mean:.6f} exact gap={target - exact_mean:.6f}")
+    assert abs(rep.mean - exact_mean) <= 4 * rep.stderr

@@ -5,14 +5,14 @@ r = n - w*l symbols always idle); each chunk carries exactly one active symbol
 whose position is the payload.  With l ~ t*sqrt(n) active symbols the code
 meets the adversary's divergence budget while carrying Theta(sqrt(n)) nats.
 
-Randomness is counter-based (Philox), keyed by (master seed, purpose tag).
-Each codeword sits on the substream at counter (key k, message m); each
-(key, message) pair's decode trials are read in order from the one substream
-at counter (pair index), so regenerating any codeword or any pair's count is
-bit-identical no matter the iteration order or thread schedule.  Each
-Monte-Carlo estimator (covertness_mc, sample_s_statistic) reads the single
-stream keyed by (seed, tag).  Every Monte-Carlo loop takes its block sizes
-from one rule, _blocks, so a block's memory does not grow with n.
+Randomness comes from keyed streams: _stream seeds PCG64 with
+SeedSequence(seed, spawn_key=(purpose tag, c1, c2)).  A codeword reads the
+stream at (c1, c2) = (key k, message m), and a pair's decode trials are read
+in order from the one stream at c1 = pair index, so any codeword or pair
+count regenerates bit-identically whatever the iteration order or thread
+schedule.  Each Monte-Carlo estimator (covertness_mc, sample_s_statistic)
+reads the one stream keyed by (seed, tag); every Monte-Carlo loop takes its
+block sizes from one rule, _blocks, so a block's memory does not grow with n.
 
 Decode trials and covertness samples draw uniforms, and so channel outputs,
 only at pulse positions, the columns where some word of the book (or sub-code)
@@ -55,7 +55,7 @@ from .core import (
 
 TIE = -1  # decoder verdict when the top metric score is shared
 
-# purpose tags keep Philox substreams for different jobs disjoint
+# purpose tags keep the keyed streams of different jobs disjoint
 _TAG_CODEBOOK = 1
 _TAG_ERROR = 2
 _TAG_COVERT = 3
@@ -70,10 +70,10 @@ _PULSE_BLOCK = 1 << 20
 
 
 def _stream(seed: int, tag: int, c1: int = 0, c2: int = 0) -> np.random.Generator:
-    """Generator on the Philox substream keyed by (seed, tag) at counter (0, c1, c2, 0)."""
-    key = np.array([seed & _MASK64, tag], dtype=np.uint64)
-    counter = np.array([0, c1 & _MASK64, c2 & _MASK64, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    """PCG64 generator keyed by SeedSequence(seed mod 2^64, spawn_key=(tag, c1, c2)):
+    the seed is padded to the pool size before the spawn key is mixed in, so the
+    fields never run into each other as in one flat list of 32-bit words."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed & _MASK64, spawn_key=(tag, c1, c2))))
 
 
 def _blocks(total: int, width: int, most: int | None = None):
@@ -328,7 +328,7 @@ class ErrorReport:
 
 
 def _pair_errors(codebook, k, j, trials, seed, cum0, cum1, rhat, pulses, chunk=1024):
-    """Error count for pair (k, j) over its Philox substream; chunking is stream-neutral.
+    """Error count for pair (k, j) over its keyed stream; chunking is stream-neutral.
 
     ``pulses`` is ``_pulse_columns`` of sub-code k.  Every trial draws
     uniforms, samples and scores only at the sub-code's pulse columns: a
@@ -369,10 +369,10 @@ def estimate_error(
 ) -> ErrorReport:
     """Monte-Carlo decoding-error probability for every (key, message) pair.
 
-    Each pair's trials are read in order from the one Philox substream keyed
-    by (seed, tag) at counter (pair index), so the report is identical for
-    any ``workers`` count and any execution order.  ci95 is the
-    normal-approximation half-width 1.96 sqrt(p(1-p)/trials).
+    Each pair's trials are read in order from the one stream keyed by
+    (seed, tag, pair index), so the report is identical for any ``workers``
+    count and any execution order.  ci95 is the normal-approximation
+    half-width 1.96 sqrt(p(1-p)/trials).
     """
     if trials_per_pair < 1:
         raise DomainError("trials_per_pair must be >= 1")

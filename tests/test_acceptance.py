@@ -17,6 +17,7 @@ from covertcap import (
     Bdmc,
     CovertInstance,
     DecodingMetric,
+    PpmCodebook,
     PpmParams,
     ProbVector,
     binary_dichotomy,
@@ -188,13 +189,16 @@ def _exhaustive_error(inst, codebook, k, j):
 
     Decoding is re-implemented from the full product rule (every position,
     both metric rows) rather than the library's active-positions shortcut.
+    The success mass is summed and the failure returned as its complement,
+    floored at 0, so it lies in [0, 1]: summing the failure weights instead
+    can round above 1 when every state fails.
     """
     wy = inst.wy.w
     logq = np.log(inst.q.q)
     words = codebook.codewords[k]
     x = words[j]
     n = codebook.params.n
-    total = 0.0
+    success = 0.0
     for state in range(inst.wy.num_outputs**n):
         y = np.empty(n, dtype=np.int64)
         s = state
@@ -205,19 +209,34 @@ def _exhaustive_error(inst, codebook, k, j):
         scores = logq[words, y].sum(axis=1)
         top = scores.max()
         winners = np.flatnonzero(scores >= top - 1e-12)
-        if winners.size != 1 or winners[0] != j:
-            total += weight
-    return total
+        if winners.size == 1 and winners[0] == j:
+            success += weight
+    return max(0.0, 1.0 - success)
 
 
-def test_criterion_07_micro_scale_exactness():
-    t0 = time.monotonic()
-    inst = CovertInstance(
+def micro_instance():
+    """Criterion 7's binary instance: the warden sees the main channel."""
+    return CovertInstance(
         wy=Bdmc(np.array([[0.7, 0.3], [0.4, 0.6]])),
         wz=Bdmc(np.array([[0.7, 0.3], [0.4, 0.6]])),
         q=DecodingMetric(np.array([[0.9, 0.1], [0.1, 0.9]])),
         delta=0.3,
     )
+
+
+def test_exhaustive_error_of_a_certain_failure_is_one():
+    # messages 0 and 1 share one word, so every output ties them and both fail
+    # with probability exactly 1; summed failure weights gave 1.000000000000001
+    inst = micro_instance()
+    words = [[1, 0, 0, 0, 1, 0, 0, 0], [1, 0, 0, 0, 1, 0, 0, 0], [0, 1, 0, 0, 0, 1, 0, 0]]
+    book = PpmCodebook(PpmParams(8, 2, 4, 0), 3, 1, 0, np.array([words], dtype=np.uint8), np.arange(3)[None])
+    assert _exhaustive_error(inst, book, 0, 0) == _exhaustive_error(inst, book, 0, 1) == 1.0
+    assert 0.0 < _exhaustive_error(inst, book, 0, 2) < 1.0
+
+
+def test_criterion_07_micro_scale_exactness():
+    t0 = time.monotonic()
+    inst = micro_instance()
 
     # n=8: Monte-Carlo error rates vs full enumeration of the 256 outputs
     book8 = generate_codebook(PpmParams(8, 2, 4, 0), num_messages=3, num_keys=2, seed=7001)

@@ -300,7 +300,7 @@ class TestEstimateError:
         assert 0 < serial.errors.sum() < serial.errors.size * 300  # nondegenerate
 
     def test_trial_block_size_does_not_change_counts(self):
-        # blocks cut one Philox substream at different points; the draws, and
+        # blocks cut one keyed stream at different points; the draws, and
         # so the counts, are the same for any block size
         inst = make_instance([[0.7, 0.3], [0.4, 0.6]], [[0.9, 0.1], [0.1, 0.9]])
         cb = generate_codebook(PpmParams(6, 2, 3, 0), num_messages=3, num_keys=2, seed=7)
@@ -374,6 +374,53 @@ class TestSampleSymbols:
         assert np.iinfo(y.dtype).max >= cum.size - 1
         blocks = u[: 2 * (u.size // 2)].reshape(2, -1)
         np.testing.assert_array_equal(_sample_symbols(cum, blocks), np.searchsorted(cum, blocks, side="right"))
+
+
+def stream_draws(key, count=8):
+    return _stream(*key).integers(0, 2**64, size=count, dtype=np.uint64)
+
+
+class TestStreamKeying:
+    """Each (seed, tag, c1, c2) key names one stream, and distinct keys name distinct streams."""
+
+    KEYS = [
+        (0, 1, 0, 0),
+        (0, 2, 0, 0),
+        (0, 1, 1, 0),
+        (0, 1, 0, 1),
+        (1, 1, 0, 1),
+        (0, 1, 1, 1),
+        (5, 1, 2, 3),
+        (5 + 2**32, 2, 3, 0),
+        (5 + 2**32, 2, 3, 4),
+        (5, 1, 2, 3 + 4 * 2**32),
+        (2**32, 1, 0, 0),
+        (2**63, 1, 0, 0),
+        (-5, 1, 0, 0),
+        (5, 1, 0, 0),
+        (-1, 1, 0, 0),
+        (2**32 - 1, 1, 0, 0),
+    ]
+
+    def test_same_key_gives_the_same_draws(self):
+        for key in self.KEYS:
+            np.testing.assert_array_equal(stream_draws(key), stream_draws(key))
+
+    def test_distinct_keys_give_distinct_draws(self):
+        draws = {tuple(stream_draws(key)) for key in self.KEYS}
+        assert len(draws) == len(self.KEYS)
+
+    def test_keys_a_flat_entropy_list_would_merge_stay_apart(self):
+        # as one flat list the two keys concatenate to the same 32-bit words
+        # [5, 1, 2, 3, 4]; the seed and the spawn key are mixed in separately
+        merged, apart = (5 + 2**32, 2, 3, 4), (5, 1, 2, 3 + 4 * 2**32)
+        flat = lambda key: np.random.SeedSequence(list(key)).generate_state(4)
+        np.testing.assert_array_equal(flat(merged), flat(apart))
+        assert not np.array_equal(stream_draws(merged), stream_draws(apart))
+
+    def test_seed_is_taken_mod_2_to_the_64(self):
+        np.testing.assert_array_equal(stream_draws((-1, 3, 0, 0)), stream_draws((2**64 - 1, 3, 0, 0)))
+        np.testing.assert_array_equal(stream_draws((2**64 + 7, 3, 0, 0)), stream_draws((7, 3, 0, 0)))
 
 
 def dense_sample(cum0, cum1, pulses, u):
@@ -788,11 +835,13 @@ class TestCovertnessExactKernel:
         assert math.isfinite(exact)
         assert exact == pytest.approx(reference_covertness_exact(cb, WZ_EXTREME), rel=1e-10, abs=1e-13)
 
+    # books drawn from PCG64 streams keyed by SeedSequence(seed, spawn_key=(tag, c1, c2));
+    # re-recorded when the keyed streams moved from Philox (a declared stream change)
     @pytest.mark.parametrize(
         "params, num_messages, num_keys, seed, wz, value",
         [
-            (PpmParams(16, 4, 4, 0), 6, 2, 11, WZ_BIN, "0x1.1a7676d4431c3p-2"),
-            (PpmParams(10, 3, 3, 1), 5, 2, 12, Bdmc(np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]])), "0x1.7003bc35e5d6cp-2"),
+            (PpmParams(16, 4, 4, 0), 6, 2, 11, WZ_BIN, "0x1.2c3fe913cb0f4p-2"),
+            (PpmParams(10, 3, 3, 1), 5, 2, 12, Bdmc(np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]])), "0x1.8d4478bae60f6p-2"),
         ],
     )
     def test_pinned_values_of_seeded_books(self, params, num_messages, num_keys, seed, wz, value):
