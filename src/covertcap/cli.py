@@ -39,6 +39,7 @@ from .core import (
 )
 from .lower_bound import lower_bound
 from .ppm import (
+    _states_exceed,
     covertness_exact,
     covertness_mc,
     estimate_error,
@@ -168,7 +169,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         report = estimate_error(inst, book, trials, seed, workers=args.workers)
 
     cap = args.covertness_cap
-    if inst.wz.num_outputs**params.n <= cap:
+    if not _states_exceed(inst.wz.num_outputs, params.n, cap):
         cov = covertness_exact(book, inst.wz, max_states=cap)
     else:
         cov = covertness_mc(book, inst.wz, cov_samples, seed)

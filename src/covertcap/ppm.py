@@ -14,17 +14,18 @@ schedule.  Each Monte-Carlo estimator (covertness_mc, sample_s_statistic)
 reads the one stream keyed by (seed, tag); every Monte-Carlo loop takes its
 block sizes from one rule, _blocks, so a block's memory does not grow with n.
 
-Decode trials and covertness samples draw uniforms, and so channel outputs,
-only at pulse positions, the columns where some word of the book (or sub-code)
-is active.  Neither the metric score nor the warden's mixture likelihood
-depends on an output where every word is idle, and with l ~ sqrt(n) pulses
-per word those columns are a shrinking share of the block: idle columns cost
-no draws.  Every sampler inverts a channel row's cumulative law by counting
-the thresholds at or below each uniform (_sample_symbols), which for these
-few-output alphabets is faster than a binary search and returns the same
-index.  Decode trials are scored word-major: a block's scores form an (M, t)
-matrix whose verdict reductions (top score, tie count, own-word test) run
-over the words of each trial.
+A book stores each word as its l pulse positions, not as n bytes, and every
+array built from it spans only its pulse columns, the columns where some word
+of the book (or sub-code) is active.  Decode trials and covertness samples
+draw uniforms, and so channel outputs, only there.  Neither the metric score
+nor the warden's mixture likelihood depends on an output where every word is
+idle, and with l ~ sqrt(n) pulses per word those columns are a shrinking share
+of the block: idle columns cost no draws.  Every sampler inverts a channel
+row's cumulative law by counting the thresholds at or below each uniform
+(_sample_symbols), which for these few-output alphabets is faster than a
+binary search and returns the same index.  Decode trials are scored
+word-major: a block's scores form an (M, t) matrix whose verdict reductions
+(top score, tie count, own-word test) run over the words of each trial.
 
 covertness_exact keeps only the pulse columns, splits them into two halves,
 and gets the mixture's likelihood ratio on every output state from one matrix
@@ -63,7 +64,9 @@ _TAG_SSTAT = 4
 
 _MASK64 = (1 << 64) - 1
 
-MAX_CODEBOOK_BYTES = 2**30  # largest (K, M, n) uint8 book generate_codebook builds
+# largest array built from a generated book: covertness_mc's float64 matrix of the
+# K*M words on their pulse columns, 8*K*M*min(n, K*M*l) bytes
+MAX_CODEBOOK_BYTES = 2**30
 # uniforms per block of any Monte-Carlo loop; every one is sampled and
 # scored, so a block's temporaries take a few times 8 MiB
 _PULSE_BLOCK = 1 << 20
@@ -106,10 +109,20 @@ def _cumulative(p: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _pulse_columns(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(columns where some word is active, the words on those columns as floats)."""
-    cols = np.flatnonzero(words.any(axis=0))
-    return cols, words[:, cols].astype(np.float64)
+def _states_exceed(a: int, n: int, cap: int) -> bool:
+    """Whether a^n > cap, exactly, without forming a^n: for a >= 2, a^b > cap once b reaches cap's bit length."""
+    return a ** min(n, cap.bit_length()) > cap
+
+
+def _pulse_columns(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(columns where some word is active, the words on those columns as floats), from padded (..., L) positions;
+    column-major, the layout the decode loop's ``words @ x.T`` was tuned on (7% slower row-major on 16 x 18 words)."""
+    pos = positions.reshape(math.prod(positions.shape[:-1]), -1)
+    rows, slots = np.nonzero(pos >= 0)
+    cols, inverse = np.unique(pos[rows, slots], return_inverse=True)
+    words = np.zeros((pos.shape[0], cols.size), order="F")
+    words[rows, inverse] = 1.0
+    return cols, words
 
 
 def _sample_at_pulses(gen, t, cols, at, cum0, cum1) -> np.ndarray:
@@ -209,35 +222,46 @@ def ppm_params(n: int, delta: float, q0: ProbVector, q1: ProbVector) -> PpmParam
 class PpmCodebook:
     """Codewords for every (key, message) pair, with their original message ids.
 
-    ``codewords[k, j]`` is the length-n binary word for the j-th retained
-    message of sub-code k, whose public identity is ``message_ids[k, j]``.
-    Expurgation produces books whose retained sets differ per key.  Words are
-    not forced to the chunk structure here so that degenerate books (hand-built
-    or weight-0) remain expressible in tests; ``generate_codebook`` guarantees
-    the structure for the books it makes.
+    ``positions[k, j]`` lists the active symbols of the j-th retained message
+    of sub-code k, whose public identity is ``message_ids[k, j]``: increasing
+    positions in [0, n), padded with -1 at the end, so the book takes K*M*L
+    integers (L = l for generated books) instead of K*M*n bytes.  Expurgation
+    produces books whose retained sets differ per key.  Words are not forced
+    to the chunk structure here so that degenerate books (hand-built, weight-0
+    or half-dense) remain expressible in tests; ``generate_codebook``
+    guarantees the structure for the books it makes.
     """
 
     params: PpmParams
     num_messages: int
     num_keys: int
-    seed: int
-    codewords: np.ndarray
+    positions: np.ndarray
     message_ids: np.ndarray
 
     def __post_init__(self):
-        cw = np.asarray(self.codewords, dtype=np.uint8)
+        pos = np.asarray(self.positions, dtype=np.int64)
         ids = np.asarray(self.message_ids, dtype=np.int64)
-        shape = (self.num_keys, self.num_messages, self.params.n)
-        if cw.shape != shape:
-            raise DimensionError(f"codewords must have shape {shape}, got {cw.shape}")
-        if ids.shape != shape[:2]:
-            raise DimensionError(f"message_ids must have shape {shape[:2]}, got {ids.shape}")
-        if cw.max(initial=0) > 1:  # the binary check on uint8, without book-sized temporaries
-            raise DomainError("codewords must be binary")
-        cw.setflags(write=False)
+        shape = (self.num_keys, self.num_messages)
+        if pos.ndim != 3 or pos.shape[:2] != shape:
+            raise DimensionError(f"positions must have shape {shape} + (L,), got {pos.shape}")
+        if ids.shape != shape:
+            raise DimensionError(f"message_ids must have shape {shape}, got {ids.shape}")
+        prev, nxt = pos[..., :-1], pos[..., 1:]
+        misplaced = (nxt >= 0) & ((prev < 0) | (prev >= nxt))  # a pulse after padding or not above its predecessor
+        if pos.min(initial=0) < -1 or pos.max(initial=0) >= self.params.n or np.any(misplaced):
+            raise DomainError(f"positions must increase within [0, {self.params.n}), padded with -1 at the end")
+        pos.setflags(write=False)
         ids.setflags(write=False)
-        object.__setattr__(self, "codewords", cw)
+        object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "message_ids", ids)
+
+    @property
+    def codewords(self) -> np.ndarray:
+        """The (num_keys, num_messages, n) binary words, built on each access."""
+        words = np.zeros((self.num_keys, self.num_messages, self.params.n), dtype=np.uint8)
+        k, j, slot = np.nonzero(self.positions >= 0)
+        words[k, j, self.positions[k, j, slot]] = 1
+        return words
 
     def flat_words(self) -> np.ndarray:
         """All retained codewords as one (num_keys * num_messages, n) matrix."""
@@ -256,31 +280,28 @@ def generate_codebook(params: PpmParams, num_messages: int, num_keys: int, seed:
     """Independent uniform chunk positions for every (key, message) pair.
 
     Word (m, k) is a pure function of (seed, m, k): regeneration is
-    bit-identical no matter the order pairs are visited in.  Raises
-    ResourceLimitError, before allocating, when the book would take more than
+    bit-identical no matter the order pairs are visited in.  Its positions are
+    the draws of sample_codeword on the same stream.  Raises
+    ResourceLimitError, before allocating, when the largest array built from
+    the book, covertness_mc's pulse-column matrix, would take more than
     MAX_CODEBOOK_BYTES.
     """
     if num_messages < 1 or num_keys < 1:
         raise DomainError("need at least one message and one key")
-    size = num_keys * num_messages * params.n
+    words = num_keys * num_messages
+    size = 8 * words * min(params.n, words * params.l)
     if size > MAX_CODEBOOK_BYTES:
         raise ResourceLimitError(
-            f"codebook of {num_keys} keys x {num_messages} messages x n={params.n} "
-            f"needs {size} bytes, above the cap {MAX_CODEBOOK_BYTES}"
+            f"codebook of {num_keys} keys x {num_messages} messages x {params.l} pulses (n={params.n}) "
+            f"needs a {size}-byte pulse-column matrix, above the cap {MAX_CODEBOOK_BYTES}"
         )
-    cw = np.empty((num_keys, num_messages, params.n), dtype=np.uint8)
+    starts = np.arange(params.l) * params.w
+    pos = np.empty((num_keys, num_messages, params.l), dtype=np.int64)
     for k in range(num_keys):
         for m in range(num_messages):
-            cw[k, m] = sample_codeword(params, _stream(seed, _TAG_CODEBOOK, c1=k, c2=m))
+            pos[k, m] = starts + _stream(seed, _TAG_CODEBOOK, c1=k, c2=m).integers(0, params.w, size=params.l)
     ids = np.tile(np.arange(num_messages, dtype=np.int64), (num_keys, 1))
-    return PpmCodebook(
-        params=params,
-        num_messages=num_messages,
-        num_keys=num_keys,
-        seed=seed,
-        codewords=cw,
-        message_ids=ids,
-    )
+    return PpmCodebook(params, num_messages, num_keys, pos, ids)
 
 
 def _log_ratio(metric: DecodingMetric) -> np.ndarray:
@@ -298,7 +319,7 @@ def q_decode(codebook: PpmCodebook, k: int, y: np.ndarray, metric: DecodingMetri
     y = np.asarray(y)
     if y.shape != (codebook.params.n,):
         raise DimensionError(f"output block must have length {codebook.params.n}")
-    cols, words = _pulse_columns(codebook.codewords[k])
+    cols, words = _pulse_columns(codebook.positions[k])
     scores = words @ _log_ratio(metric)[y[cols]]
     top = float(scores.max())
     winners = np.flatnonzero(scores >= top - TIE_TOL)
@@ -381,7 +402,7 @@ def estimate_error(
     rhat = _log_ratio(inst.q)
     K, M = codebook.num_keys, codebook.num_messages
     pairs = [(k, j) for k in range(K) for j in range(M)]
-    pulses = [_pulse_columns(codebook.codewords[k]) for k in range(K)]
+    pulses = [_pulse_columns(codebook.positions[k]) for k in range(K)]
 
     def run(p):
         k, j = p
@@ -428,25 +449,13 @@ def expurgate(report: ErrorReport, codebook: PpmCodebook, fraction: float = 1.0 
     if drop == 0:
         return codebook
 
-    new_words = np.empty((codebook.num_keys, keep, codebook.params.n), dtype=np.uint8)
-    new_ids = np.empty((codebook.num_keys, keep), dtype=np.int64)
+    kept = np.empty((codebook.num_keys, keep), dtype=np.int64)
     for k in range(codebook.num_keys):
         # sort worst-first: high p_hat, then low id; drop the head
         order = sorted(range(codebook.num_messages), key=lambda j: (-report.p_hat[k, j], codebook.message_ids[k, j]))
-        kept = sorted(order[drop:])
-        # kept indexes range(num_messages), so clipping moves nothing; unlike
-        # the default mode="raise", "clip" writes into out without buffering
-        # a (keep, n) copy of the words
-        np.take(codebook.codewords[k], kept, axis=0, out=new_words[k], mode="clip")
-        new_ids[k] = codebook.message_ids[k, kept]
-    return PpmCodebook(
-        params=codebook.params,
-        num_messages=keep,
-        num_keys=codebook.num_keys,
-        seed=codebook.seed,
-        codewords=new_words,
-        message_ids=new_ids,
-    )
+        kept[k] = sorted(order[drop:])
+    rows = np.arange(codebook.num_keys)[:, None]
+    return PpmCodebook(codebook.params, keep, codebook.num_keys, codebook.positions[rows, kept], codebook.message_ids[rows, kept])
 
 
 METHOD_EXACT = "EXACT"
@@ -492,8 +501,8 @@ def _half_states(wcols: np.ndarray, base_logs: np.ndarray, d: np.ndarray) -> tup
     return d[z] @ wcols.T, base_logs[z].sum(axis=1)
 
 
-def _mixture_kl(words: np.ndarray, base_logs: np.ndarray, d: np.ndarray) -> float:
-    """D(Qhat || Q0^n) of the uniform mixture of the binary ``words`` (C, n), unclamped.
+def _mixture_kl(positions: np.ndarray, base_logs: np.ndarray, d: np.ndarray) -> float:
+    """D(Qhat || Q0^n) of the uniform mixture of the words with pulse ``positions`` (..., L), unclamped.
 
     Outputs range over the active alphabet, with log Q0 = ``base_logs`` and
     active-vs-idle log ratios ``d`` (finite).  Only the pulse columns U count:
@@ -508,7 +517,7 @@ def _mixture_kl(words: np.ndarray, base_logs: np.ndarray, d: np.ndarray) -> floa
     from a log-sum-exp over the words.  Blocks hold at most _PRODUCT_BLOCK
     ratios, whatever n and C are.
     """
-    _, wmat = _pulse_columns(words)
+    _, wmat = _pulse_columns(positions)
     num_words = wmat.shape[0]
     half = wmat.shape[1] // 2
     s_a, b_a = _half_states(wmat[:, :half], base_logs, d)
@@ -554,17 +563,15 @@ def covertness_exact(codebook: PpmCodebook, wz: Bdmc, max_states: int = 2**24) -
     (see _mixture_kl).
     """
     n = codebook.params.n
-    if wz.num_outputs**n > max_states:
+    if _states_exceed(wz.num_outputs, n, max_states):
         raise ResourceLimitError(
-            f"exact covertness needs {wz.num_outputs}^{n} = {wz.num_outputs**n} states, "
-            f"above the cap {max_states}; use covertness_mc"
+            f"exact covertness needs {wz.num_outputs}^{n} states, above the cap {max_states}; use covertness_mc"
         )
     qz0, qz1 = wz.w[0], wz.w[1]
-    words = codebook.flat_words()
-    if np.any((qz1 > 0.0) & (qz0 <= 0.0)) and np.any(words.sum(axis=1) > 0):
+    if np.any((qz1 > 0.0) & (qz0 <= 0.0)) and np.any(codebook.positions >= 0):
         return CovertnessReport(METHOD_EXACT, float("inf"), None, 0)
     active, base_logs, d = _warden_deltas(wz)
-    kl = _mixture_kl(words, base_logs, d)
+    kl = _mixture_kl(codebook.positions, base_logs, d)
     return CovertnessReport(METHOD_EXACT, max(kl, 0.0), None, int(active.size**n))
 
 
@@ -590,10 +597,9 @@ def covertness_mc(codebook: PpmCodebook, wz: Bdmc, samples: int, seed: int) -> C
     if samples < 100:
         raise DomainError(f"need at least 100 samples, got {samples!r}")
     qz0, qz1 = wz.w[0], wz.w[1]
-    words = codebook.flat_words()
-    if np.any((qz1 > 0.0) & (qz0 <= 0.0)) and np.any(words.sum(axis=1) > 0):
+    if np.any((qz1 > 0.0) & (qz0 <= 0.0)) and np.any(codebook.positions >= 0):
         return CovertnessReport(METHOD_MC, float("inf"), None, samples)
-    cols, wmat = _pulse_columns(words)
+    cols, wmat = _pulse_columns(codebook.positions)
     log_c = math.log(wmat.shape[0])
     d_full = np.where(qz0 > 0.0, np.log(np.maximum(qz1, 1e-300)) - np.log(np.maximum(qz0, 1e-300)), 0.0)
     cum0 = _cumulative(qz0)

@@ -228,8 +228,8 @@ def test_exhaustive_error_of_a_certain_failure_is_one():
     # messages 0 and 1 share one word, so every output ties them and both fail
     # with probability exactly 1; summed failure weights gave 1.000000000000001
     inst = micro_instance()
-    words = [[1, 0, 0, 0, 1, 0, 0, 0], [1, 0, 0, 0, 1, 0, 0, 0], [0, 1, 0, 0, 0, 1, 0, 0]]
-    book = PpmCodebook(PpmParams(8, 2, 4, 0), 3, 1, 0, np.array([words], dtype=np.uint8), np.arange(3)[None])
+    positions = [[[0, 4], [0, 4], [1, 5]]]
+    book = PpmCodebook(PpmParams(8, 2, 4, 0), 3, 1, positions, np.arange(3)[None])
     assert _exhaustive_error(inst, book, 0, 0) == _exhaustive_error(inst, book, 0, 1) == 1.0
     assert 0.0 < _exhaustive_error(inst, book, 0, 2) < 1.0
 

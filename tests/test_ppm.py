@@ -43,6 +43,7 @@ from covertcap import (
 )
 from covertcap.core import TIE_TOL
 from covertcap.ppm import (
+    _TAG_CODEBOOK,
     _TAG_COVERT,
     _TAG_ERROR,
     MAX_CODEBOOK_BYTES,
@@ -53,6 +54,7 @@ from covertcap.ppm import (
     _pulse_columns,
     _sample_at_pulses,
     _sample_symbols,
+    _states_exceed,
     _stream,
     _type_blocks,
 )
@@ -64,19 +66,21 @@ Q1 = ProbVector(WZ1[1])
 WZ_BIN = Bdmc(np.array([[0.7, 0.3], [0.4, 0.6]]))
 
 
-def book(params: PpmParams, words, ids=None, num_keys=None, seed=0) -> PpmCodebook:
-    """Hand-built codebook; words is a (K, M, n) nested list."""
+def book(params: PpmParams, words, ids=None) -> PpmCodebook:
+    """Hand-built codebook from (K, M, n) binary words, stored as their pulse positions.
+
+    The one dense-to-positions conversion of the tests: each word's active
+    columns in increasing order, padded with -1 to the largest weight.
+    """
     cw = np.array(words, dtype=np.uint8)
+    assert cw.ndim == 3 and cw.shape[2] == params.n and cw.max(initial=0) <= 1
+    weights = cw.sum(axis=2)
+    pos = np.full(cw.shape[:2] + (int(weights.max(initial=0)),), -1, dtype=np.int64)
+    for k, j in np.ndindex(cw.shape[:2]):
+        pos[k, j, : weights[k, j]] = np.flatnonzero(cw[k, j])
     if ids is None:
         ids = np.tile(np.arange(cw.shape[1]), (cw.shape[0], 1))
-    return PpmCodebook(
-        params=params,
-        num_messages=cw.shape[1],
-        num_keys=num_keys if num_keys is not None else cw.shape[0],
-        seed=seed,
-        codewords=cw,
-        message_ids=np.array(ids),
-    )
+    return PpmCodebook(params, cw.shape[1], cw.shape[0], pos, np.array(ids))
 
 
 class TestPpmParams:
@@ -165,6 +169,7 @@ class TestGenerateCodebook:
 
     def test_shape_ids_and_structure(self):
         cb = generate_codebook(self.PARAMS, num_messages=5, num_keys=3, seed=11)
+        assert cb.positions.shape == (3, 5, 2)
         assert cb.codewords.shape == (3, 5, 8)
         np.testing.assert_array_equal(cb.message_ids, np.tile(np.arange(5), (3, 1)))
         flat = cb.flat_words()
@@ -172,26 +177,58 @@ class TestGenerateCodebook:
         assert np.all(flat[:, :4].sum(axis=1) == 1)
         assert np.all(flat[:, 4:].sum(axis=1) == 1)
 
+    def test_positions_are_the_drawn_words(self):
+        # word (k, m) is sample_codeword on the stream keyed (seed, codebook tag, k, m)
+        cb = generate_codebook(PpmParams(10, 3, 3, 1), num_messages=4, num_keys=2, seed=16)
+        for k in range(2):
+            for m in range(4):
+                word = sample_codeword(cb.params, _stream(16, _TAG_CODEBOOK, c1=k, c2=m))
+                np.testing.assert_array_equal(cb.positions[k, m], np.flatnonzero(word))
+
     def test_regeneration_is_bit_identical(self):
         a = generate_codebook(self.PARAMS, 6, 4, seed=12)
         b = generate_codebook(self.PARAMS, 6, 4, seed=12)
-        np.testing.assert_array_equal(a.codewords, b.codewords)
+        np.testing.assert_array_equal(a.positions, b.positions)
 
     def test_each_pair_owns_a_substream(self):
         # the (k, m) word does not depend on how many other pairs exist
         small = generate_codebook(self.PARAMS, 3, 2, seed=13)
         big = generate_codebook(self.PARAMS, 7, 5, seed=13)
-        np.testing.assert_array_equal(small.codewords[1, 2], big.codewords[1, 2])
+        np.testing.assert_array_equal(small.positions[1, 2], big.positions[1, 2])
 
     def test_seeds_decorrelate(self):
         a = generate_codebook(self.PARAMS, 6, 4, seed=14)
         b = generate_codebook(self.PARAMS, 6, 4, seed=15)
-        assert np.any(a.codewords != b.codewords)
+        assert np.any(a.positions != b.positions)
 
     def test_oversize_book_refused_before_allocation(self):
-        params = PpmParams(1 << 20, 1, 1 << 20, 0)
-        with pytest.raises(ResourceLimitError, match="cap"):
-            generate_codebook(params, num_messages=MAX_CODEBOOK_BYTES >> 20, num_keys=2, seed=0)
+        # the cap bounds covertness_mc's float64 (K*M, min(n, K*M*l)) pulse-column
+        # matrix: 2 x 256 words on 2^18 columns take exactly 2^30 bytes
+        params = PpmParams(1 << 18, 1 << 9, 1 << 9, 0)
+        assert 8 * (2 * 256) * min(params.n, 2 * 256 * params.l) == MAX_CODEBOOK_BYTES
+        assert generate_codebook(params, num_messages=256, num_keys=2, seed=0).positions.shape == (2, 256, 512)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="cap"):
+                generate_codebook(params, num_messages=257, num_keys=2, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    def test_long_blocks_take_memory_in_pulses_not_symbols(self):
+        # n = 10^7 at the reference warden: 2 x 64 words of l = 892 pulses, 0.9 MB
+        # of positions, where a dense (K, M, n) book took 1.28 GB
+        params = ppm_params(10**7, 0.1, Q0, Q1)
+        assert params.l == 892
+        tracemalloc.start()
+        try:
+            cb = generate_codebook(params, num_messages=64, num_keys=2, seed=17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cb.positions.nbytes == 2 * 64 * 892 * 8
+        assert peak < 4 * 2**20
 
     def test_needs_messages_and_keys(self):
         with pytest.raises(DomainError):
@@ -200,22 +237,26 @@ class TestGenerateCodebook:
             generate_codebook(self.PARAMS, 3, 0, seed=0)
 
     def test_book_validation(self):
+        ids = np.zeros((1, 1))
+        make = lambda positions: PpmCodebook(self.PARAMS, 1, 1, positions, ids)
+        for padded in ([[[0, 4]]], [[[3, -1, -1]]], [[[-1]]], np.zeros((1, 1, 0))):
+            np.testing.assert_array_equal(make(padded).positions, padded)
+        np.testing.assert_array_equal(make([[[3, 7, -1]]]).codewords, [[[0, 0, 0, 1, 0, 0, 0, 1]]])
+        for row in ([0, 8], [-2, 4], [1, 1], [4, 1], [-1, 2]):  # out of range, below -1, repeated, decreasing, -1 first
+            with pytest.raises(DomainError, match="increase"):
+                make([[row]])
+        for shape in ([[0, 4]], [[[0], [4]]], [[[[0]]]]):  # 2-d, two messages, 4-d
+            with pytest.raises(DimensionError):
+                make(shape)
         with pytest.raises(DimensionError):
-            book(self.PARAMS, [[[1, 0, 0, 0, 1, 0]]])  # n mismatch
-        with pytest.raises(DomainError):
-            book(self.PARAMS, [[[2, 0, 0, 0, 1, 0, 0, 0]]])  # non-binary
+            PpmCodebook(self.PARAMS, 1, 1, [[[0]]], np.zeros((1, 2)))
 
-    def test_binary_check_makes_no_book_sized_temporaries(self):
-        words = np.zeros((2, 32, 1 << 20), dtype=np.uint8)  # 64 MiB
-        words[:, :, 0] = 1
-        ids = np.tile(np.arange(32), (2, 1))
-        tracemalloc.start()
-        try:
-            PpmCodebook(PpmParams(1 << 20, 1, 1 << 20, 0), 32, 2, 0, words, ids)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+    def test_book_is_read_only(self):
+        cb = generate_codebook(self.PARAMS, 2, 1, seed=18)
+        with pytest.raises(ValueError):
+            cb.positions[0, 0, 0] = 1
+        with pytest.raises(AttributeError):
+            cb.codewords = np.zeros((1, 2, 8))
 
 
 class TestQDecode:
@@ -310,7 +351,7 @@ class TestEstimateError:
         for chunk in (1, 7):
             counts = [
                 [
-                    _pair_errors(cb, k, j, 300, 8, cum0, cum1, rhat, pulses=_pulse_columns(cb.codewords[k]), chunk=chunk)
+                    _pair_errors(cb, k, j, 300, 8, cum0, cum1, rhat, pulses=_pulse_columns(cb.positions[k]), chunk=chunk)
                     for j in range(3)
                 ]
                 for k in range(2)
@@ -503,7 +544,7 @@ class TestPulseColumnsMatchDense:
 
 def row_major_pair_errors(cb, k, j, trials, seed, cum0, cum1, rhat, chunk=1024):
     """Error count of pair (k, j) from trial-major (t, M) scores, as before word-major scoring."""
-    cols, words = _pulse_columns(cb.codewords[k])
+    cols, words = _pulse_columns(cb.positions[k])
     at = (slice(None), np.flatnonzero(words[j]))
     gen = _stream(seed, _TAG_ERROR, c1=k * cb.num_messages + j)
     chunk = min(chunk, max(1, _PULSE_BLOCK // max(1, cols.size)))
@@ -680,12 +721,10 @@ class TestExpurgate:
             expurgate(report_for(np.array([[0.5, 0.6]])), cb, fraction=0.25)
 
     def test_kept_words_are_copied_without_a_temporary(self):
-        # a 24 MiB book: beyond its 22.5 MiB output, the copy of the kept words
-        # allocates nothing of their size (a (keep, n) gather would add 11 MiB)
-        n = 1 << 18
-        words = np.zeros((2, 48, n), dtype=np.uint8)
-        words[:, :, ::7] = np.arange(48)[None, :, None] % 2
-        cb = book(PpmParams(n, 1, n, 0), words)
+        # n = 10^7: the kept words' 0.6 MB of positions, their validation's
+        # one-byte-per-position masks, and nothing of size n (a dense (keep, n)
+        # copy of one sub-code would take 450 MB)
+        cb = generate_codebook(ppm_params(10**7, 0.1, Q0, Q1), num_messages=48, num_keys=2, seed=23)
         rep = report_for(np.random.default_rng(23).random((2, 48)))
         tracemalloc.start()
         try:
@@ -693,9 +732,10 @@ class TestExpurgate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - new.codewords.nbytes < 2**20
+        assert new.positions.shape == (2, 45, 892)
+        assert peak < 2 * new.positions.nbytes
         for k in range(2):
-            np.testing.assert_array_equal(new.codewords[k], cb.codewords[k, new.message_ids[k]])
+            np.testing.assert_array_equal(new.positions[k], cb.positions[k, new.message_ids[k]])
 
 
 class TestCovertness:
@@ -727,6 +767,18 @@ class TestCovertness:
         cb = generate_codebook(PpmParams(30, 3, 10, 0), 2, 1, seed=31)
         with pytest.raises(ResourceLimitError, match="covertness_mc"):
             covertness_exact(cb, WZ_BIN)
+
+    def test_state_cap_names_the_count_without_its_value(self):
+        # 3^10000 has 4772 digits, beyond Python's 4300-digit int-to-str limit
+        cb = generate_codebook(ppm_params(10_000, 0.1, Q0, Q1), 2, 1, seed=37)
+        with pytest.raises(ResourceLimitError, match=r"3\^10000 states"):
+            covertness_exact(cb, Bdmc(WZ1))
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 7])
+    def test_state_count_check_is_exact(self, a):
+        for n in range(0, 70):
+            for cap in (-1, 0, 1, 2, 3, 2**24 - 1, 2**24, 2**24 + 1, 3**20, 7**9, 2**62):
+                assert _states_exceed(a, n, cap) == (a**n > cap)
 
     def test_undominated_symbol_is_infinite(self):
         wz = Bdmc(np.array([[1.0, 0.0], [0.5, 0.5]]))
