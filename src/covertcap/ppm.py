@@ -246,9 +246,7 @@ class PpmCodebook:
             raise DimensionError(f"positions must have shape {shape} + (L,), got {pos.shape}")
         if ids.shape != shape:
             raise DimensionError(f"message_ids must have shape {shape}, got {ids.shape}")
-        prev, nxt = pos[..., :-1], pos[..., 1:]
-        misplaced = (nxt >= 0) & ((prev < 0) | (prev >= nxt))  # a pulse after padding or not above its predecessor
-        if pos.min(initial=0) < -1 or pos.max(initial=0) >= self.params.n or np.any(misplaced):
+        if pos.min(initial=0) < -1 or pos.max(initial=0) >= self.params.n or _misplaced(pos):
             raise DomainError(f"positions must increase within [0, {self.params.n}), padded with -1 at the end")
         pos.setflags(write=False)
         ids.setflags(write=False)
@@ -266,6 +264,21 @@ class PpmCodebook:
     def flat_words(self) -> np.ndarray:
         """All retained codewords as one (num_keys * num_messages, n) matrix."""
         return self.codewords.reshape(-1, self.params.n)
+
+
+def _misplaced(pos: np.ndarray) -> bool:
+    """Whether a pulse follows padding or does not exceed its predecessor.
+
+    Rows are checked in blocks of about 2^16 positions, so the masks stay
+    small however large the book is.
+    """
+    rows = pos.reshape(pos.shape[0] * pos.shape[1], pos.shape[2])
+    step = max(1, (1 << 16) // max(1, pos.shape[-1]))
+    for lo in range(0, len(rows), step):
+        prev, nxt = rows[lo : lo + step, :-1], rows[lo : lo + step, 1:]
+        if np.any((nxt >= 0) & ((prev < 0) | (prev >= nxt))):
+            return True
+    return False
 
 
 def sample_codeword(params: PpmParams, rng: np.random.Generator) -> np.ndarray:

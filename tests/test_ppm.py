@@ -230,6 +230,20 @@ class TestGenerateCodebook:
         assert cb.positions.nbytes == 2 * 64 * 892 * 8
         assert peak < 4 * 2**20
 
+    def test_binary_check_makes_no_book_sized_temporaries(self):
+        # validating a prebuilt 32 MiB position book keeps its masks to small row blocks
+        params = PpmParams(1 << 20, 1 << 16, 16, 0)
+        positions = np.empty((2, 32, params.l), dtype=np.int64)
+        positions[:] = np.arange(params.l) * params.w
+        ids = np.tile(np.arange(32), (2, 1))
+        tracemalloc.start()
+        try:
+            PpmCodebook(params, 32, 2, positions, ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_needs_messages_and_keys(self):
         with pytest.raises(DomainError):
             generate_codebook(self.PARAMS, 0, 3, seed=0)
