@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .core import (
     DomainError,
     ProbVector,
     ResourceLimitError,
+    _type_blocks,
     kl_divergence,
     require_valid,
     weight_parameter,
@@ -299,17 +299,6 @@ def upper_bound(inst: CovertInstance, tol: float = 1e-8, max_iters: int = 20000)
     )
 
 
-@lru_cache(maxsize=None)
-def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
-    if parts == 1:
-        return ((total,),)
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
 def _lattice_marginals(w_row: np.ndarray, allowed_x: np.ndarray, grid_g: int) -> np.ndarray:
     """The distinct marginals m_x reachable when every v[x, y] lies on the 1/grid_g lattice.
 
@@ -320,7 +309,7 @@ def _lattice_marginals(w_row: np.ndarray, allowed_x: np.ndarray, grid_g: int) ->
     m = np.zeros((1, ny))
     for y in np.flatnonzero(w_row):  # a cell with zero weight cannot move any mass
         targets = np.flatnonzero(allowed_x[y])
-        comps = np.array(_compositions(grid_g, targets.size), dtype=float) / grid_g
+        comps = np.concatenate(list(_type_blocks(targets.size, grid_g, _ORACLE_BLOCK))) / grid_g
         cell = np.zeros((comps.shape[0], ny))
         cell[:, targets] = w_row[y] * comps
         m = np.unique((m[:, None, :] + cell[None, :, :]).reshape(-1, ny), axis=0)

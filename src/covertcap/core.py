@@ -298,6 +298,30 @@ def innocent_only_set(wy: Bdmc) -> np.ndarray:
     return np.flatnonzero((p0 > ZERO_TOL) & (p1 <= ZERO_TOL))
 
 
+def _type_blocks(a: int, w: int, most: int):
+    """Every count vector of ``a`` symbols summing to ``w``, in (t, a) blocks of t <= ``most`` rows.
+
+    Pending rows (leading counts, count left) are completed at once when a bound on
+    their completions fits in ``most``; else they are halved, or a lone row gains a symbol.
+    """
+    pending = [(np.zeros((1, 0), dtype=np.int64), np.array([w]))]
+    while pending:
+        head, rem = pending.pop()
+        free = a - head.shape[1]
+        if head.shape[0] * (int(rem.max()) + 1) ** (free - 1) <= most:
+            for _ in range(free - 1):
+                reps = rem + 1
+                k = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+                head, rem = np.column_stack([np.repeat(head, reps, axis=0), k]), np.repeat(rem, reps) - k
+            yield np.column_stack([head, rem])
+        elif head.shape[0] > 1:
+            half = head.shape[0] // 2
+            pending += [(head[half:], rem[half:]), (head[:half], rem[:half])]
+        else:
+            k = np.arange(rem[0] + 1)
+            pending.append((np.column_stack([np.repeat(head, k.size, axis=0), k]), rem[0] - k))
+
+
 def _reject_nan(token: str) -> float:
     raise ChannelSpecError(f"non-finite constant {token!r} is not allowed in a channel spec")
 

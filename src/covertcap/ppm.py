@@ -51,6 +51,7 @@ from .core import (
     DomainError,
     ProbVector,
     ResourceLimitError,
+    _type_blocks,
     chi2_divergence,
 )
 
@@ -64,8 +65,8 @@ _TAG_SSTAT = 4
 
 _MASK64 = (1 << 64) - 1
 
-# largest array built from a generated book: covertness_mc's float64 matrix of the
-# K*M words on their pulse columns, 8*K*M*min(n, K*M*l) bytes
+# largest arrays built from a generated book: estimate_error's K float64 matrices of
+# each sub-code's M words on its pulse columns, 8*K*M*min(n, M*l) bytes
 MAX_CODEBOOK_BYTES = 2**30
 # uniforms per block of any Monte-Carlo loop; every one is sampled and
 # scored, so a block's temporaries take a few times 8 MiB
@@ -114,15 +115,20 @@ def _states_exceed(a: int, n: int, cap: int) -> bool:
     return a ** min(n, cap.bit_length()) > cap
 
 
+def _pulse_slots(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(columns U where some word is active, each word's (L,) slots: its positions' indices in U, padding kept -1)."""
+    cols, inverse = np.unique(positions, return_inverse=True)
+    pad = int(cols.size > 0 and cols[0] < 0)  # -1 sorts first: dropping it maps padding to -1
+    return cols[pad:], inverse.reshape(math.prod(positions.shape[:-1]), positions.shape[-1]) - pad
+
+
 def _pulse_columns(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(columns where some word is active, the words on those columns as floats), from padded (..., L) positions;
     column-major, the layout the decode loop's ``words @ x.T`` was tuned on (7% slower row-major on 16 x 18 words)."""
-    pos = positions.reshape(math.prod(positions.shape[:-1]), -1)
-    rows, slots = np.nonzero(pos >= 0)
-    cols, inverse = np.unique(pos[rows, slots], return_inverse=True)
-    words = np.zeros((pos.shape[0], cols.size), order="F")
-    words[rows, inverse] = 1.0
-    return cols, words
+    cols, slots = _pulse_slots(positions)
+    words = np.zeros((len(slots), cols.size + 1), order="F")  # padding, slot -1, marks the last column, dropped
+    words[np.arange(len(slots))[:, None], slots] = 1.0
+    return cols, words[:, :-1]
 
 
 def _sample_at_pulses(gen, t, cols, at, cum0, cum1) -> np.ndarray:
@@ -295,18 +301,17 @@ def generate_codebook(params: PpmParams, num_messages: int, num_keys: int, seed:
     Word (m, k) is a pure function of (seed, m, k): regeneration is
     bit-identical no matter the order pairs are visited in.  Its positions are
     the draws of sample_codeword on the same stream.  Raises
-    ResourceLimitError, before allocating, when the largest array built from
-    the book, covertness_mc's pulse-column matrix, would take more than
-    MAX_CODEBOOK_BYTES.
+    ResourceLimitError, before allocating, when the largest arrays built from
+    the book, estimate_error's K sub-code pulse-column matrices, would take
+    more than MAX_CODEBOOK_BYTES.
     """
     if num_messages < 1 or num_keys < 1:
         raise DomainError("need at least one message and one key")
-    words = num_keys * num_messages
-    size = 8 * words * min(params.n, words * params.l)
+    size = 8 * num_keys * num_messages * min(params.n, num_messages * params.l)
     if size > MAX_CODEBOOK_BYTES:
         raise ResourceLimitError(
             f"codebook of {num_keys} keys x {num_messages} messages x {params.l} pulses (n={params.n}) "
-            f"needs a {size}-byte pulse-column matrix, above the cap {MAX_CODEBOOK_BYTES}"
+            f"needs {size} bytes of sub-code pulse-column matrices, above the cap {MAX_CODEBOOK_BYTES}"
         )
     starts = np.arange(params.l) * params.w
     pos = np.empty((num_keys, num_messages, params.l), dtype=np.int64)
@@ -603,54 +608,36 @@ def covertness_mc(codebook: PpmCodebook, wz: Bdmc, samples: int, seed: int) -> C
     samples and scores only at the book's pulse columns U: where every word is
     idle, Qhat and Q0^n share the factor Q0(z_i), which cancels in the ratio.
     A block of _blocks draws t word choices, then t*|U| uniforms, so the block
-    size is part of the random stream.  The outputs gather their log ratios by
-    fancy indexing: np.take would first copy the uint8 sampler index to an
-    intp array, eight bytes per entry, which adds about 8 MiB to a full block.
+    size is part of the random stream.  A word's score sums the outputs' log
+    ratios at its slots (_pulse_slots), in row chunks of _blocks that leave the
+    draws alone; they are gathered by fancy indexing, as np.take would first
+    copy the uint8 sampler index to intp, eight bytes per entry.
     """
     if samples < 100:
         raise DomainError(f"need at least 100 samples, got {samples!r}")
     qz0, qz1 = wz.w[0], wz.w[1]
     if np.any((qz1 > 0.0) & (qz0 <= 0.0)) and np.any(codebook.positions >= 0):
         return CovertnessReport(METHOD_MC, float("inf"), None, samples)
-    cols, wmat = _pulse_columns(codebook.positions)
-    log_c = math.log(wmat.shape[0])
-    d_full = np.where(qz0 > 0.0, np.log(np.maximum(qz1, 1e-300)) - np.log(np.maximum(qz0, 1e-300)), 0.0)
+    cols, slots = _pulse_slots(codebook.positions)
+    d_full = np.append(np.where(qz0 > 0.0, np.log(np.maximum(qz1, 1e-300)) - np.log(np.maximum(qz0, 1e-300)), 0.0), 0.0)
     cum0 = _cumulative(qz0)
     cum1 = _cumulative(qz1)
     gen = _stream(seed, _TAG_COVERT)
     vals = np.empty(samples)
     for done, t in _blocks(samples, cols.size):
-        choice = gen.integers(0, wmat.shape[0], size=t)
-        z = _sample_at_pulses(gen, t, cols, wmat[choice] == 1.0, cum0, cum1)
-        scores = d_full[z] @ wmat.T
-        vals[done : done + t] = _logsumexp_rows(scores) - log_c
+        picked = slots[gen.integers(0, len(slots), size=t)]
+        rows, at = np.nonzero(picked >= 0)
+        z = _sample_at_pulses(gen, t, cols, (rows, picked[rows, at]), cum0, cum1)
+        for lo, r in _blocks(t, len(slots)):
+            z_pad = np.full((r, cols.size + 1), qz0.size, dtype=z.dtype)  # slot -1 reads symbol |Z|, log ratio 0
+            z_pad[:, :-1] = z[lo : lo + r]
+            scores = np.zeros((r, len(slots)))
+            for slot in slots.T:
+                scores += d_full[z_pad[:, slot]]
+            vals[done + lo : done + lo + r] = _logsumexp_rows(scores) - math.log(len(slots))
     est = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(samples))
     return CovertnessReport(METHOD_MC, est, stderr, samples)
-
-
-def _type_blocks(a: int, w: int, most: int):
-    """Every count vector of ``a`` symbols summing to ``w``, in (t, a) blocks of t <= ``most`` rows.
-
-    Pending rows (leading counts, count left) are completed at once when a bound on
-    their completions fits in ``most``; else they are halved, or a lone row gains a symbol.
-    """
-    pending = [(np.zeros((1, 0), dtype=np.int64), np.array([w]))]
-    while pending:
-        head, rem = pending.pop()
-        free = a - head.shape[1]
-        if head.shape[0] * (int(rem.max()) + 1) ** (free - 1) <= most:
-            for _ in range(free - 1):
-                reps = rem + 1
-                k = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-                head, rem = np.column_stack([np.repeat(head, reps, axis=0), k]), np.repeat(rem, reps) - k
-            yield np.column_stack([head, rem])
-        elif head.shape[0] > 1:
-            half = head.shape[0] // 2
-            pending += [(head[half:], rem[half:]), (head[:half], rem[:half])]
-        else:
-            k = np.arange(rem[0] + 1)
-            pending.append((np.column_stack([np.repeat(head, k.size, axis=0), k]), rem[0] - k))
 
 
 def ppm_output_kl(params: PpmParams, q0: ProbVector, q1: ProbVector, max_states: int = 2**24) -> CovertnessReport:

@@ -33,7 +33,8 @@ from covertcap import (
     upper_bound_grid_oracle,
     verify_maximal,
 )
-from covertcap.converse import _TINY, _compositions, _lattice_marginals, _line_search, _lmo_targets
+from covertcap.converse import _TINY, _lattice_marginals, _line_search, _lmo_targets
+from covertcap.core import _type_blocks
 
 from conftest import (
     WZ1,
@@ -525,7 +526,7 @@ def raw_lattice_marginals(w_row, allowed_x, grid_g: int, max_points: int) -> np.
         if w_row[y] == 0.0:
             continue
         targets = np.flatnonzero(allowed_x[y])
-        comps = np.array(_compositions(grid_g, targets.size), dtype=float) / grid_g
+        comps = np.concatenate(list(_type_blocks(targets.size, grid_g, max_points + 1))) / grid_g
         count *= comps.shape[0]
         if count > max_points:
             raise ResourceLimitError("lattice too large")

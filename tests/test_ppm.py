@@ -41,7 +41,7 @@ from covertcap import (
     sample_codeword,
     sample_s_statistic,
 )
-from covertcap.core import TIE_TOL
+from covertcap.core import TIE_TOL, _type_blocks
 from covertcap.ppm import (
     _TAG_CODEBOOK,
     _TAG_COVERT,
@@ -56,7 +56,6 @@ from covertcap.ppm import (
     _sample_symbols,
     _states_exceed,
     _stream,
-    _type_blocks,
 )
 
 from conftest import WZ1, example1
@@ -202,15 +201,15 @@ class TestGenerateCodebook:
         assert np.any(a.positions != b.positions)
 
     def test_oversize_book_refused_before_allocation(self):
-        # the cap bounds covertness_mc's float64 (K*M, min(n, K*M*l)) pulse-column
-        # matrix: 2 x 256 words on 2^18 columns take exactly 2^30 bytes
+        # the cap bounds estimate_error's K float64 (M, min(n, M*l)) sub-code pulse-column
+        # matrices: 4 sub-codes of 256 words on 2^17 columns take exactly 2^30 bytes
         params = PpmParams(1 << 18, 1 << 9, 1 << 9, 0)
-        assert 8 * (2 * 256) * min(params.n, 2 * 256 * params.l) == MAX_CODEBOOK_BYTES
-        assert generate_codebook(params, num_messages=256, num_keys=2, seed=0).positions.shape == (2, 256, 512)
+        assert 8 * 4 * 256 * min(params.n, 256 * params.l) == MAX_CODEBOOK_BYTES
+        assert generate_codebook(params, num_messages=256, num_keys=4, seed=0).positions.shape == (4, 256, 512)
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError, match="cap"):
-                generate_codebook(params, num_messages=257, num_keys=2, seed=0)
+                generate_codebook(params, num_messages=257, num_keys=4, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -651,8 +650,9 @@ class TestIdleColumnsDrawNothing:
         assert (wide_mc.kl_estimate, wide_mc.stderr) == (narrow_mc.kl_estimate, narrow_mc.stderr)
 
     def test_covertness_block_memory_does_not_grow_with_n(self):
-        # a full (t, n) float64 uniform block takes 8 MB per sample at n = 10^6;
-        # with draws at the three pulse columns only, the 1 MB column scan dominates
+        # a full (t, n) float64 uniform block takes 8 MB per sample at n = 10^6; with
+        # draws and scores at the three pulse columns only, every block array holds
+        # at most 1000 x 4 entries, and the peak stays well under 1 MiB
         n = 10**6
         words = np.zeros((2, 2, n), dtype=np.uint8)
         words[:, :, [10, 500_000, n - 1]] = [[[1, 0, 0], [0, 1, 0]], [[0, 0, 1], [1, 1, 0]]]
@@ -665,6 +665,26 @@ class TestIdleColumnsDrawNothing:
             tracemalloc.stop()
         assert math.isfinite(report.kl_estimate)
         assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize(
+        "n, num_keys, num_messages, samples",
+        [
+            (10**7, 2, 64, 200),  # l = 892: 113,496 pulse columns, where the book's word matrix took 111 MiB
+            (200, 1, 4096, 6000),  # l = 1: draw blocks of 5242 samples, 4096 scores each
+        ],
+    )
+    def test_covertness_memory_stays_within_blocks(self, n, num_keys, num_messages, samples):
+        # every array covertness_mc builds holds about _PULSE_BLOCK entries, however
+        # many words or columns the book has
+        cb = generate_codebook(ppm_params(n, 0.1, Q0, Q1), num_messages, num_keys, seed=17)
+        tracemalloc.start()
+        try:
+            report = covertness_mc(cb, Bdmc(WZ1), samples, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(report.kl_estimate)
+        assert peak < 32 * 2**20
 
 
 def report_for(p_hat: np.ndarray, trials: int = 100) -> ErrorReport:
@@ -756,12 +776,15 @@ class TestCovertness:
     PARAMS = PpmParams(4, 2, 2, 0)
 
     def test_idle_book_has_zero_divergence(self):
-        cb = book(self.PARAMS, [[[0, 0, 0, 0]]])
-        rep = covertness_exact(cb, WZ_BIN)
-        assert rep.method == METHOD_EXACT
-        assert rep.kl_estimate == 0.0
-        assert rep.stderr is None
-        assert rep.samples == 16
+        padding_only = PpmCodebook(self.PARAMS, 2, 1, np.full((1, 2, 3), -1), [[0, 1]])
+        for cb in (book(self.PARAMS, [[[0, 0, 0, 0]]]), padding_only):
+            rep = covertness_exact(cb, WZ_BIN)
+            assert rep.method == METHOD_EXACT
+            assert rep.kl_estimate == 0.0
+            assert rep.stderr is None
+            assert rep.samples == 16
+            mc = covertness_mc(cb, WZ_BIN, samples=100, seed=0)
+            assert (mc.kl_estimate, mc.stderr) == (0.0, 0.0)
 
     def test_single_word_is_a_product_law(self):
         cb = book(self.PARAMS, [[[1, 0, 1, 0]]])
