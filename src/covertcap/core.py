@@ -97,13 +97,14 @@ class Bdmc:
     """
 
     w: np.ndarray
+    _rows: tuple[ProbVector, ProbVector] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
         if w.ndim != 2 or w.shape[0] != 2 or w.shape[1] < 2:
             raise DimensionError("channel matrix must have shape (2, num_outputs) with num_outputs >= 2")
-        for x in range(2):
-            ProbVector(w[x])  # row-wise simplex check
+        # row-wise simplex check, kept so every row(x) returns the validated row
+        object.__setattr__(self, "_rows", (ProbVector(w[0]), ProbVector(w[1])))
         object.__setattr__(self, "w", _readonly(w))
 
     @property
@@ -111,7 +112,7 @@ class Bdmc:
         return self.w.shape[1]
 
     def row(self, x: int) -> ProbVector:
-        return ProbVector(self.w[x])
+        return self._rows[x]
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ The achievable rate is t * sup_{s >= 0} f(s), where
 t is the covertness weight, P0/P1 the receiver's output laws when idle and
 when sending.  f is concave with f(0) = 0; its slope at infinity is
 E_P1[rhat] - max_{P0 > 0} rhat, which is never positive, so the supremum is
-either attained at a finite s (located by bracketing plus golden section) or
-approached in the limit s -> inf (erasure-like metrics).  Everything here is
+either attained at a root of f' (located by doubling plus safeguarded Newton)
+or approached in the limit s -> inf (erasure-like metrics).  Everything here is
 log-domain; no exp of a positive quantity is ever taken unshifted.
 """
 
@@ -36,9 +36,8 @@ AT_INFINITY = math.inf       # s_star marker when the sup is a limit, not a max
 SLOPE_TOL = 1e-12            # |slope at infinity| below this is treated as zero
 ARGMAX_TOL = 1e-9            # rhat values this close to the max share the limit mass
 BRACKET_CAP = float(2**40)   # doubling beyond this means the slope test lied
-GOLDEN_WIDTH = 1e-10         # final bracket width of the golden-section search
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+STEP_TOL = 1e-10             # Newton stops once a step moves s by no more than this
+NEWTON_CAP = 100             # steps beyond this mean f' is not a decreasing function
 
 
 @dataclass(frozen=True)
@@ -123,67 +122,70 @@ class LowerBoundResult:
     t_delta: float
 
 
-def _golden_max(f, a: float, b: float, width: float) -> tuple[float, float]:
-    # golden-section maximization of a concave function on [a, b]
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > width:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    s = 0.5 * (a + b)
-    return s, f(s)
+def _slope_curvature(tf: TiltFunction, s: float) -> tuple[float, float]:
+    # (f'(s), f''(s)) from one exp: f' = E_P1[r] - m and f'' = -v, where m and v are
+    # the P0-tilted mean and variance of r = rhat - rmax
+    z = tf._p0_supp * np.exp(s * tf._shifted)
+    total = float(z.sum())
+    m = float(np.dot(z, tf._shifted)) / total
+    d = tf._shifted - m
+    return tf.mean_under_p1 - tf.rmax - m, -float(np.dot(z, d * d)) / total
 
 
-def lower_bound(inst: CovertInstance, tol: float = GOLDEN_WIDTH) -> LowerBoundResult:
+def _newton_max(tf: TiltFunction, lo: float, hi: float, tol: float) -> float:
+    """Root of f' in [lo, hi], f'(lo) > 0 >= f'(hi), by Newton from the midpoint with a
+    bisection step whenever Newton would leave the bracket or f'' vanishes (rtsafe,
+    Numerical Recipes, section 9.4); it ends once a step moves s by at most ``tol``."""
+    s = 0.5 * (lo + hi)
+    for _ in range(NEWTON_CAP):
+        g, h = _slope_curvature(tf, s)
+        lo, hi = (s, hi) if g > 0.0 else (lo, s)
+        nxt = s - g / h if h < 0.0 else hi
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - s) <= tol:
+            return nxt
+        s = nxt
+    raise RuntimeError(f"Newton on f' exceeded {NEWTON_CAP} steps in [{lo!r}, {hi!r}], contradicting concavity")
+
+
+def lower_bound(inst: CovertInstance, tol: float = STEP_TOL) -> LowerBoundResult:
     """Best achievable covert rate for the instance's metric, t * sup_{s>=0} f(s).
 
     When the slope at infinity vanishes the sup is the limiting value and is
-    reported with ``attained=False`` and ``s_star=AT_INFINITY``; otherwise the
-    maximizer is bracketed by doubling from s=1 and pinned down by golden
-    section to an interval of width ``tol``.
+    reported with ``attained=False`` and ``s_star=AT_INFINITY``.  Otherwise it
+    is 0 if f'(0) <= 0, or else at the root of f', bracketed by doubling from
+    s=1 and pinned down by safeguarded Newton until a step moves s by <= ``tol``.
     """
     require_valid(inst)
     wp = weight_parameter(inst.delta, inst.q0, inst.q1)
     tf = tilt_function(inst.q, inst.p0, inst.p1)
     slope, limit = slope_at_infinity(tf)
 
-    f = lambda s: f_s(tf, s)
-
     if abs(slope) <= SLOPE_TOL:
         # f is (numerically) nondecreasing; the limit wins unless roundoff
-        # produced a strictly better interior point on a coarse grid.
+        # produced a strictly better interior point on a coarse grid, whose
+        # neighbours then bracket the maximizer (f(0) = 0 rules out best = 0).
         grid = [0.0] + [2.0**k for k in range(-4, 21)]
-        vals = [f(s) for s in grid]
+        vals = [f_s(tf, s) for s in grid]
         best = int(np.argmax(vals))
-        if vals[best] > limit + 1e-12:
-            lo = grid[best - 1] if best > 0 else 0.0
-            hi = grid[best + 1] if best + 1 < len(grid) else grid[best] * 2.0
-            s_star, f_star = _golden_max(f, lo, hi, tol)
-            return LowerBoundResult(wp.t * f_star, s_star, f_star, True, wp.t)
-        return LowerBoundResult(wp.t * limit, AT_INFINITY, limit, False, wp.t)
-
-    # slope < 0: finite maximizer. Double until f turns over; each f(2s)
-    # is the next step's f(s).
-    s = 1.0
-    f_lo, f_hi = f(s), f(2.0 * s)
-    while f_hi > f_lo:
-        s *= 2.0
-        if s > BRACKET_CAP:
-            raise RuntimeError(
-                "bracketing exceeded 2**40 yet the slope at infinity is negative; "
-                "this contradicts concavity and indicates a numerical fault"
-            )
-        f_lo, f_hi = f_hi, f(2.0 * s)
-    s_star, f_star = _golden_max(f, 0.0, 2.0 * s, tol)
+        if vals[best] <= limit + 1e-12:
+            return LowerBoundResult(wp.t * limit, AT_INFINITY, limit, False, wp.t)
+        lo, hi = grid[best - 1], 2.0 * grid[best]
+    elif _slope_curvature(tf, 0.0)[0] <= 0.0:
+        # slope < 0 and f'(0) <= 0: concavity and f(0) = 0 make 0 the sup
+        return LowerBoundResult(0.0, 0.0, 0.0, True, wp.t)
+    else:
+        # double until f' turns nonpositive; the bracket is then [b/2, b], or [0, 1]
+        lo, hi = 0.0, 1.0
+        while _slope_curvature(tf, hi)[0] > 0.0:
+            lo, hi = hi, 2.0 * hi
+            if hi > BRACKET_CAP:
+                raise RuntimeError("bracketing exceeded 2**40 with a negative slope at infinity")
+    s_star = _newton_max(tf, lo, hi, tol)
+    f_star = f_s(tf, s_star)
     if f_star <= 0.0:
-        # concavity and f(0)=0 make 0 the exact sup here
+        # roundoff below f(0) = 0, which concavity makes the sup
         s_star, f_star = 0.0, 0.0
     return LowerBoundResult(wp.t * f_star, s_star, f_star, True, wp.t)
 

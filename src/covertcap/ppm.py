@@ -65,8 +65,9 @@ _TAG_SSTAT = 4
 
 _MASK64 = (1 << 64) - 1
 
-# largest arrays built from a generated book: estimate_error's K float64 matrices of
-# each sub-code's M words on its pulse columns, 8*K*M*min(n, M*l) bytes
+# largest arrays built from a generated book: estimate_error's K float64 matrices of each
+# sub-code's M words on its pulse columns, 8*K*M*min(n, M*l) bytes; conservative by a
+# factor of K, since estimate_error holds one sub-code's matrix at a time
 MAX_CODEBOOK_BYTES = 2**30
 # uniforms per block of any Monte-Carlo loop; every one is sampled and
 # scored, so a block's temporaries take a few times 8 MiB
@@ -303,7 +304,7 @@ def generate_codebook(params: PpmParams, num_messages: int, num_keys: int, seed:
     the draws of sample_codeword on the same stream.  Raises
     ResourceLimitError, before allocating, when the largest arrays built from
     the book, estimate_error's K sub-code pulse-column matrices, would take
-    more than MAX_CODEBOOK_BYTES.
+    more than MAX_CODEBOOK_BYTES (a cap conservative by K: one is built at a time).
     """
     if num_messages < 1 or num_keys < 1:
         raise DomainError("need at least one message and one key")
@@ -419,20 +420,16 @@ def estimate_error(
     cum1 = _cumulative(inst.wy.w[1])
     rhat = _log_ratio(inst.q)
     K, M = codebook.num_keys, codebook.num_messages
-    pairs = [(k, j) for k in range(K) for j in range(M)]
-    pulses = [_pulse_columns(codebook.positions[k]) for k in range(K)]
 
-    def run(p):
-        k, j = p
-        return _pair_errors(codebook, k, j, trials_per_pair, seed, cum0, cum1, rhat, pulses[k])
+    def sub_code(mapper, k):  # sub-code k's decode matrix lives only while its M pairs run
+        pulses = _pulse_columns(codebook.positions[k])
+        run = lambda j: _pair_errors(codebook, k, j, trials_per_pair, seed, cum0, cum1, rhat, pulses)
+        return list(mapper(run, range(M)))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(run, pairs))
-    else:
-        counts = [run(p) for p in pairs]
+    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:  # starts no thread unless mapped on
+        counts = [sub_code(pool.map if workers > 1 else map, k) for k in range(K)]
 
-    errors = np.array(counts, dtype=np.int64).reshape(K, M)
+    errors = np.array(counts, dtype=np.int64)
     p_hat = errors / float(trials_per_pair)
     ci95 = 1.96 * np.sqrt(p_hat * (1.0 - p_hat) / trials_per_pair)
     worst = np.unravel_index(int(np.argmax(p_hat)), p_hat.shape)

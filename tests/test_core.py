@@ -99,6 +99,20 @@ class TestCovertInstance:
         assert inst.q0.probs.tolist() == [0.8, 0.1, 0.1]
         assert inst.q1.probs.tolist() == [0.2, 0.3, 0.5]
 
+    def test_rows_are_validated_once(self, monkeypatch):
+        # each channel keeps the two rows it validated; reading them builds no new ProbVector
+        inst = example1()
+        built = []
+        check = ProbVector.__post_init__
+        monkeypatch.setattr(ProbVector, "__post_init__", lambda self: built.append(check(self)))
+        for _ in range(3):
+            assert inst.p0 is inst.wy.row(0) and inst.p1 is inst.wy.row(1)
+            assert inst.q0 is inst.wz.row(0) and inst.q1 is inst.wz.row(1)
+        assert inst.p0 is inst.p0
+        assert built == []
+        Bdmc(np.array([[0.6, 0.4], [0.1, 0.9]]))
+        assert len(built) == 2  # the counter does see construction
+
     def test_metric_must_match_receiver_alphabet(self):
         with pytest.raises(DimensionError):
             CovertInstance(

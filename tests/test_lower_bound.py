@@ -37,10 +37,15 @@ from covertcap import (
 
 from conftest import (
     example1,
+    floored_simplex,
     matched_instance,
     random_binary_instance,
     random_instance,
+    random_warden,
 )
+
+# the package re-exports the function lower_bound under the module's name
+lower_bound_module = importlib.import_module("covertcap.lower_bound")
 
 
 def tf_of(inst: CovertInstance):
@@ -155,14 +160,159 @@ class TestPrecomputedSupport:
         )
         assert f_s(tf, s).hex() == reference_f_s(tf, s).hex()
 
-    def test_figure_sweep_rows_are_bit_equal(self, monkeypatch):
-        # the 200 rows of the CLI's default sweep of q(0, 0) on example1
-        insts = [example1(float(u)) for u in np.linspace(0.05, 10.0, 200)]
-        fields = lambda r: (r.value.hex(), r.s_star.hex(), r.f_at_s_star.hex(), r.attained, r.t_delta.hex())
-        now = [fields(lower_bound(inst)) for inst in insts]
-        # the package re-exports the function lower_bound under the module's name
-        monkeypatch.setattr(importlib.import_module("covertcap.lower_bound"), "f_s", reference_f_s)
-        assert now == [fields(lower_bound(inst)) for inst in insts]
+    def test_figure_sweep_rows_are_bit_equal(self):
+        # the 200 rows of the CLI's default sweep of q(0, 0) on example1: the f and the
+        # rate each row reports are f at its s_star on the per-call masks, bit for bit
+        for u in np.linspace(0.05, 10.0, 200):
+            inst = example1(float(u))
+            res = lower_bound(inst)
+            f = reference_f_s(tf_of(inst), res.s_star)
+            assert (res.f_at_s_star.hex(), res.value.hex()) == (f.hex(), (res.t_delta * f).hex())
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_max(f, a: float, b: float, width: float) -> tuple[float, float]:
+    """Golden-section maximization of a concave function on [a, b]."""
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > width:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    s = 0.5 * (a + b)
+    return s, f(s)
+
+
+def golden_lower_bound(inst: CovertInstance, width: float = 1e-10) -> tuple[float, float, bool]:
+    """(sup f, s_star, attained) by bracketing on f values plus golden section.
+
+    The search lower_bound ran before its Newton step.  Its bracket never
+    narrows below the float spacing at s, so it does not end for s_star
+    beyond about 5e5; the instances it is run on stay below that.
+    """
+    tf = tf_of(inst)
+    slope, limit = slope_at_infinity(tf)
+    f = lambda s: f_s(tf, s)
+    if abs(slope) <= 1e-12:
+        grid = [0.0] + [2.0**k for k in range(-4, 21)]
+        vals = [f(s) for s in grid]
+        best = int(np.argmax(vals))
+        if vals[best] > limit + 1e-12:
+            lo = grid[best - 1] if best > 0 else 0.0
+            hi = grid[best + 1] if best + 1 < len(grid) else grid[best] * 2.0
+            s_star, f_star = golden_max(f, lo, hi, width)
+            return f_star, s_star, True
+        return limit, AT_INFINITY, False
+    s = 1.0
+    f_lo, f_hi = f(s), f(2.0 * s)
+    while f_hi > f_lo:
+        s *= 2.0
+        f_lo, f_hi = f_hi, f(2.0 * s)
+    s_star, f_star = golden_max(f, 0.0, 2.0 * s, width)
+    if f_star <= 0.0:
+        return 0.0, 0.0, True
+    return f_star, s_star, True
+
+
+def near_erasure_instance(rng: np.random.Generator, ny: int, a: float, eps: float) -> CovertInstance:
+    """rhat = a on the last output and 0 elsewhere, with P1 putting 1 - eps there:
+    the slope at infinity is -eps * a and s_star is about log(1/eps) / a."""
+    p1 = np.append(eps * rng.dirichlet(np.ones(ny - 1)), 1.0 - eps)
+    q = np.ones((2, ny))
+    q[1, -1] = math.exp(a)
+    return CovertInstance(
+        wy=Bdmc(np.stack([floored_simplex(rng, ny), p1])),
+        wz=random_warden(rng),
+        q=DecodingMetric(q),
+        delta=float(rng.uniform(0.05, 0.3)),
+    )
+
+
+def tilt_instance(kind: str, seed: int) -> CovertInstance:
+    rng = np.random.default_rng(seed)
+    ny = int(rng.integers(2, 9))
+    if kind == "near_erasure":
+        # a in [1e-4, 1] and eps in [1e-4, 0.1] keep s_star below about 1.2e5
+        return near_erasure_instance(rng, ny, 10 ** rng.uniform(-4, 0), 10 ** rng.uniform(-4, -1))
+    inst = random_instance(rng, ny=ny)
+    if kind == "ties":
+        # rhat on a grid of five values, so outputs share it exactly, the argmax included;
+        # both ends are used, as a constant rhat is the degenerate case tested on its own
+        q = np.ones((2, ny))
+        q[1] = np.exp(0.5 * rng.permutation(np.append([-2, 2], rng.integers(-2, 3, size=ny - 2))))
+        inst = CovertInstance(wy=inst.wy, wz=inst.wz, q=DecodingMetric(q), delta=inst.delta)
+    if kind == "falling":
+        # swapping the metric's rows negates rhat; keep the orientation with f'(0) <= 0
+        p0, p1 = inst.wy.w
+        rhat = np.log(inst.q.q[1]) - np.log(inst.q.q[0])
+        if p1 @ rhat > p0 @ rhat:
+            inst = CovertInstance(wy=inst.wy, wz=inst.wz, q=DecodingMetric(inst.q.q[::-1]), delta=inst.delta)
+    return inst
+
+
+class TestNewtonMaximizer:
+    """Safeguarded Newton on f' against the golden-section search it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["random", "near_erasure", "falling", "ties"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_golden_section(self, kind, seed):
+        inst = tilt_instance(kind, seed)
+        res = lower_bound(inst)
+        f_ref, s_ref, attained = golden_lower_bound(inst)
+        assert res.attained == attained
+        assert abs(res.f_at_s_star - f_ref) <= 1e-12
+        assert res.value == res.t_delta * res.f_at_s_star
+        if kind == "falling":
+            # f'(0) <= 0 and concavity make s = 0 the maximizer
+            assert (res.s_star, res.f_at_s_star) == (s_ref, f_ref) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("a", [1e-5, 1e-7])
+    def test_large_maximizer_matches_closed_form(self, a):
+        # s_star near 6.9 / a: the golden search never ended here, its bracket stuck
+        # wider than its 1e-10 target at s of 7e5 and beyond
+        inst = CovertInstance(
+            wy=Bdmc(np.array([[0.5, 0.5], [1e-3, 1.0 - 1e-3]])),
+            wz=Bdmc(np.array([[0.7, 0.3], [0.4, 0.6]])),
+            q=DecodingMetric(np.array([[1.0, 1.0], [1.0, math.exp(a)]])),
+            delta=0.1,
+        )
+        res = lower_bound(inst)
+        assert res.attained
+        assert res.s_star == pytest.approx(binary_s0(inst), rel=1e-12)
+
+    def test_constant_log_ratio_ends_near_zero(self):
+        # rhat = 0.5 on every output carries no information, so the sup is 0. Roundoff in
+        # E_P1[rhat] - rmax lets f creep up to about 2e-9 by s = 2^21, and on the 7 of these
+        # 50 instances where that beat the limit the golden search never ended
+        rng = np.random.default_rng(32)
+        for _ in range(50):
+            inst = random_instance(rng, ny=int(rng.integers(2, 9)))
+            q = np.outer([1.0, math.exp(0.5)], np.ones(inst.wy.num_outputs))
+            res = lower_bound(CovertInstance(wy=inst.wy, wz=inst.wz, q=DecodingMetric(q), delta=inst.delta))
+            assert abs(res.value) <= 1e-8
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(lower_bound_module, "NEWTON_CAP", 2)
+        with pytest.raises(RuntimeError, match="Newton"):
+            lower_bound(example1(3.0))
+
+    def test_bracket_cap_raises(self, monkeypatch):
+        # s_star is near 690, beyond a bracket capped at 4
+        inst = near_erasure_instance(np.random.default_rng(3), 2, 1e-2, 1e-3)
+        monkeypatch.setattr(lower_bound_module, "BRACKET_CAP", 4.0)
+        with pytest.raises(RuntimeError, match="bracketing"):
+            lower_bound(inst)
 
 
 class TestSlopeAtInfinity:

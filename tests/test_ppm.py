@@ -353,6 +353,21 @@ class TestEstimateError:
         np.testing.assert_array_equal(serial.errors, threaded.errors)
         assert 0 < serial.errors.sum() < serial.errors.size * 300  # nondegenerate
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_holds_one_sub_code_matrix_at_a_time(self, workers):
+        # each sub-code's decode matrix, M x (|U| + 1) floats on its pulse columns U, is
+        # built when its pairs run and dropped before the next sub-code's; built for all
+        # K = 4 sub-codes up front they peaked above four matrices
+        cb = generate_codebook(ppm_params(10**5, 0.1, Q0, Q1), num_messages=64, num_keys=4, seed=3)
+        largest = max(8 * 64 * (_pulse_columns(cb.positions[k])[0].size + 1) for k in range(4))
+        tracemalloc.start()
+        try:
+            estimate_error(example1(), cb, trials_per_pair=1, seed=5, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * largest
+
     def test_trial_block_size_does_not_change_counts(self):
         # blocks cut one keyed stream at different points; the draws, and
         # so the counts, are the same for any block size
