@@ -10,8 +10,9 @@ Y-marginal stays pinned to the channel, and the bound is
 The diagonal coupling (yhat = y) is always admissible, so the minimum never
 exceeds D(P1 || P0).  The minimum is found by Frank-Wolfe over the product of
 per-(x, y) simplices, run on a smoothed objective D(m1 || (1-eps) m0 + eps u)
-for a decreasing eps schedule with warm starts; a composition-lattice search
-provides an independent certification oracle.
+for a decreasing eps schedule with warm starts, each line search by the lower
+bound's safeguarded Newton; a composition-lattice search provides an
+independent certification oracle.
 """
 
 from __future__ import annotations
@@ -35,12 +36,14 @@ from .core import (
     require_valid,
     weight_parameter,
 )
+from .lower_bound import _newton_max
 
 _TINY = 1e-300        # clamp inside logs; never influences a finite optimum
 _NEG_CLAMP = -1e18    # stands in for log(0) in the grid oracle, excludes the point
 _ORACLE_BLOCK = 1 << 18  # entries of one cross-term block in the grid oracle
 _MAX_PAIRS = 1 << 30  # most (m1, m0) raw lattice pairs the grid oracle scores
 _EPS_SCHEDULE = (1e-3, 1e-5, 1e-7)  # smoothing weights of the converse's warm-started stages
+_GAMMA_TOL = 2.0**-44  # line-search Newton stops on a step of at most this share of gmax
 
 
 @dataclass(frozen=True)
@@ -159,62 +162,58 @@ class UpperBoundResult:
     converged: bool
 
 
-def _line_search(m1, d1, m0t, d0, eps: float, gmax: float = 1.0) -> float:
+def _line_search(m1, d1, m0t, d0, eps: float, gmax: float, slope0: float) -> float:
     """Exact minimization over gamma in [0, gmax] along a FW segment.
 
-    The objective restricted to the segment is convex; 30 bisection steps on
-    its derivative locate the minimum to ~1e-9 of the interval.  They run as
-    six rounds of five levels: a round sets the 31 midpoints of its subtree,
-    each 0.5 * (lo + hi) of its enclosing interval, evaluates the derivative
-    at all of them in one call and walks down, so the result is the one
-    step-by-step bisection returns, bit for bit.
+    phi(gamma) = D(a1 || a0), a1 = m1 + gamma d1, a0 = m0t + gamma (1-eps) d0,
+    is convex, and ``slope0`` is phi'(0), the caller's <grad, direction>.  The
+    result is 0 if slope0 >= 0, gmax if phi'(gmax) <= 0, and otherwise the root
+    of phi' by safeguarded Newton (``_newton_max`` on -phi) to _GAMMA_TOL * gmax.
+    Outputs the step leaves fixed add nothing to either of
+
+        phi'  = sum d1 (log a1 - log a0 + 1) - (1-eps) sum (a1/a0) d0,
+        phi'' = sum (d1 - (1-eps) (a1/a0) d0)^2 / a1,
+
+    so one pass over the outputs the step moves gives both.
     """
-
-    def dphi(g: np.ndarray) -> np.ndarray:
-        g = g[:, None]
-        a1 = m1 + g * d1
-        a0 = m0t + g * (1.0 - eps) * d0
-        term1 = d1 * (np.log(np.maximum(a1, _TINY)) - np.log(a0) + 1.0)
-        term2 = (1.0 - eps) * (a1 / a0) * d0
-        return term1.sum(axis=1) - term2.sum(axis=1)
-
-    at_ends = dphi(np.array([0.0, gmax]))
-    if at_ends[0] >= 0.0:
+    if slope0 >= 0.0:
         return 0.0
-    if at_ends[1] <= 0.0:
+    moved = np.flatnonzero((d1 != 0.0) | (d0 != 0.0))
+    e0s = (1.0 - eps) * d0[moved]
+    terms = list(zip(m1[moved].tolist(), d1[moved].tolist(), m0t[moved].tolist(), e0s.tolist()))
+
+    def falling(g: float) -> tuple[float, float]:
+        # (-phi'(g), -phi''(g)): the slope and curvature of the concave -phi
+        slope = curv = 0.0
+        for p1, e1, p0, e0 in terms:
+            a1 = max(p1 + g * e1, _TINY)
+            rho = a1 / (p0 + g * e0)
+            u = e1 - rho * e0
+            slope += rho * e0 - e1 * (math.log(rho) + 1.0)
+            curv -= u * u / a1
+        return slope, curv
+
+    if falling(gmax)[0] >= 0.0:
         return gmax
-    halves = (16, 8, 4, 2, 1)
-    grid = np.empty(33)
-    lo, hi = 0.0, gmax
-    for _ in range(6):
-        grid[0], grid[32] = lo, hi
-        for half in halves:
-            grid[half :: 2 * half] = 0.5 * (grid[: -1 : 2 * half] + grid[2 * half :: 2 * half])
-        below = dphi(grid[1:-1]) < 0.0
-        k = 0
-        for half in halves:
-            if below[k + half - 1]:
-                k += half
-        lo, hi = float(grid[k]), float(grid[k + 1])
-    return 0.5 * (lo + hi)
+    return _newton_max(falling, 0.0, gmax, _GAMMA_TOL * gmax)
 
 
 def upper_bound(inst: CovertInstance, tol: float = 1e-8, max_iters: int = 20000) -> UpperBoundResult:
     """Minimize D(m1 || m0) over maximal couplings; returns t * minimum.
 
-    Pairwise Frank-Wolfe with exact line search on the smoothed objective
-    D(m1 || (1-eps) m0 + eps uniform), run once per eps in _EPS_SCHEDULE
-    (warm-started), each stage stopping at duality gap < ``tol`` or
-    ``max_iters``.  Each step moves mass from the worst vertex of the current
+    Pairwise Frank-Wolfe with exact line search (``_line_search``) on the
+    smoothed objective D(m1 || (1-eps) m0 + eps uniform), run once per eps in
+    _EPS_SCHEDULE (warm-started), each stage stopping at duality gap < ``tol``
+    or ``max_iters``.  Each step moves mass from the worst vertex of the current
     convex decomposition onto the linear-oracle vertex, which avoids the
     zig-zag stall of plain conditional gradients when the optimum sits on a
     face.  The decomposition is kept as arrays: row i of ``active`` holds
     the flat indices into the gradient of one one-hot vertex, in the order
     the vertices entered, and ``wts[i]`` its weight; the away vertex is the
-    first row with the largest gradient sum.  The reported kl_value is the
-    raw (unsmoothed) objective at the final iterate, or at the diagonal
-    coupling if that is better; the diagonal guarantee caps kl_value at
-    D(P1 || P0).  ``converged`` says whether every stage reached ``tol``.
+    first row with the largest gradient sum; the oracle vertex's sum minus
+    it is the step's slope at 0.  The reported kl_value is the raw
+    (unsmoothed) objective at the final iterate, or at the diagonal coupling
+    if that is better; the diagonal guarantee caps kl_value at D(P1 || P0).  ``converged`` says whether every stage reached ``tol``.
     """
     require_valid(inst)
     wp = weight_parameter(inst.delta, inst.q0, inst.q1)
@@ -245,18 +244,20 @@ def upper_bound(inst: CovertInstance, tol: float = 1e-8, max_iters: int = 20000)
             g0 = -(1.0 - eps) * w[0][:, None] * (m1 / m0t)[None, :]
             grad = np.stack([g0, g1])
             to_row = cell_base + _lmo_targets(grad, allowed).ravel()
-            gap = float(np.sum(grad * v) - grad.ravel()[to_row].sum())
+            to_sum = grad.ravel()[to_row].sum()
+            gap = float(np.sum(grad * v) - to_sum)
             if gap < tol:
                 break
             # away vertex: the active one the gradient most wants to leave
-            away = int(np.argmax(grad.ravel()[active].sum(axis=1)))
+            away_sums = grad.ravel()[active].sum(axis=1)
+            away = int(np.argmax(away_sums))
             gmax = float(wts[away])
             direction = np.zeros(2 * ny * ny)
             direction[to_row] = 1.0
             direction[active[away]] -= 1.0
             direction = direction.reshape(2, ny, ny)
             dm = np.einsum("xy,xyz->xz", w, direction)
-            gamma = _line_search(m1, dm[1], m0t, dm[0], eps, gmax)
+            gamma = _line_search(m1, dm[1], m0t, dm[0], eps, gmax, float(to_sum - away_sums[away]))
             if gamma <= 0.0:
                 converged = False
                 break

@@ -37,7 +37,7 @@ SLOPE_TOL = 1e-12            # |slope at infinity| below this is treated as zero
 ARGMAX_TOL = 1e-9            # rhat values this close to the max share the limit mass
 BRACKET_CAP = float(2**40)   # doubling beyond this means the slope test lied
 STEP_TOL = 1e-10             # Newton stops once a step moves s by no more than this
-NEWTON_CAP = 100             # steps beyond this mean f' is not a decreasing function
+NEWTON_CAP = 100             # steps beyond this mean the searched slope is not decreasing
 
 
 @dataclass(frozen=True)
@@ -101,13 +101,13 @@ def f_s(tf: TiltFunction, s: float) -> float:
 def slope_at_infinity(tf: TiltFunction) -> tuple[float, float]:
     """Asymptotic slope of f and, when that slope is zero, lim_{s->inf} f(s).
 
-    A vanishing slope (within SLOPE_TOL) means f climbs toward
-    -log of the P0-mass of the rhat-argmax set; a strictly negative slope
+    A vanishing slope (within SLOPE_TOL) means f climbs toward -log of the
+    P0-mass of the rhat-argmax set, clamped at 0; a strictly negative slope
     means f eventually decreases, the limit is -inf, and the sup is interior.
     """
     slope = tf.mean_under_p1 - tf.rmax
     if abs(slope) <= SLOPE_TOL:
-        return slope, -math.log(tf.limit_mass)
+        return slope, max(0.0, -math.log(tf.limit_mass))
     return slope, -math.inf
 
 
@@ -132,13 +132,14 @@ def _slope_curvature(tf: TiltFunction, s: float) -> tuple[float, float]:
     return tf.mean_under_p1 - tf.rmax - m, -float(np.dot(z, d * d)) / total
 
 
-def _newton_max(tf: TiltFunction, lo: float, hi: float, tol: float) -> float:
-    """Root of f' in [lo, hi], f'(lo) > 0 >= f'(hi), by Newton from the midpoint with a
-    bisection step whenever Newton would leave the bracket or f'' vanishes (rtsafe,
-    Numerical Recipes, section 9.4); it ends once a step moves s by at most ``tol``."""
+def _newton_max(slope_curvature, lo: float, hi: float, tol: float) -> float:
+    """Root in [lo, hi] of g, where ``slope_curvature(s) = (g(s), g'(s))`` and g(lo) > 0 >= g(hi),
+    by Newton from the midpoint with a bisection step whenever Newton would leave the bracket
+    or g' is not negative (rtsafe, Numerical Recipes, section 9.4); it ends once a step moves
+    s by at most ``tol``.  g is the derivative of the concave function this maximizes."""
     s = 0.5 * (lo + hi)
     for _ in range(NEWTON_CAP):
-        g, h = _slope_curvature(tf, s)
+        g, h = slope_curvature(s)
         lo, hi = (s, hi) if g > 0.0 else (lo, s)
         nxt = s - g / h if h < 0.0 else hi
         if not lo < nxt < hi:
@@ -146,12 +147,13 @@ def _newton_max(tf: TiltFunction, lo: float, hi: float, tol: float) -> float:
         if abs(nxt - s) <= tol:
             return nxt
         s = nxt
-    raise RuntimeError(f"Newton on f' exceeded {NEWTON_CAP} steps in [{lo!r}, {hi!r}], contradicting concavity")
+    raise RuntimeError(f"Newton exceeded {NEWTON_CAP} steps in [{lo!r}, {hi!r}], contradicting concavity")
 
 
 def lower_bound(inst: CovertInstance, tol: float = STEP_TOL) -> LowerBoundResult:
     """Best achievable covert rate for the instance's metric, t * sup_{s>=0} f(s).
 
+    It is 0 at s_star = 0 if rhat is flat (within ARGMAX_TOL) on P0's support.
     When the slope at infinity vanishes the sup is the limiting value and is
     reported with ``attained=False`` and ``s_star=AT_INFINITY``.  Otherwise it
     is 0 if f'(0) <= 0, or else at the root of f', bracketed by doubling from
@@ -163,6 +165,9 @@ def lower_bound(inst: CovertInstance, tol: float = STEP_TOL) -> LowerBoundResult
     slope, limit = slope_at_infinity(tf)
 
     if abs(slope) <= SLOPE_TOL:
+        if np.all(tf._shifted >= -ARGMAX_TOL):
+            # P1 << P0 makes f = 0 everywhere; only roundoff in its slope could grow it
+            return LowerBoundResult(0.0, 0.0, 0.0, True, wp.t)
         # f is (numerically) nondecreasing; the limit wins unless roundoff
         # produced a strictly better interior point on a coarse grid, whose
         # neighbours then bracket the maximizer (f(0) = 0 rules out best = 0).
@@ -182,7 +187,7 @@ def lower_bound(inst: CovertInstance, tol: float = STEP_TOL) -> LowerBoundResult
             lo, hi = hi, 2.0 * hi
             if hi > BRACKET_CAP:
                 raise RuntimeError("bracketing exceeded 2**40 with a negative slope at infinity")
-    s_star = _newton_max(tf, lo, hi, tol)
+    s_star = _newton_max(lambda s: _slope_curvature(tf, s), lo, hi, tol)
     f_star = f_s(tf, s_star)
     if f_star <= 0.0:
         # roundoff below f(0) = 0, which concavity makes the sup

@@ -292,15 +292,34 @@ class TestNewtonMaximizer:
         assert res.s_star == pytest.approx(binary_s0(inst), rel=1e-12)
 
     def test_constant_log_ratio_ends_near_zero(self):
-        # rhat = 0.5 on every output carries no information, so the sup is 0. Roundoff in
-        # E_P1[rhat] - rmax lets f creep up to about 2e-9 by s = 2^21, and on the 7 of these
-        # 50 instances where that beat the limit the golden search never ended
+        # rhat = 0.5 on every output carries no information, so f = 0 and the sup is 0 at
+        # s = 0: roundoff in E_P1[rhat] - rmax must not let f creep up toward s = 2^21,
+        # nor -log of a P0 mass summing just above 1 make the rate negative
         rng = np.random.default_rng(32)
         for _ in range(50):
             inst = random_instance(rng, ny=int(rng.integers(2, 9)))
             q = np.outer([1.0, math.exp(0.5)], np.ones(inst.wy.num_outputs))
             res = lower_bound(CovertInstance(wy=inst.wy, wz=inst.wz, q=DecodingMetric(q), delta=inst.delta))
-            assert abs(res.value) <= 1e-8
+            assert (res.value, res.s_star, res.f_at_s_star, res.attained) == (0.0, 0.0, 0.0, True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["random", "near_erasure", "falling", "ties", "flat"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rate_is_never_negative(self, kind, seed):
+        if kind == "flat":
+            # rhat constant, or up to a spread within ARGMAX_TOL, on a P0 of full support
+            inst = tilt_instance("random", seed)
+            rng = np.random.default_rng(seed)
+            ny = inst.wy.num_outputs
+            spread = rng.choice([0.0, 1e-10]) * rng.random(ny)
+            q = np.stack([np.ones(ny), math.exp(rng.uniform(-2, 2)) * (1.0 + spread)])
+            inst = CovertInstance(wy=inst.wy, wz=inst.wz, q=DecodingMetric(q), delta=inst.delta)
+        else:
+            inst = tilt_instance(kind, seed)
+        res = lower_bound(inst)
+        assert res.value >= 0.0 and res.f_at_s_star >= 0.0
 
     def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(lower_bound_module, "NEWTON_CAP", 2)
