@@ -213,7 +213,10 @@ def upper_bound(inst: CovertInstance, tol: float = 1e-8, max_iters: int = 20000)
     first row with the largest gradient sum; the oracle vertex's sum minus
     it is the step's slope at 0.  The reported kl_value is the raw
     (unsmoothed) objective at the final iterate, or at the diagonal coupling
-    if that is better; the diagonal guarantee caps kl_value at D(P1 || P0).  ``converged`` says whether every stage reached ``tol``.
+    if that is better, clamped at 0: where the minimum is 0 the raw objective
+    is float dust of either sign, and a divergence is never negative.  The
+    diagonal guarantee caps kl_value at D(P1 || P0).  ``converged`` says
+    whether every stage reached ``tol``.
     """
     require_valid(inst)
     wp = weight_parameter(inst.delta, inst.q0, inst.q1)
@@ -290,6 +293,7 @@ def upper_bound(inst: CovertInstance, tol: float = 1e-8, max_iters: int = 20000)
     else:
         best, kl_best = diag, kl_diag
 
+    kl_best = max(kl_best, 0.0)
     return UpperBoundResult(
         value=wp.t * kl_best,
         kl_value=kl_best,

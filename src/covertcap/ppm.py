@@ -24,8 +24,13 @@ of the block: idle columns cost no draws.  Every sampler inverts a channel
 row's cumulative law by counting the thresholds at or below each uniform
 (_sample_symbols), which for these few-output alphabets is faster than a
 binary search and returns the same index.  Decode trials are scored
-word-major: a block's scores form an (M, t) matrix whose verdict reductions
-(top score, tie count, own-word test) run over the words of each trial.
+word-major: a block's scores form an (M, t) matrix, and a trial is decoded
+correctly when every rival's score is below its own word's by more than
+TIE_TOL.  A wide sub-code, one whose pulse columns number more than
+_SLOT_SCORING_RATIO times its pulses per word, is scored at each word's own
+pulse slots; a narrow one, whose words share most of its few columns, by one
+small matrix product of its words with the outputs' log ratios (see
+_pair_errors).
 
 covertness_exact keeps only the pulse columns, splits them into two halves,
 and gets the mixture's likelihood ratio on every output state from one matrix
@@ -65,10 +70,21 @@ _TAG_SSTAT = 4
 
 _MASK64 = (1 << 64) - 1
 
-# largest arrays built from a generated book: estimate_error's K float64 matrices of each
-# sub-code's M words on its pulse columns, 8*K*M*min(n, M*l) bytes; conservative by a
-# factor of K, since estimate_error holds one sub-code's matrix at a time
+# a sub-code with more pulse columns than this many times its pulses per word is
+# decoded at its words' own slots, a narrower one by a matrix product with its
+# (M, |U|) word matrix.  The break-even of the two scorers: slot time over product
+# time of _pair_errors on example1 books at n = 10^4, 25 trials per pair, was
+# 1.08-1.15 at |U|/l = 8, 1.03-1.17 at 15.8, 0.81-1.00 at 31 and 0.43-0.50 at 60;
+# at 10^4 trials it was 0.7-1.2 throughout (2-vCPU Xeon, numpy 2.4.6)
+_SLOT_SCORING_RATIO = 16
+# largest arrays built from a generated book: its K*M*l positions and one narrow
+# sub-code's float64 word matrix, M x (|U| + 1) with |U| <= min(n, 16*l, M*l);
+# Monte-Carlo blocks are bounded apart from the book, by _PULSE_BLOCK
 MAX_CODEBOOK_BYTES = 2**30
+# entries of one slot gather of the wide decode scorer, a cache-sized share of the
+# (l*M, t) gather: as one piece it scored 2.8-3.6x slower per trial at 40 to 655
+# trials of a 64-word sub-code at n = 10^4, and 3.2x at 18 trials at n = 10^7
+_SLOT_GATHER = 1 << 15
 # uniforms per block of any Monte-Carlo loop; every one is sampled and
 # scored, so a block's temporaries take a few times 8 MiB
 _PULSE_BLOCK = 1 << 20
@@ -123,13 +139,27 @@ def _pulse_slots(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cols[pad:], inverse.reshape(math.prod(positions.shape[:-1]), positions.shape[-1]) - pad
 
 
-def _pulse_columns(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(columns where some word is active, the words on those columns as floats), from padded (..., L) positions;
-    column-major, the layout the decode loop's ``words @ x.T`` was tuned on (7% slower row-major on 16 x 18 words)."""
-    cols, slots = _pulse_slots(positions)
-    words = np.zeros((len(slots), cols.size + 1), order="F")  # padding, slot -1, marks the last column, dropped
+def _word_matrix(slots: np.ndarray, width: int) -> np.ndarray:
+    """The words with ``slots`` on ``width`` pulse columns as floats; column-major, the layout
+    the narrow decode product ``words @ x.T`` was tuned on (7% slower row-major on 16 x 18 words)."""
+    words = np.zeros((len(slots), width + 1), order="F")  # padding, slot -1, marks the last column, dropped
     words[np.arange(len(slots))[:, None], slots] = 1.0
-    return cols, words[:, :-1]
+    return words[:, :-1]
+
+
+def _pulse_columns(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(columns where some word is active, the words on those columns as floats), from padded (..., L) positions."""
+    cols, slots = _pulse_slots(positions)
+    return cols, _word_matrix(slots, cols.size)
+
+
+def _sub_code_pulses(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(pulse columns U, slots, word matrix) of one sub-code's (M, L) positions; the
+    matrix only for a narrow sub-code, |U| <= _SLOT_SCORING_RATIO * L, else None."""
+    cols, slots = _pulse_slots(positions)
+    if cols.size > _SLOT_SCORING_RATIO * slots.shape[1]:
+        return cols, slots, None
+    return cols, slots, _word_matrix(slots, cols.size)
 
 
 def _sample_at_pulses(gen, t, cols, at, cum0, cum1) -> np.ndarray:
@@ -303,16 +333,18 @@ def generate_codebook(params: PpmParams, num_messages: int, num_keys: int, seed:
     bit-identical no matter the order pairs are visited in.  Its positions are
     the draws of sample_codeword on the same stream.  Raises
     ResourceLimitError, before allocating, when the largest arrays built from
-    the book, estimate_error's K sub-code pulse-column matrices, would take
-    more than MAX_CODEBOOK_BYTES (a cap conservative by K: one is built at a time).
+    the book would take more than MAX_CODEBOOK_BYTES: its positions, and the
+    word matrix of one sub-code narrow enough for estimate_error to decode by
+    a product, M x (|U| + 1) floats with |U| at most min(n, 16 l, M l).
     """
     if num_messages < 1 or num_keys < 1:
         raise DomainError("need at least one message and one key")
-    size = 8 * num_keys * num_messages * min(params.n, num_messages * params.l)
+    narrow = min(params.n, _SLOT_SCORING_RATIO * params.l, num_messages * params.l) + 1
+    size = 8 * num_messages * (num_keys * params.l + narrow)
     if size > MAX_CODEBOOK_BYTES:
         raise ResourceLimitError(
             f"codebook of {num_keys} keys x {num_messages} messages x {params.l} pulses (n={params.n}) "
-            f"needs {size} bytes of sub-code pulse-column matrices, above the cap {MAX_CODEBOOK_BYTES}"
+            f"needs {size} bytes of positions and decode matrix, above the cap {MAX_CODEBOOK_BYTES}"
         )
     starts = np.arange(params.l) * params.w
     pos = np.empty((num_keys, num_messages, params.l), dtype=np.int64)
@@ -332,14 +364,15 @@ def q_decode(codebook: PpmCodebook, k: int, y: np.ndarray, metric: DecodingMetri
 
     The winning word maximizes sum_i log q(x_i, y_i); because all words share
     the term sum_i log q(0, y_i), only the active positions' log-ratios are
-    scored, on the sub-code's pulse columns as in estimate_error.  A top score
-    shared within TIE_TOL is a TIE (counted as an error by callers).
+    scored: each word sums them at its own pulse slots (_pulse_slots), where
+    padding, slot -1, reads an appended log ratio of 0.  A top score shared
+    within TIE_TOL is a TIE (counted as an error by callers).
     """
     y = np.asarray(y)
     if y.shape != (codebook.params.n,):
         raise DimensionError(f"output block must have length {codebook.params.n}")
-    cols, words = _pulse_columns(codebook.positions[k])
-    scores = words @ _log_ratio(metric)[y[cols]]
+    cols, slots = _pulse_slots(codebook.positions[k])
+    scores = np.append(_log_ratio(metric)[y[cols]], 0.0)[slots].sum(axis=1)
     top = float(scores.max())
     winners = np.flatnonzero(scores >= top - TIE_TOL)
     if winners.size > 1:
@@ -370,33 +403,58 @@ class ErrorReport:
 def _pair_errors(codebook, k, j, trials, seed, cum0, cum1, rhat, pulses, chunk=1024):
     """Error count for pair (k, j) over its keyed stream; chunking is stream-neutral.
 
-    ``pulses`` is ``_pulse_columns`` of sub-code k.  Every trial draws
-    uniforms, samples and scores only at the sub-code's pulse columns: a
+    ``pulses`` is ``_sub_code_pulses`` of sub-code k, and ``rhat`` the
+    metric's log ratios with a 0 appended for a pad symbol.  Every trial draws
+    uniforms, samples and scores only at the sub-code's pulse columns U: a
     column where all its words are idle adds the same log q(0, y) to every
     score, so it cannot change the verdict.  Word j's pulses sit on the same
     columns in every trial, so they are overwritten as whole columns.  Blocks
     come from _blocks, at most ``chunk`` trials each.
 
-    Scores are word-major, ``words @ rhat(y).T`` of shape (M, t): the top
-    score, the count of words within TIE_TOL of it and the own-word test then
-    reduce down the M rows together, which takes a fraction of the time of
-    reducing the short M-entry rows of a (t, M) block one trial at a time.
-    The gather is np.take, which on short blocks beats fancy indexing with
+    Scores are word-major, (M, t), by one of two scorers chosen by shape:
+    - a wide sub-code (no word matrix) copies the block's outputs to a
+      (|U| + 1, t) array whose last row holds the pad symbol, gathers its rows
+      at the slot-major slot table (padding, slot -1, reads the pad row), looks
+      up rhat and sums over the l slots: M*l additions per trial.  The table
+      is gathered a few whole slots at a time, _SLOT_GATHER entries or so, so
+      the temporaries stay in cache however large l*M*t is;
+    - a narrow one, whose few columns most words share, scores
+      ``words @ rhat(y).T``, M*|U| multiply-adds in one small BLAS product,
+      which there beats the transpose and the gather.
+    The gathers are np.take, which on short blocks beats fancy indexing with
     the narrow sampler index (2.4x on 1024 trials x 17 columns), though it
-    copies the index to intp first.  Only BLAS rounding separates these
-    scores from the trial-major ones, and TIE_TOL absorbs it.
+    copies the index to intp first.  The two differ from trial-major scores
+    only in the order of the sums, a rounding error that TIE_TOL absorbs.
+
+    The verdict: trial i is decoded when max over rivals of s[., i] is below
+    own = fl(s[j, i] - TIE_TOL), which is word j being the one word within
+    TIE_TOL of the top score.  If j is that word, s_j is the top, so every
+    rival lies below fl(top - TIE_TOL) = own.  Conversely, rivals below
+    own <= s_j make s_j the strict top, so own = fl(top - TIE_TOL) and no
+    rival is within TIE_TOL of it.  Exact ties therefore count as errors.
     """
-    cols, words = pulses
-    at = (slice(None), np.flatnonzero(words[j]))
+    cols, slots, words = pulses
+    at = (slice(None), slots[j][slots[j] >= 0])
     pair = k * codebook.num_messages + j
     gen = _stream(seed, _TAG_ERROR, c1=pair)
+    M = len(slots)
+    flat = slots.T.ravel()  # slot-major: entry i*M + m is slot i of word m
     failures = 0
     for _, t in _blocks(trials, cols.size, chunk):
         y = _sample_at_pulses(gen, t, cols, at, cum0, cum1)
-        scores = words @ np.take(rhat, y).T
-        hits = scores >= scores.max(axis=0) - TIE_TOL
-        ok = (hits.sum(axis=0) == 1) & hits[j]
-        failures += t - np.count_nonzero(ok)
+        if words is None:
+            yt = np.empty((cols.size + 1, t), dtype=y.dtype)
+            yt[:-1] = y.T
+            yt[-1] = rhat.size - 1
+            step = M * max(1, _SLOT_GATHER // (M * t))  # whole slots of all M words per gather
+            scores = np.zeros((M, t))
+            for lo in range(0, flat.size, step):
+                scores += np.take(rhat, np.take(yt, flat[lo : lo + step], axis=0)).reshape(-1, M, t).sum(axis=0)
+        else:
+            scores = words @ np.take(rhat, y).T
+        own = scores[j] - TIE_TOL
+        scores[j] = -np.inf
+        failures += t - np.count_nonzero(scores.max(axis=0) < own)
     return failures
 
 
@@ -412,17 +470,21 @@ def estimate_error(
     Each pair's trials are read in order from the one stream keyed by
     (seed, tag, pair index), so the report is identical for any ``workers``
     count and any execution order.  ci95 is the normal-approximation
-    half-width 1.96 sqrt(p(1-p)/trials).
+    half-width 1.96 sqrt(p(1-p)/trials).  A sub-code with more than
+    _SLOT_SCORING_RATIO pulse columns per pulse of a word is scored at its
+    words' slots and builds no (M, |U|) matrix; a narrower one is scored by a
+    product with its word matrix, which lives only while its M pairs run
+    (_pair_errors).
     """
     if trials_per_pair < 1:
         raise DomainError("trials_per_pair must be >= 1")
     cum0 = _cumulative(inst.wy.w[0])
     cum1 = _cumulative(inst.wy.w[1])
-    rhat = _log_ratio(inst.q)
+    rhat = np.append(_log_ratio(inst.q), 0.0)  # the pad symbol, rhat.size - 1, scores nothing
     K, M = codebook.num_keys, codebook.num_messages
 
-    def sub_code(mapper, k):  # sub-code k's decode matrix lives only while its M pairs run
-        pulses = _pulse_columns(codebook.positions[k])
+    def sub_code(mapper, k):
+        pulses = _sub_code_pulses(codebook.positions[k])
         run = lambda j: _pair_errors(codebook, k, j, trials_per_pair, seed, cum0, cum1, rhat, pulses)
         return list(mapper(run, range(M)))
 
@@ -607,8 +669,10 @@ def covertness_mc(codebook: PpmCodebook, wz: Bdmc, samples: int, seed: int) -> C
     A block of _blocks draws t word choices, then t*|U| uniforms, so the block
     size is part of the random stream.  A word's score sums the outputs' log
     ratios at its slots (_pulse_slots), in row chunks of _blocks that leave the
-    draws alone; they are gathered by fancy indexing, as np.take would first
-    copy the uint8 sampler index to intp, eight bytes per entry.
+    draws alone.  They are gathered by np.take, which beats fancy indexing with
+    the uint8 sampler index; it copies that index to intp first, but a row
+    chunk holds at most _PULSE_BLOCK rows x words, so the copy stays below
+    8 MiB, the size of the chunk's scores.
     """
     if samples < 100:
         raise DomainError(f"need at least 100 samples, got {samples!r}")
@@ -630,7 +694,7 @@ def covertness_mc(codebook: PpmCodebook, wz: Bdmc, samples: int, seed: int) -> C
             z_pad[:, :-1] = z[lo : lo + r]
             scores = np.zeros((r, len(slots)))
             for slot in slots.T:
-                scores += d_full[z_pad[:, slot]]
+                scores += np.take(d_full, z_pad[:, slot])
             vals[done + lo : done + lo + r] = _logsumexp_rows(scores) - math.log(len(slots))
     est = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(samples))

@@ -304,6 +304,16 @@ class TestUpperBound:
             assert res.kl_value <= kl_divergence(inst.p1, inst.p0) + 1e-15
             assert res.kl_value >= 0.0
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @example(seed=291)  # 2 outputs, zero minimum: the raw objective was -1.6e-16
+    @example(seed=316)  # likewise -1.7e-16
+    def test_divergence_is_never_negative(self, seed):
+        rng = np.random.default_rng(seed)
+        res = upper_bound(random_instance(rng, ny=int(rng.integers(2, 9))))
+        assert res.kl_value >= 0.0
+        assert res.value >= 0.0
+
     def test_matches_binary_interval_oracle(self):
         rng = np.random.default_rng(46)
         nonzero = 0

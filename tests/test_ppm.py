@@ -8,6 +8,7 @@ provably never errs (or always does).
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,8 +42,10 @@ from covertcap import (
     sample_codeword,
     sample_s_statistic,
 )
+from covertcap import ppm
 from covertcap.core import TIE_TOL, _type_blocks
 from covertcap.ppm import (
+    _SLOT_SCORING_RATIO,
     _TAG_CODEBOOK,
     _TAG_COVERT,
     _TAG_ERROR,
@@ -56,6 +59,7 @@ from covertcap.ppm import (
     _sample_symbols,
     _states_exceed,
     _stream,
+    _sub_code_pulses,
 )
 
 from conftest import WZ1, example1
@@ -201,19 +205,33 @@ class TestGenerateCodebook:
         assert np.any(a.positions != b.positions)
 
     def test_oversize_book_refused_before_allocation(self):
-        # the cap bounds estimate_error's K float64 (M, min(n, M*l)) sub-code pulse-column
-        # matrices: 4 sub-codes of 256 words on 2^17 columns take exactly 2^30 bytes
+        # the cap bounds the book's K*M*l int64 positions plus one narrow sub-code's
+        # float64 decode matrix, M x (min(n, 16 l, M l) + 1): 4 sub-codes of 256 words
+        # of 512 pulses take 8*256*(4*512 + 8193) = 20,973,568 bytes; at that cap 256
+        # messages fit and 257 do not
         params = PpmParams(1 << 18, 1 << 9, 1 << 9, 0)
-        assert 8 * 4 * 256 * min(params.n, 256 * params.l) == MAX_CODEBOOK_BYTES
-        assert generate_codebook(params, num_messages=256, num_keys=4, seed=0).positions.shape == (4, 256, 512)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ResourceLimitError, match="cap"):
-                generate_codebook(params, num_messages=257, num_keys=4, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        size = 8 * 256 * (4 * 512 + min(params.n, _SLOT_SCORING_RATIO * 512, 256 * 512) + 1)
+        with mock.patch.object(ppm, "MAX_CODEBOOK_BYTES", size):
+            assert generate_codebook(params, num_messages=256, num_keys=4, seed=0).positions.shape == (4, 256, 512)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResourceLimitError, match="cap"):
+                    generate_codebook(params, num_messages=257, num_keys=4, seed=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert peak < 2**16
+
+    def test_large_wide_book_fits_the_cap(self):
+        # K = 2, M = 512 at n = 10^6 (l = 278): 2.3 MB of positions, and every sub-code
+        # is wide, so no decode matrix; a cap on (M, min(n, M l)) matrices refused it
+        # at 8*2*512*142,336 = 1.17 GB
+        params = ppm_params(10**6, 0.1, Q0, Q1)
+        assert params.l == 278
+        assert 8 * 2 * 512 * min(params.n, 512 * params.l) > MAX_CODEBOOK_BYTES
+        cb = generate_codebook(params, num_messages=512, num_keys=2, seed=0)
+        assert cb.positions.nbytes == 2 * 512 * 278 * 8
+        assert _sub_code_pulses(cb.positions[0])[2] is None
 
     def test_long_blocks_take_memory_in_pulses_not_symbols(self):
         # n = 10^7 at the reference warden: 2 x 64 words of l = 892 pulses, 0.9 MB
@@ -355,10 +373,12 @@ class TestEstimateError:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_holds_one_sub_code_matrix_at_a_time(self, workers):
-        # each sub-code's decode matrix, M x (|U| + 1) floats on its pulse columns U, is
-        # built when its pairs run and dropped before the next sub-code's; built for all
-        # K = 4 sub-codes up front they peaked above four matrices
-        cb = generate_codebook(ppm_params(10**5, 0.1, Q0, Q1), num_messages=64, num_keys=4, seed=3)
+        # a narrow sub-code's decode matrix, M x (|U| + 1) floats on its pulse columns
+        # U, is built when its pairs run and dropped before the next sub-code's; built
+        # for all K = 4 sub-codes up front they peaked above four matrices.  Chunks of
+        # 16 symbols keep |U| <= n = 16 l, so all four sub-codes are narrow
+        cb = generate_codebook(PpmParams(4096, 256, 16, 0), num_messages=64, num_keys=4, seed=3)
+        assert all(_sub_code_pulses(cb.positions[k])[2] is not None for k in range(4))
         largest = max(8 * 64 * (_pulse_columns(cb.positions[k])[0].size + 1) for k in range(4))
         tracemalloc.start()
         try:
@@ -368,23 +388,41 @@ class TestEstimateError:
             tracemalloc.stop()
         assert peak < 1.5 * largest
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_wide_sub_codes_build_no_decode_matrix(self, workers):
+        # 64 words of l = 85 pulses on about 5300 columns per sub-code are wide, so
+        # they are scored at their slots: the traced peak stays far below one
+        # M x (|U| + 1) float matrix (2.7 MB here), which a product scorer builds
+        cb = generate_codebook(ppm_params(10**5, 0.1, Q0, Q1), num_messages=64, num_keys=4, seed=3)
+        assert all(_sub_code_pulses(cb.positions[k])[2] is None for k in range(4))
+        smallest = min(8 * 64 * (_pulse_columns(cb.positions[k])[0].size + 1) for k in range(4))
+        tracemalloc.start()
+        try:
+            estimate_error(example1(), cb, trials_per_pair=1, seed=5, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < smallest / 4
+
     def test_trial_block_size_does_not_change_counts(self):
         # blocks cut one keyed stream at different points; the draws, and
-        # so the counts, are the same for any block size
+        # so the counts, are the same for any block size and either scorer
+        # (a ratio of 0 sends these narrow sub-codes to the slot scorer)
         inst = make_instance([[0.7, 0.3], [0.4, 0.6]], [[0.9, 0.1], [0.1, 0.9]])
         cb = generate_codebook(PpmParams(6, 2, 3, 0), num_messages=3, num_keys=2, seed=7)
         default = estimate_error(inst, cb, trials_per_pair=300, seed=8).errors
         cum0, cum1 = _cumulative(inst.wy.w[0]), _cumulative(inst.wy.w[1])
-        rhat = _log_ratio(inst.q)
-        for chunk in (1, 7):
-            counts = [
-                [
-                    _pair_errors(cb, k, j, 300, 8, cum0, cum1, rhat, pulses=_pulse_columns(cb.positions[k]), chunk=chunk)
-                    for j in range(3)
+        rhat = np.append(_log_ratio(inst.q), 0.0)
+        for ratio, chunk in ((_SLOT_SCORING_RATIO, 1), (_SLOT_SCORING_RATIO, 7), (0, 1), (0, 7)):
+            with mock.patch.object(ppm, "_SLOT_SCORING_RATIO", ratio):
+                counts = [
+                    [
+                        _pair_errors(cb, k, j, 300, 8, cum0, cum1, rhat, pulses=_sub_code_pulses(cb.positions[k]), chunk=chunk)
+                        for j in range(3)
+                    ]
+                    for k in range(2)
                 ]
-                for k in range(2)
-            ]
-            np.testing.assert_array_equal(counts, default)
+                np.testing.assert_array_equal(counts, default)
 
     def test_seed_sensitivity_and_reproducibility(self):
         inst = make_instance([[0.7, 0.3], [0.4, 0.6]], [[0.9, 0.1], [0.1, 0.9]])
@@ -590,42 +628,88 @@ def row_major_pair_errors(cb, k, j, trials, seed, cum0, cum1, rhat, chunk=1024):
     return failures
 
 
+def tie_prone_counts(seed, n, num_keys, num_messages, ny, density, trials):
+    """(estimate_error counts, row_major_pair_errors counts) on a book and metric built to tie.
+
+    Metric entries from {1, 3, 9}: every rhat is 0, +-log 3 or +-log 9, so
+    scores of different words tie exactly or up to rounding (log 9 against
+    log 3 + log 3); duplicate and weight-0 words force TIE verdicts, and words
+    of unequal weight pad their positions with -1.
+    """
+    rng = np.random.default_rng(seed)
+    words = (rng.random((num_keys, num_messages, n)) < density).astype(np.uint8)
+    for k in range(num_keys):
+        j, i = rng.integers(num_messages, size=2)
+        words[k, j] = words[k, i]
+        words[k, rng.integers(num_messages)] = 0
+    cb = book(PpmParams(n, 1, n, 0), words)
+    inst = CovertInstance(
+        wy=Bdmc(rng.dirichlet(np.ones(ny), size=2)),
+        wz=WZ_BIN,
+        q=DecodingMetric(rng.choice([1.0, 3.0, 9.0], size=(2, ny))),
+        delta=0.1,
+    )
+    cum0, cum1, rhat = _cumulative(inst.wy.w[0]), _cumulative(inst.wy.w[1]), _log_ratio(inst.q)
+    reference = [
+        [row_major_pair_errors(cb, k, j, trials, seed, cum0, cum1, rhat) for j in range(num_messages)]
+        for k in range(num_keys)
+    ]
+    return estimate_error(inst, cb, trials, seed).errors.tolist(), reference
+
+
+TIE_PRONE_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 24),
+    num_keys=st.integers(1, 3),
+    num_messages=st.integers(1, 6),
+    ny=st.integers(2, 4),
+    density=st.sampled_from([0.1, 0.3, 0.6]),
+    trials=st.sampled_from([1, 37, 1500]),
+)
+
+
 class TestWordMajorScoring:
     """Scoring trials word-major, (M, t), gives the trial-major kernel's verdicts, exact ties included."""
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(1, 24),
-        num_keys=st.integers(1, 3),
-        num_messages=st.integers(1, 6),
-        ny=st.integers(2, 4),
-        density=st.sampled_from([0.1, 0.3, 0.6]),
-        trials=st.sampled_from([1, 37, 1500]),
-    )
-    def test_counts_equal_the_trial_major_kernel(self, seed, n, num_keys, num_messages, ny, density, trials):
-        # metric entries from {1, 3, 9}: every rhat is 0, +-log 3 or +-log 9, so
-        # scores of different words tie exactly or up to rounding (log 9 against
-        # log 3 + log 3); duplicate and weight-0 words force TIE verdicts
-        rng = np.random.default_rng(seed)
-        words = (rng.random((num_keys, num_messages, n)) < density).astype(np.uint8)
-        for k in range(num_keys):
-            j, i = rng.integers(num_messages, size=2)
-            words[k, j] = words[k, i]
-            words[k, rng.integers(num_messages)] = 0
-        cb = book(PpmParams(n, 1, n, 0), words)
-        inst = CovertInstance(
-            wy=Bdmc(rng.dirichlet(np.ones(ny), size=2)),
-            wz=WZ_BIN,
-            q=DecodingMetric(rng.choice([1.0, 3.0, 9.0], size=(2, ny))),
-            delta=0.1,
-        )
-        cum0, cum1, rhat = _cumulative(inst.wy.w[0]), _cumulative(inst.wy.w[1]), _log_ratio(inst.q)
-        reference = [
-            [row_major_pair_errors(cb, k, j, trials, seed, cum0, cum1, rhat) for j in range(num_messages)]
-            for k in range(num_keys)
-        ]
-        assert estimate_error(inst, cb, trials, seed).errors.tolist() == reference
+    @given(**TIE_PRONE_CASES)
+    def test_counts_equal_the_trial_major_kernel(self, **case):
+        counts, reference = tie_prone_counts(**case)
+        assert counts == reference
+
+
+class TestSlotScoring:
+    """Wide sub-codes are scored at each word's own slots, with the product scorer's verdicts."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(**TIE_PRONE_CASES)
+    def test_slot_counts_equal_the_trial_major_kernel(self, **case):
+        # a ratio of 0 makes every sub-code with a pulse wide, so small hand-built
+        # books, padding and all, go through the slot scorer
+        with mock.patch.object(ppm, "_SLOT_SCORING_RATIO", 0):
+            counts, reference = tie_prone_counts(**case)
+        assert counts == reference
+
+    def test_threshold_splits_by_columns_per_pulse(self):
+        # one pulse per word: 16 columns are still narrow, 17 are wide
+        for width, wide in ((16, False), (17, True)):
+            positions = np.arange(width)[:, None]
+            cols, slots, words = _sub_code_pulses(positions)
+            assert (cols.size, slots.shape, words is None) == (width, (width, 1), wide)
+
+    def test_gathers_in_pieces_give_the_product_counts(self):
+        # the slot gather is cut into pieces of about _SLOT_GATHER entries: a block of
+        # 701 trials of 64 words gathers one slot at a time, its 98-trial tail five
+        inst = example1()
+        cb = generate_codebook(ppm_params(10**4, 0.1, Q0, Q1), num_messages=64, num_keys=1, seed=2)
+        cols, slots, words = pulses = _sub_code_pulses(cb.positions[0])
+        assert words is None and 64 * 1024 > ppm._SLOT_GATHER
+        cum0, cum1 = _cumulative(inst.wy.w[0]), _cumulative(inst.wy.w[1])
+        rhat = np.append(_log_ratio(inst.q), 0.0)
+        narrow = (cols, slots, ppm._word_matrix(slots, cols.size))
+        for j in (0, 63):
+            slot = _pair_errors(cb, 0, j, 1500, 4, cum0, cum1, rhat, pulses)
+            assert slot == _pair_errors(cb, 0, j, 1500, 4, cum0, cum1, rhat, narrow)
 
 
 class TestIdleColumnsDrawNothing:
