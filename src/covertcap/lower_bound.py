@@ -168,25 +168,18 @@ def lower_bound(inst: CovertInstance, tol: float = STEP_TOL) -> LowerBoundResult
         if np.all(tf._shifted >= -ARGMAX_TOL):
             # P1 << P0 makes f = 0 everywhere; only roundoff in its slope could grow it
             return LowerBoundResult(0.0, 0.0, 0.0, True, wp.t)
-        # f is (numerically) nondecreasing; the limit wins unless roundoff
-        # produced a strictly better interior point on a coarse grid, whose
-        # neighbours then bracket the maximizer (f(0) = 0 rules out best = 0).
-        grid = [0.0] + [2.0**k for k in range(-4, 21)]
-        vals = [f_s(tf, s) for s in grid]
-        best = int(np.argmax(vals))
-        if vals[best] <= limit + 1e-12:
-            return LowerBoundResult(wp.t * limit, AT_INFINITY, limit, False, wp.t)
-        lo, hi = grid[best - 1], 2.0 * grid[best]
-    elif _slope_curvature(tf, 0.0)[0] <= 0.0:
+        # A3 makes the slope at most 0, so the concave f never rises above its limit;
+        # a slope that rounds a few ulps above 0 must not be credited s * slope
+        return LowerBoundResult(wp.t * limit, AT_INFINITY, limit, False, wp.t)
+    if _slope_curvature(tf, 0.0)[0] <= 0.0:
         # slope < 0 and f'(0) <= 0: concavity and f(0) = 0 make 0 the sup
         return LowerBoundResult(0.0, 0.0, 0.0, True, wp.t)
-    else:
-        # double until f' turns nonpositive; the bracket is then [b/2, b], or [0, 1]
-        lo, hi = 0.0, 1.0
-        while _slope_curvature(tf, hi)[0] > 0.0:
-            lo, hi = hi, 2.0 * hi
-            if hi > BRACKET_CAP:
-                raise RuntimeError("bracketing exceeded 2**40 with a negative slope at infinity")
+    # double until f' turns nonpositive; the bracket is then [b/2, b], or [0, 1]
+    lo, hi = 0.0, 1.0
+    while _slope_curvature(tf, hi)[0] > 0.0:
+        lo, hi = hi, 2.0 * hi
+        if hi > BRACKET_CAP:
+            raise RuntimeError("bracketing exceeded 2**40 with a negative slope at infinity")
     s_star = _newton_max(lambda s: _slope_curvature(tf, s), lo, hi, tol)
     f_star = f_s(tf, s_star)
     if f_star <= 0.0:

@@ -23,14 +23,18 @@ idle, and with l ~ sqrt(n) pulses per word those columns are a shrinking share
 of the block: idle columns cost no draws.  Every sampler inverts a channel
 row's cumulative law by counting the thresholds at or below each uniform
 (_sample_symbols), which for these few-output alphabets is faster than a
-binary search and returns the same index.  Decode trials are scored
-word-major: a block's scores form an (M, t) matrix, and a trial is decoded
+binary search and returns the same index.
+
+The decoder's metric score and the warden's mixture likelihood are one
+operation, a sum of a table at each word's pulse slots, and one scorer does
+it for decode trials, covertness samples and q_decode: _slot_scores, which
+gives a block's scores as an (M, t) matrix.  Each table it reads ends in a 0
+for a pad symbol, so padding (slot -1) scores nothing.  A trial is decoded
 correctly when every rival's score is below its own word's by more than
-TIE_TOL.  A wide sub-code, one whose pulse columns number more than
-_SLOT_SCORING_RATIO times its pulses per word, is scored at each word's own
-pulse slots; a narrow one, whose words share most of its few columns, by one
-small matrix product of its words with the outputs' log ratios (see
-_pair_errors).
+TIE_TOL.  A narrow sub-code, one with at most _SLOT_SCORING_RATIO pulse
+columns per pulse of a word, is decoded instead by one small matrix product of
+its words with the outputs' log ratios, the cheaper scorer where the words
+share most of a few columns (see _pair_errors).
 
 covertness_exact keeps only the pulse columns, splits them into two halves,
 and gets the mixture's likelihood ratio on every output state from one matrix
@@ -81,9 +85,9 @@ _SLOT_SCORING_RATIO = 16
 # sub-code's float64 word matrix, M x (|U| + 1) with |U| <= min(n, 16*l, M*l);
 # Monte-Carlo blocks are bounded apart from the book, by _PULSE_BLOCK
 MAX_CODEBOOK_BYTES = 2**30
-# entries of one slot gather of the wide decode scorer, a cache-sized share of the
-# (l*M, t) gather: as one piece it scored 2.8-3.6x slower per trial at 40 to 655
-# trials of a 64-word sub-code at n = 10^4, and 3.2x at 18 trials at n = 10^7
+# entries of one slot gather of _slot_scores, a cache-sized share of the (l*M, t)
+# gather: as one piece it scored decode trials 2.8-3.6x slower at 40 to 655 trials
+# of a 64-word sub-code at n = 10^4, and 3.2x at 18 trials at n = 10^7
 _SLOT_GATHER = 1 << 15
 # uniforms per block of any Monte-Carlo loop; every one is sampled and
 # scored, so a block's temporaries take a few times 8 MiB
@@ -147,12 +151,6 @@ def _word_matrix(slots: np.ndarray, width: int) -> np.ndarray:
     return words[:, :-1]
 
 
-def _pulse_columns(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(columns where some word is active, the words on those columns as floats), from padded (..., L) positions."""
-    cols, slots = _pulse_slots(positions)
-    return cols, _word_matrix(slots, cols.size)
-
-
 def _sub_code_pulses(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """(pulse columns U, slots, word matrix) of one sub-code's (M, L) positions; the
     matrix only for a narrow sub-code, |U| <= _SLOT_SCORING_RATIO * L, else None."""
@@ -160,6 +158,33 @@ def _sub_code_pulses(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     if cols.size > _SLOT_SCORING_RATIO * slots.shape[1]:
         return cols, slots, None
     return cols, slots, _word_matrix(slots, cols.size)
+
+
+def _slot_scores(table: np.ndarray, y: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """(M, t) sums of ``table`` at each word's pulse slots: entry [m, i] sums table[y[i, u]]
+    over the slots u of word m, for t blocks of outputs ``y`` (t, |U|) on the pulse columns U.
+
+    The outputs are copied to a (|U| + 1, t) array whose last row holds the pad
+    symbol table.size - 1; ``table[-1]`` is 0, so padding, slot -1, scores
+    nothing.  Its rows are gathered at the slot-major slot table (entry i*M + m
+    is slot i of word m) a few whole slots at a time, about _SLOT_GATHER
+    entries but at least one slot of all M words, and each piece is summed over
+    its slots: however large l is, the temporaries stay in cache on short
+    blocks and within M*t entries on long ones.  The gathers are np.take, which
+    on short blocks beats fancy indexing with the uint8 sampler index (2.4x on
+    1024 trials x 17 columns), though it copies each piece's index to intp
+    first: 8 bytes per entry, as many as the piece's looked-up floats.
+    """
+    M, t, pad = len(slots), len(y), table.size - 1
+    yt = np.empty((y.shape[1] + 1, t), dtype=np.result_type(y.dtype, np.min_scalar_type(pad)))
+    yt[:-1] = y.T
+    yt[-1] = pad
+    flat = slots.T.ravel()
+    step = M * max(1, _SLOT_GATHER // (M * t))  # whole slots of all M words per gather
+    scores = np.zeros((M, t))
+    for lo in range(0, flat.size, step):
+        scores += np.take(table, np.take(yt, flat[lo : lo + step], axis=0)).reshape(-1, M, t).sum(axis=0)
+    return scores
 
 
 def _sample_at_pulses(gen, t, cols, at, cum0, cum1) -> np.ndarray:
@@ -364,15 +389,17 @@ def q_decode(codebook: PpmCodebook, k: int, y: np.ndarray, metric: DecodingMetri
 
     The winning word maximizes sum_i log q(x_i, y_i); because all words share
     the term sum_i log q(0, y_i), only the active positions' log-ratios are
-    scored: each word sums them at its own pulse slots (_pulse_slots), where
-    padding, slot -1, reads an appended log ratio of 0.  A top score shared
-    within TIE_TOL is a TIE (counted as an error by callers).
+    scored, by _slot_scores with a 0 appended to the log ratios for padding.
+    A top score shared within TIE_TOL is a TIE (counted as an error by callers).
+    Symbols outside the metric's alphabet raise DomainError.
     """
     y = np.asarray(y)
     if y.shape != (codebook.params.n,):
         raise DimensionError(f"output block must have length {codebook.params.n}")
+    if y.min(initial=0) < 0 or y.max(initial=0) >= metric.num_outputs:  # |Y| itself would read the pad
+        raise DomainError(f"output symbols must lie in [0, {metric.num_outputs})")
     cols, slots = _pulse_slots(codebook.positions[k])
-    scores = np.append(_log_ratio(metric)[y[cols]], 0.0)[slots].sum(axis=1)
+    scores = _slot_scores(np.append(_log_ratio(metric), 0.0), y[None, cols], slots)[:, 0]
     top = float(scores.max())
     winners = np.flatnonzero(scores >= top - TIE_TOL)
     if winners.size > 1:
@@ -412,19 +439,13 @@ def _pair_errors(codebook, k, j, trials, seed, cum0, cum1, rhat, pulses, chunk=1
     come from _blocks, at most ``chunk`` trials each.
 
     Scores are word-major, (M, t), by one of two scorers chosen by shape:
-    - a wide sub-code (no word matrix) copies the block's outputs to a
-      (|U| + 1, t) array whose last row holds the pad symbol, gathers its rows
-      at the slot-major slot table (padding, slot -1, reads the pad row), looks
-      up rhat and sums over the l slots: M*l additions per trial.  The table
-      is gathered a few whole slots at a time, _SLOT_GATHER entries or so, so
-      the temporaries stay in cache however large l*M*t is;
+    - a wide sub-code (no word matrix) sums rhat at each word's l slots,
+      M*l additions per trial (_slot_scores);
     - a narrow one, whose few columns most words share, scores
       ``words @ rhat(y).T``, M*|U| multiply-adds in one small BLAS product,
-      which there beats the transpose and the gather.
-    The gathers are np.take, which on short blocks beats fancy indexing with
-    the narrow sampler index (2.4x on 1024 trials x 17 columns), though it
-    copies the index to intp first.  The two differ from trial-major scores
-    only in the order of the sums, a rounding error that TIE_TOL absorbs.
+      which there beats the slot scorer's transpose and gathers.
+    The two differ from trial-major scores only in the order of the sums, a
+    rounding error that TIE_TOL absorbs.
 
     The verdict: trial i is decoded when max over rivals of s[., i] is below
     own = fl(s[j, i] - TIE_TOL), which is word j being the one word within
@@ -437,21 +458,10 @@ def _pair_errors(codebook, k, j, trials, seed, cum0, cum1, rhat, pulses, chunk=1
     at = (slice(None), slots[j][slots[j] >= 0])
     pair = k * codebook.num_messages + j
     gen = _stream(seed, _TAG_ERROR, c1=pair)
-    M = len(slots)
-    flat = slots.T.ravel()  # slot-major: entry i*M + m is slot i of word m
     failures = 0
     for _, t in _blocks(trials, cols.size, chunk):
         y = _sample_at_pulses(gen, t, cols, at, cum0, cum1)
-        if words is None:
-            yt = np.empty((cols.size + 1, t), dtype=y.dtype)
-            yt[:-1] = y.T
-            yt[-1] = rhat.size - 1
-            step = M * max(1, _SLOT_GATHER // (M * t))  # whole slots of all M words per gather
-            scores = np.zeros((M, t))
-            for lo in range(0, flat.size, step):
-                scores += np.take(rhat, np.take(yt, flat[lo : lo + step], axis=0)).reshape(-1, M, t).sum(axis=0)
-        else:
-            scores = words @ np.take(rhat, y).T
+        scores = _slot_scores(rhat, y, slots) if words is None else words @ np.take(rhat, y).T
         own = scores[j] - TIE_TOL
         scores[j] = -np.inf
         failures += t - np.count_nonzero(scores.max(axis=0) < own)
@@ -594,7 +604,8 @@ def _mixture_kl(positions: np.ndarray, base_logs: np.ndarray, d: np.ndarray) -> 
     from a log-sum-exp over the words.  Blocks hold at most _PRODUCT_BLOCK
     ratios, whatever n and C are.
     """
-    _, wmat = _pulse_columns(positions)
+    cols, slots = _pulse_slots(positions)
+    wmat = _word_matrix(slots, cols.size)
     num_words = wmat.shape[0]
     half = wmat.shape[1] // 2
     s_a, b_a = _half_states(wmat[:, :half], base_logs, d)
@@ -667,12 +678,11 @@ def covertness_mc(codebook: PpmCodebook, wz: Bdmc, samples: int, seed: int) -> C
     samples and scores only at the book's pulse columns U: where every word is
     idle, Qhat and Q0^n share the factor Q0(z_i), which cancels in the ratio.
     A block of _blocks draws t word choices, then t*|U| uniforms, so the block
-    size is part of the random stream.  A word's score sums the outputs' log
-    ratios at its slots (_pulse_slots), in row chunks of _blocks that leave the
-    draws alone.  They are gathered by np.take, which beats fancy indexing with
-    the uint8 sampler index; it copies that index to intp first, but a row
-    chunk holds at most _PULSE_BLOCK rows x words, so the copy stays below
-    8 MiB, the size of the chunk's scores.
+    size is part of the random stream.  Each word's log likelihood ratio sums
+    the outputs' log ratios at its slots, with a 0 appended for padding
+    (_slot_scores), in row chunks of _blocks that leave the draws alone: a
+    chunk holds at most _PULSE_BLOCK rows x words, so its scores and each
+    temporary of the scorer take at most 8 MiB.
     """
     if samples < 100:
         raise DomainError(f"need at least 100 samples, got {samples!r}")
@@ -689,13 +699,8 @@ def covertness_mc(codebook: PpmCodebook, wz: Bdmc, samples: int, seed: int) -> C
         picked = slots[gen.integers(0, len(slots), size=t)]
         rows, at = np.nonzero(picked >= 0)
         z = _sample_at_pulses(gen, t, cols, (rows, picked[rows, at]), cum0, cum1)
-        for lo, r in _blocks(t, len(slots)):
-            z_pad = np.full((r, cols.size + 1), qz0.size, dtype=z.dtype)  # slot -1 reads symbol |Z|, log ratio 0
-            z_pad[:, :-1] = z[lo : lo + r]
-            scores = np.zeros((r, len(slots)))
-            for slot in slots.T:
-                scores += np.take(d_full, z_pad[:, slot])
-            vals[done + lo : done + lo + r] = _logsumexp_rows(scores) - math.log(len(slots))
+        for lo, r in _blocks(t, len(slots)):  # unnamed, a chunk's scores are freed before the next is built
+            vals[done + lo : done + lo + r] = _logsumexp_rows(_slot_scores(d_full, z[lo : lo + r], slots).T) - math.log(len(slots))
     est = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(samples))
     return CovertnessReport(METHOD_MC, est, stderr, samples)

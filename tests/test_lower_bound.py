@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covertcap import (
@@ -25,6 +25,7 @@ from covertcap import (
     WeightParam,
     binary_f_derivative,
     binary_s0,
+    erasures_only_capacity,
     erasures_only_metric,
     f_s,
     key_rate_threshold,
@@ -36,6 +37,8 @@ from covertcap import (
 )
 
 from conftest import (
+    WZ1,
+    erasure_channel,
     example1,
     floored_simplex,
     matched_instance,
@@ -421,6 +424,26 @@ class TestLowerBound:
         assert not res.attained
         assert res.s_star is AT_INFINITY or res.s_star == math.inf
         assert res.value == pytest.approx(t * math.log(1 / 0.7), abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ny=st.integers(3, 6),
+        scale=st.floats(0.2, 5.0),
+    )
+    @example(seed=2, ny=3, scale=2.0)  # its slope rounds above 0
+    def test_rescaled_erasures_metric_gives_the_limit(self, seed, ny, scale):
+        # scaling q(1, .) shifts every rhat by log c, so the slope at infinity is 0 up
+        # to rounding, which can leave it a few ulps above 0; f never rises above its
+        # limit, so no finite s may be credited s * slope
+        rng = np.random.default_rng(seed)
+        wy = erasure_channel(rng, ny, int(rng.integers(1, ny - 1)))
+        q = erasures_only_metric(wy, 0.3).q.copy()
+        q[1] *= scale
+        inst = CovertInstance(wy=wy, wz=Bdmc(WZ1), q=DecodingMetric(q), delta=0.1)
+        res = lower_bound(inst)
+        assert res.attained is False
+        assert res.value == pytest.approx(erasures_only_capacity(inst), rel=1e-12, abs=0.0)
 
     def test_value_never_negative(self):
         rng = np.random.default_rng(28)

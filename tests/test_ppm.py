@@ -54,12 +54,14 @@ from covertcap.ppm import (
     _log_ratio,
     _pair_errors,
     _PULSE_BLOCK,
-    _pulse_columns,
+    _pulse_slots,
     _sample_at_pulses,
     _sample_symbols,
+    _slot_scores,
     _states_exceed,
     _stream,
     _sub_code_pulses,
+    _word_matrix,
 )
 
 from conftest import WZ1, example1
@@ -329,10 +331,25 @@ class TestQDecode:
         cb = book(self.PARAMS, self.WORDS, ids=[[7, 3, 5]])
         assert q_decode(cb, 0, np.array([1, 0, 0, 1]), self.METRIC) == 3
 
+    def test_padded_words_agree_for_any_integer_block_type(self):
+        # words of unequal weight are padded with -1, scored as a pad symbol, here 2:
+        # a bool block cannot hold it, so the scorer must copy it to a wider type
+        cb = book(self.PARAMS, [[[1, 0, 1, 0], [0, 0, 0, 1], [0, 1, 1, 1]]])
+        for idx in range(16):
+            y = np.array([(idx >> i) & 1 for i in range(4)])
+            for dtype in (bool, np.uint8, np.int64):
+                assert q_decode(cb, 0, y.astype(dtype), self.METRIC) == self.brute_force(cb, y)
+
     def test_block_length_checked(self):
         cb = book(self.PARAMS, self.WORDS)
         with pytest.raises(DimensionError):
             q_decode(cb, 0, np.array([0, 1]), self.METRIC)
+
+    def test_symbols_outside_the_alphabet_refused(self):
+        cb = book(self.PARAMS, self.WORDS)
+        for y in ([0, 2, 0, 0], [0, -1, 0, 0]):
+            with pytest.raises(DomainError):
+                q_decode(cb, 0, np.array(y), self.METRIC)
 
 
 def make_instance(wy_rows, q_rows) -> CovertInstance:
@@ -379,7 +396,7 @@ class TestEstimateError:
         # 16 symbols keep |U| <= n = 16 l, so all four sub-codes are narrow
         cb = generate_codebook(PpmParams(4096, 256, 16, 0), num_messages=64, num_keys=4, seed=3)
         assert all(_sub_code_pulses(cb.positions[k])[2] is not None for k in range(4))
-        largest = max(8 * 64 * (_pulse_columns(cb.positions[k])[0].size + 1) for k in range(4))
+        largest = max(8 * 64 * (_pulse_slots(cb.positions[k])[0].size + 1) for k in range(4))
         tracemalloc.start()
         try:
             estimate_error(example1(), cb, trials_per_pair=1, seed=5, workers=workers)
@@ -395,7 +412,7 @@ class TestEstimateError:
         # M x (|U| + 1) float matrix (2.7 MB here), which a product scorer builds
         cb = generate_codebook(ppm_params(10**5, 0.1, Q0, Q1), num_messages=64, num_keys=4, seed=3)
         assert all(_sub_code_pulses(cb.positions[k])[2] is None for k in range(4))
-        smallest = min(8 * 64 * (_pulse_columns(cb.positions[k])[0].size + 1) for k in range(4))
+        smallest = min(8 * 64 * (_pulse_slots(cb.positions[k])[0].size + 1) for k in range(4))
         tracemalloc.start()
         try:
             estimate_error(example1(), cb, trials_per_pair=1, seed=5, workers=workers)
@@ -610,7 +627,8 @@ class TestPulseColumnsMatchDense:
 
 def row_major_pair_errors(cb, k, j, trials, seed, cum0, cum1, rhat, chunk=1024):
     """Error count of pair (k, j) from trial-major (t, M) scores, as before word-major scoring."""
-    cols, words = _pulse_columns(cb.positions[k])
+    cols, slots = _pulse_slots(cb.positions[k])
+    words = _word_matrix(slots, cols.size)
     at = (slice(None), np.flatnonzero(words[j]))
     gen = _stream(seed, _TAG_ERROR, c1=k * cb.num_messages + j)
     chunk = min(chunk, max(1, _PULSE_BLOCK // max(1, cols.size)))
@@ -706,10 +724,39 @@ class TestSlotScoring:
         assert words is None and 64 * 1024 > ppm._SLOT_GATHER
         cum0, cum1 = _cumulative(inst.wy.w[0]), _cumulative(inst.wy.w[1])
         rhat = np.append(_log_ratio(inst.q), 0.0)
-        narrow = (cols, slots, ppm._word_matrix(slots, cols.size))
+        narrow = (cols, slots, _word_matrix(slots, cols.size))
         for j in (0, 63):
             slot = _pair_errors(cb, 0, j, 1500, 4, cum0, cum1, rhat, pulses)
             assert slot == _pair_errors(cb, 0, j, 1500, 4, cum0, cum1, rhat, narrow)
+
+
+class TestSlotScores:
+    """The one slot scorer sums a table at each word's pulse slots, as the word matrix's product does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_words=st.integers(1, 9),
+        width=st.integers(1, 30),
+        pulses=st.integers(0, 6),
+        t=st.integers(1, 40),
+        ny=st.integers(2, 5),
+        gather=st.one_of(st.just(ppm._SLOT_GATHER), st.integers(1, 100)),
+    )
+    @example(seed=1, num_words=4, width=12, pulses=5, t=1, ny=3, gather=ppm._SLOT_GATHER)  # t = 1
+    @example(seed=2, num_words=4, width=12, pulses=5, t=3, ny=3, gather=1)  # one slot per piece
+    @example(seed=3, num_words=4, width=12, pulses=5, t=3, ny=3, gather=24)  # 2-slot pieces and a tail of 1
+    def test_equals_the_word_matrix_product(self, seed, num_words, width, pulses, t, ny, gather):
+        rng = np.random.default_rng(seed)
+        slots = np.full((num_words, pulses), -1)  # each word: increasing slots, padded with -1
+        for row in slots:
+            weight = int(rng.integers(0, min(pulses, width) + 1))
+            row[:weight] = np.sort(rng.choice(width, size=weight, replace=False))
+        table = np.append(rng.normal(size=ny), 0.0)
+        y = rng.integers(0, ny, size=(t, width)).astype(np.uint8)
+        with mock.patch.object(ppm, "_SLOT_GATHER", gather):
+            scores = _slot_scores(table, y, slots)
+        np.testing.assert_allclose(scores, _word_matrix(slots, width) @ table[y].T, rtol=0.0, atol=1e-12)
 
 
 class TestIdleColumnsDrawNothing:
