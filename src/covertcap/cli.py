@@ -155,11 +155,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     trials = _require_key(config, "trials_per_pair", int)
     cov_samples = _require_key(config, "covertness_samples", int)
     fraction = config.get("expurgate_fraction", 0.0)
-    if isinstance(fraction, bool) or not isinstance(fraction, (int, float)):
-        raise ChannelSpecError(f"'expurgate_fraction' must be a number, got {fraction!r}")
+    if isinstance(fraction, bool) or not isinstance(fraction, (int, float)) or not 0.0 <= fraction < 1.0:
+        raise ChannelSpecError(f"'expurgate_fraction' must be a number in [0, 1), got {fraction!r}")
     seed = config.get("seed", args.seed)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ChannelSpecError(f"'seed' must be an integer, got {seed!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise ChannelSpecError(f"'seed' must be an integer in [0, 2^64), got {seed!r}")
 
     params = ppm_params(n, inst.delta, inst.q0, inst.q1)
     book = generate_codebook(params, num_messages, num_keys, seed)

@@ -150,14 +150,14 @@ def _newton_max(slope_curvature, lo: float, hi: float, tol: float) -> float:
     raise RuntimeError(f"Newton exceeded {NEWTON_CAP} steps in [{lo!r}, {hi!r}], contradicting concavity")
 
 
-def lower_bound(inst: CovertInstance, tol: float = STEP_TOL) -> LowerBoundResult:
+def lower_bound(inst: CovertInstance) -> LowerBoundResult:
     """Best achievable covert rate for the instance's metric, t * sup_{s>=0} f(s).
 
     It is 0 at s_star = 0 if rhat is flat (within ARGMAX_TOL) on P0's support.
     When the slope at infinity vanishes the sup is the limiting value and is
     reported with ``attained=False`` and ``s_star=AT_INFINITY``.  Otherwise it
     is 0 if f'(0) <= 0, or else at the root of f', bracketed by doubling from
-    s=1 and pinned down by safeguarded Newton until a step moves s by <= ``tol``.
+    s=1 and pinned down by safeguarded Newton until a step moves s by <= STEP_TOL.
     """
     require_valid(inst)
     wp = weight_parameter(inst.delta, inst.q0, inst.q1)
@@ -180,7 +180,7 @@ def lower_bound(inst: CovertInstance, tol: float = STEP_TOL) -> LowerBoundResult
         lo, hi = hi, 2.0 * hi
         if hi > BRACKET_CAP:
             raise RuntimeError("bracketing exceeded 2**40 with a negative slope at infinity")
-    s_star = _newton_max(lambda s: _slope_curvature(tf, s), lo, hi, tol)
+    s_star = _newton_max(lambda s: _slope_curvature(tf, s), lo, hi, STEP_TOL)
     f_star = f_s(tf, s_star)
     if f_star <= 0.0:
         # roundoff below f(0) = 0, which concavity makes the sup

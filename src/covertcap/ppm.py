@@ -14,27 +14,27 @@ schedule.  Each Monte-Carlo estimator (covertness_mc, sample_s_statistic)
 reads the one stream keyed by (seed, tag); every Monte-Carlo loop takes its
 block sizes from one rule, _blocks, so a block's memory does not grow with n.
 
-A book stores each word as its l pulse positions, not as n bytes, and every
-array built from it spans only its pulse columns, the columns where some word
-of the book (or sub-code) is active.  Decode trials and covertness samples
-draw uniforms, and so channel outputs, only there.  Neither the metric score
-nor the warden's mixture likelihood depends on an output where every word is
-idle, and with l ~ sqrt(n) pulses per word those columns are a shrinking share
-of the block: idle columns cost no draws.  Every sampler inverts a channel
-row's cumulative law by counting the thresholds at or below each uniform
-(_sample_symbols), which for these few-output alphabets is faster than a
-binary search and returns the same index.
+A book stores each word as its pulse positions, all words of one weight L,
+not as n bytes, and every array built from it spans only its pulse columns,
+the columns where some word of the book (or sub-code) is active.  Decode
+trials and covertness samples draw uniforms, and so channel outputs, only
+there.  Neither the metric score nor the warden's mixture likelihood depends
+on an output where every word is idle, and with l ~ sqrt(n) pulses per word
+those columns are a shrinking share of the block: idle columns cost no draws.
+Every sampler inverts a channel row's cumulative law by counting the
+thresholds at or below each uniform (_sample_symbols), which for these
+few-output alphabets is faster than a binary search and returns the same
+index.
 
 The decoder's metric score and the warden's mixture likelihood are one
-operation, a sum of a table at each word's pulse slots, and one scorer does
-it for decode trials, covertness samples and q_decode: _slot_scores, which
-gives a block's scores as an (M, t) matrix.  Each table it reads ends in a 0
-for a pad symbol, so padding (slot -1) scores nothing.  A trial is decoded
-correctly when every rival's score is below its own word's by more than
-TIE_TOL.  A narrow sub-code, one with at most _SLOT_SCORING_RATIO pulse
-columns per pulse of a word, is decoded instead by one small matrix product of
-its words with the outputs' log ratios, the cheaper scorer where the words
-share most of a few columns (see _pair_errors).
+operation, a sum of a table at each word's pulse slots, and one scorer does it
+for decode trials, covertness samples and q_decode: _slot_scores, which gives
+a block's scores as an (M, t) matrix.  A trial is decoded correctly when every
+rival's score is below its own word's by more than TIE_TOL.  A narrow sub-code,
+one with at most _SLOT_SCORING_RATIO pulse columns per pulse of a word, is
+decoded instead by one small matrix product of its words with the outputs' log
+ratios, the cheaper scorer where the words share most of a few columns (see
+_pair_errors).
 
 covertness_exact keeps only the pulse columns, splits them into two halves,
 and gets the mixture's likelihood ratio on every output state from one matrix
@@ -81,8 +81,8 @@ _MASK64 = (1 << 64) - 1
 # 1.08-1.15 at |U|/l = 8, 1.03-1.17 at 15.8, 0.81-1.00 at 31 and 0.43-0.50 at 60;
 # at 10^4 trials it was 0.7-1.2 throughout (2-vCPU Xeon, numpy 2.4.6)
 _SLOT_SCORING_RATIO = 16
-# largest arrays built from a generated book: its K*M*l positions and one narrow
-# sub-code's float64 word matrix, M x (|U| + 1) with |U| <= min(n, 16*l, M*l);
+# largest arrays built from a book: its K*M*l positions and one narrow sub-code's
+# float64 word matrix, M x |U| with |U| <= min(n, 16*l, M*l), or its dense view;
 # Monte-Carlo blocks are bounded apart from the book, by _PULSE_BLOCK
 MAX_CODEBOOK_BYTES = 2**30
 # entries of one slot gather of _slot_scores, a cache-sized share of the (l*M, t)
@@ -137,18 +137,17 @@ def _states_exceed(a: int, n: int, cap: int) -> bool:
 
 
 def _pulse_slots(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(columns U where some word is active, each word's (L,) slots: its positions' indices in U, padding kept -1)."""
+    """(columns U where some word is active, each word's (L,) slots: its positions' indices in U)."""
     cols, inverse = np.unique(positions, return_inverse=True)
-    pad = int(cols.size > 0 and cols[0] < 0)  # -1 sorts first: dropping it maps padding to -1
-    return cols[pad:], inverse.reshape(math.prod(positions.shape[:-1]), positions.shape[-1]) - pad
+    return cols, inverse.reshape(math.prod(positions.shape[:-1]), positions.shape[-1])
 
 
 def _word_matrix(slots: np.ndarray, width: int) -> np.ndarray:
     """The words with ``slots`` on ``width`` pulse columns as floats; column-major, the layout
     the narrow decode product ``words @ x.T`` was tuned on (7% slower row-major on 16 x 18 words)."""
-    words = np.zeros((len(slots), width + 1), order="F")  # padding, slot -1, marks the last column, dropped
+    words = np.zeros((len(slots), width), order="F")
     words[np.arange(len(slots))[:, None], slots] = 1.0
-    return words[:, :-1]
+    return words
 
 
 def _sub_code_pulses(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -164,21 +163,18 @@ def _slot_scores(table: np.ndarray, y: np.ndarray, slots: np.ndarray) -> np.ndar
     """(M, t) sums of ``table`` at each word's pulse slots: entry [m, i] sums table[y[i, u]]
     over the slots u of word m, for t blocks of outputs ``y`` (t, |U|) on the pulse columns U.
 
-    The outputs are copied to a (|U| + 1, t) array whose last row holds the pad
-    symbol table.size - 1; ``table[-1]`` is 0, so padding, slot -1, scores
-    nothing.  Its rows are gathered at the slot-major slot table (entry i*M + m
-    is slot i of word m) a few whole slots at a time, about _SLOT_GATHER
-    entries but at least one slot of all M words, and each piece is summed over
-    its slots: however large l is, the temporaries stay in cache on short
-    blocks and within M*t entries on long ones.  The gathers are np.take, which
-    on short blocks beats fancy indexing with the uint8 sampler index (2.4x on
-    1024 trials x 17 columns), though it copies each piece's index to intp
-    first: 8 bytes per entry, as many as the piece's looked-up floats.
+    The outputs are transposed to a contiguous (|U|, t) array.  Its rows are
+    gathered at the slot-major slot table (entry i*M + m is slot i of word m) a
+    few whole slots at a time, about _SLOT_GATHER entries but at least one slot
+    of all M words, and each piece is summed over its slots: however large l
+    is, the temporaries stay in cache on short blocks and within M*t entries on
+    long ones.  The gathers are np.take, which on short blocks beats fancy
+    indexing with the uint8 sampler index (2.4x on 1024 trials x 17 columns),
+    though it copies each piece's index to intp first: 8 bytes per entry, as
+    many as the piece's looked-up floats.
     """
-    M, t, pad = len(slots), len(y), table.size - 1
-    yt = np.empty((y.shape[1] + 1, t), dtype=np.result_type(y.dtype, np.min_scalar_type(pad)))
-    yt[:-1] = y.T
-    yt[-1] = pad
+    M, t = len(slots), len(y)
+    yt = np.ascontiguousarray(y.T)
     flat = slots.T.ravel()
     step = M * max(1, _SLOT_GATHER // (M * t))  # whole slots of all M words per gather
     scores = np.zeros((M, t))
@@ -285,13 +281,14 @@ class PpmCodebook:
     """Codewords for every (key, message) pair, with their original message ids.
 
     ``positions[k, j]`` lists the active symbols of the j-th retained message
-    of sub-code k, whose public identity is ``message_ids[k, j]``: increasing
-    positions in [0, n), padded with -1 at the end, so the book takes K*M*L
-    integers (L = l for generated books) instead of K*M*n bytes.  Expurgation
-    produces books whose retained sets differ per key.  Words are not forced
-    to the chunk structure here so that degenerate books (hand-built, weight-0
-    or half-dense) remain expressible in tests; ``generate_codebook``
-    guarantees the structure for the books it makes.
+    of sub-code k, whose public identity is ``message_ids[k, j]``: strictly
+    increasing positions in [0, n).  Every word of a book has one weight L
+    (L = l for generated books), so the book takes K*M*L integers instead of
+    K*M*n bytes; L = 0 is an all-idle book.  Expurgation produces books whose
+    retained sets differ per key.  Words are not forced to the chunk structure
+    here so that degenerate books (hand-built, all-idle or dense) remain
+    expressible in tests; ``generate_codebook`` guarantees the structure for
+    the books it makes.
     """
 
     params: PpmParams
@@ -308,8 +305,8 @@ class PpmCodebook:
             raise DimensionError(f"positions must have shape {shape} + (L,), got {pos.shape}")
         if ids.shape != shape:
             raise DimensionError(f"message_ids must have shape {shape}, got {ids.shape}")
-        if pos.min(initial=0) < -1 or pos.max(initial=0) >= self.params.n or _misplaced(pos):
-            raise DomainError(f"positions must increase within [0, {self.params.n}), padded with -1 at the end")
+        if pos.min(initial=0) < 0 or pos.max(initial=0) >= self.params.n or _misplaced(pos):
+            raise DomainError(f"positions must increase within [0, {self.params.n})")
         pos.setflags(write=False)
         ids.setflags(write=False)
         object.__setattr__(self, "positions", pos)
@@ -317,10 +314,12 @@ class PpmCodebook:
 
     @property
     def codewords(self) -> np.ndarray:
-        """The (num_keys, num_messages, n) binary words, built on each access."""
+        """The (num_keys, num_messages, n) binary words, built on each access; refused above MAX_CODEBOOK_BYTES."""
+        size = self.num_keys * self.num_messages * self.params.n
+        if size > MAX_CODEBOOK_BYTES:
+            raise ResourceLimitError(f"dense view of the book needs {size} bytes, above the cap {MAX_CODEBOOK_BYTES}")
         words = np.zeros((self.num_keys, self.num_messages, self.params.n), dtype=np.uint8)
-        k, j, slot = np.nonzero(self.positions >= 0)
-        words[k, j, self.positions[k, j, slot]] = 1
+        np.put_along_axis(words, self.positions, 1, axis=2)
         return words
 
     def flat_words(self) -> np.ndarray:
@@ -329,7 +328,7 @@ class PpmCodebook:
 
 
 def _misplaced(pos: np.ndarray) -> bool:
-    """Whether a pulse follows padding or does not exceed its predecessor.
+    """Whether a pulse does not exceed its predecessor.
 
     Rows are checked in blocks of about 2^16 positions, so the masks stay
     small however large the book is.
@@ -338,7 +337,7 @@ def _misplaced(pos: np.ndarray) -> bool:
     step = max(1, (1 << 16) // max(1, pos.shape[-1]))
     for lo in range(0, len(rows), step):
         prev, nxt = rows[lo : lo + step, :-1], rows[lo : lo + step, 1:]
-        if np.any((nxt >= 0) & ((prev < 0) | (prev >= nxt))):
+        if np.any(prev >= nxt):
             return True
     return False
 
@@ -360,11 +359,11 @@ def generate_codebook(params: PpmParams, num_messages: int, num_keys: int, seed:
     ResourceLimitError, before allocating, when the largest arrays built from
     the book would take more than MAX_CODEBOOK_BYTES: its positions, and the
     word matrix of one sub-code narrow enough for estimate_error to decode by
-    a product, M x (|U| + 1) floats with |U| at most min(n, 16 l, M l).
+    a product, M x |U| floats with |U| at most min(n, 16 l, M l).
     """
     if num_messages < 1 or num_keys < 1:
         raise DomainError("need at least one message and one key")
-    narrow = min(params.n, _SLOT_SCORING_RATIO * params.l, num_messages * params.l) + 1
+    narrow = min(params.n, _SLOT_SCORING_RATIO * params.l, num_messages * params.l)
     size = 8 * num_messages * (num_keys * params.l + narrow)
     if size > MAX_CODEBOOK_BYTES:
         raise ResourceLimitError(
@@ -389,17 +388,17 @@ def q_decode(codebook: PpmCodebook, k: int, y: np.ndarray, metric: DecodingMetri
 
     The winning word maximizes sum_i log q(x_i, y_i); because all words share
     the term sum_i log q(0, y_i), only the active positions' log-ratios are
-    scored, by _slot_scores with a 0 appended to the log ratios for padding.
-    A top score shared within TIE_TOL is a TIE (counted as an error by callers).
-    Symbols outside the metric's alphabet raise DomainError.
+    scored, by _slot_scores.  A top score shared within TIE_TOL is a TIE
+    (counted as an error by callers).  Symbols outside the metric's alphabet
+    raise DomainError.
     """
     y = np.asarray(y)
     if y.shape != (codebook.params.n,):
         raise DimensionError(f"output block must have length {codebook.params.n}")
-    if y.min(initial=0) < 0 or y.max(initial=0) >= metric.num_outputs:  # |Y| itself would read the pad
+    if y.min(initial=0) < 0 or y.max(initial=0) >= metric.num_outputs:
         raise DomainError(f"output symbols must lie in [0, {metric.num_outputs})")
     cols, slots = _pulse_slots(codebook.positions[k])
-    scores = _slot_scores(np.append(_log_ratio(metric), 0.0), y[None, cols], slots)[:, 0]
+    scores = _slot_scores(_log_ratio(metric), y[None, cols], slots)[:, 0]
     top = float(scores.max())
     winners = np.flatnonzero(scores >= top - TIE_TOL)
     if winners.size > 1:
@@ -431,12 +430,12 @@ def _pair_errors(codebook, k, j, trials, seed, cum0, cum1, rhat, pulses, chunk=1
     """Error count for pair (k, j) over its keyed stream; chunking is stream-neutral.
 
     ``pulses`` is ``_sub_code_pulses`` of sub-code k, and ``rhat`` the
-    metric's log ratios with a 0 appended for a pad symbol.  Every trial draws
-    uniforms, samples and scores only at the sub-code's pulse columns U: a
-    column where all its words are idle adds the same log q(0, y) to every
-    score, so it cannot change the verdict.  Word j's pulses sit on the same
-    columns in every trial, so they are overwritten as whole columns.  Blocks
-    come from _blocks, at most ``chunk`` trials each.
+    metric's log ratios.  Every trial draws uniforms, samples and scores only
+    at the sub-code's pulse columns U: a column where all its words are idle
+    adds the same log q(0, y) to every score, so it cannot change the verdict.
+    Word j's pulses sit on the same columns in every trial, so they are
+    overwritten as whole columns.  Blocks come from _blocks, at most ``chunk``
+    trials each.
 
     Scores are word-major, (M, t), by one of two scorers chosen by shape:
     - a wide sub-code (no word matrix) sums rhat at each word's l slots,
@@ -455,7 +454,7 @@ def _pair_errors(codebook, k, j, trials, seed, cum0, cum1, rhat, pulses, chunk=1
     rival is within TIE_TOL of it.  Exact ties therefore count as errors.
     """
     cols, slots, words = pulses
-    at = (slice(None), slots[j][slots[j] >= 0])
+    at = (slice(None), slots[j])
     pair = k * codebook.num_messages + j
     gen = _stream(seed, _TAG_ERROR, c1=pair)
     failures = 0
@@ -490,7 +489,7 @@ def estimate_error(
         raise DomainError("trials_per_pair must be >= 1")
     cum0 = _cumulative(inst.wy.w[0])
     cum1 = _cumulative(inst.wy.w[1])
-    rhat = np.append(_log_ratio(inst.q), 0.0)  # the pad symbol, rhat.size - 1, scores nothing
+    rhat = _log_ratio(inst.q)
     K, M = codebook.num_keys, codebook.num_messages
 
     def sub_code(mapper, k):
@@ -656,7 +655,7 @@ def covertness_exact(codebook: PpmCodebook, wz: Bdmc, max_states: int = 2**24) -
             f"exact covertness needs {wz.num_outputs}^{n} states, above the cap {max_states}; use covertness_mc"
         )
     qz0, qz1 = wz.w[0], wz.w[1]
-    if np.any((qz1 > 0.0) & (qz0 <= 0.0)) and np.any(codebook.positions >= 0):
+    if np.any((qz1 > 0.0) & (qz0 <= 0.0)) and codebook.positions.size > 0:
         return CovertnessReport(METHOD_EXACT, float("inf"), None, 0)
     active, base_logs, d = _warden_deltas(wz)
     kl = _mixture_kl(codebook.positions, base_logs, d)
@@ -679,26 +678,25 @@ def covertness_mc(codebook: PpmCodebook, wz: Bdmc, samples: int, seed: int) -> C
     idle, Qhat and Q0^n share the factor Q0(z_i), which cancels in the ratio.
     A block of _blocks draws t word choices, then t*|U| uniforms, so the block
     size is part of the random stream.  Each word's log likelihood ratio sums
-    the outputs' log ratios at its slots, with a 0 appended for padding
-    (_slot_scores), in row chunks of _blocks that leave the draws alone: a
-    chunk holds at most _PULSE_BLOCK rows x words, so its scores and each
-    temporary of the scorer take at most 8 MiB.
+    the outputs' log ratios at its slots (_slot_scores), in row chunks of
+    _blocks that leave the draws alone: a chunk holds at most _PULSE_BLOCK
+    rows x words, so its scores and each temporary of the scorer take at most
+    8 MiB.
     """
     if samples < 100:
         raise DomainError(f"need at least 100 samples, got {samples!r}")
     qz0, qz1 = wz.w[0], wz.w[1]
-    if np.any((qz1 > 0.0) & (qz0 <= 0.0)) and np.any(codebook.positions >= 0):
+    if np.any((qz1 > 0.0) & (qz0 <= 0.0)) and codebook.positions.size > 0:
         return CovertnessReport(METHOD_MC, float("inf"), None, samples)
     cols, slots = _pulse_slots(codebook.positions)
-    d_full = np.append(np.where(qz0 > 0.0, np.log(np.maximum(qz1, 1e-300)) - np.log(np.maximum(qz0, 1e-300)), 0.0), 0.0)
+    d_full = np.where(qz0 > 0.0, np.log(np.maximum(qz1, 1e-300)) - np.log(np.maximum(qz0, 1e-300)), 0.0)
     cum0 = _cumulative(qz0)
     cum1 = _cumulative(qz1)
     gen = _stream(seed, _TAG_COVERT)
     vals = np.empty(samples)
     for done, t in _blocks(samples, cols.size):
         picked = slots[gen.integers(0, len(slots), size=t)]
-        rows, at = np.nonzero(picked >= 0)
-        z = _sample_at_pulses(gen, t, cols, (rows, picked[rows, at]), cum0, cum1)
+        z = _sample_at_pulses(gen, t, cols, (np.arange(t)[:, None], picked), cum0, cum1)
         for lo, r in _blocks(t, len(slots)):  # unnamed, a chunk's scores are freed before the next is built
             vals[done + lo : done + lo + r] = _logsumexp_rows(_slot_scores(d_full, z[lo : lo + r], slots).T) - math.log(len(slots))
     est = float(vals.mean())

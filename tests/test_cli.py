@@ -256,6 +256,27 @@ class TestSimulate:
         assert main(["simulate", spec, config]) == 1
         assert "positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("expurgate_fraction", -0.5),
+            ("expurgate_fraction", math.nan),
+            ("expurgate_fraction", math.inf),
+            ("expurgate_fraction", 1.0),
+            ("seed", -1),
+            ("seed", 2**64),
+        ],
+    )
+    def test_out_of_range_config_exits_1_before_the_book(self, sim_files, tmp_path, capsys, monkeypatch, key, value):
+        # refused before any work: a fraction outside [0, 1) has no meaning, and a
+        # seed outside [0, 2^64) would name the same streams as one inside it
+        spec, _ = sim_files
+        config = write_json(tmp_path, "bad.json", dict(SIM_CONFIG, **{key: value}))
+        monkeypatch.setattr("covertcap.cli.generate_codebook", lambda *args: pytest.fail("book built"))
+        assert main(["simulate", spec, config, "--out-dir", str(tmp_path / "out")]) == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_inadmissible_blocklength_exits_2(self, sim_files, tmp_path, capsys):
         spec, _ = sim_files
         config = write_json(tmp_path, "tiny.json", dict(SIM_CONFIG, n=5))
@@ -291,6 +312,26 @@ PINNED_MC_CONFIG = {
     "expurgate_fraction": 0.125,
     "seed": 2021,
 }
+# the configs of the benchmark's simulate_dense and simulate_exact workloads
+# (perfbench/run.py), at seed 1: speed work on the simulator must keep these bytes
+BENCH_DENSE_CONFIG = {
+    "n": 10_000,
+    "num_messages": 64,
+    "num_keys": 2,
+    "trials_per_pair": 25,
+    "covertness_samples": 500,
+    "expurgate_fraction": 1 / 16,
+    "seed": 1,
+}
+BENCH_EXACT_CONFIG = {
+    "n": 20,
+    "num_messages": 16,
+    "num_keys": 4,
+    "trials_per_pair": 4000,
+    "covertness_samples": 2000,
+    "expurgate_fraction": 1 / 4,
+    "seed": 1,
+}
 
 
 @pytest.mark.parametrize(
@@ -308,8 +349,20 @@ PINNED_MC_CONFIG = {
             "4feed064ac31033819baee419f73267a7a1d701fd6ed2cc912e31fa425d2134e",
             "5260b34d6bf44500c0b75d305d2d825812a8e282d8de8f250235a8483ee40d55",
         ),
+        (
+            EXAMPLE_SPEC,
+            BENCH_DENSE_CONFIG,
+            "f708eaf508538206032dfe5487dbd48279a957dd3cb4b0ab4a050cc51784deda",
+            "0c9d7422c2b4f43239b7b321dd7c8836206f8bb70a74ae9a3bb1b47b4374cc7a",
+        ),
+        (
+            SIM_SPEC,
+            BENCH_EXACT_CONFIG,
+            "89ee201052043e98d040231c945aaca59fec1fb326f1667c9c735474be142579",
+            "cd41c9b954edc09ebbe1adfc958297363e5cb1404824c684386b42307c4f987d",
+        ),
     ],
-    ids=["monte_carlo", "exact"],
+    ids=["monte_carlo", "exact", "simulate_dense", "simulate_exact"],
 )
 def test_simulate_streams_are_pinned(tmp_path, capsys, spec, config, errors_sha, covertness_sha):
     spec_path = write_json(tmp_path, "spec.json", spec)

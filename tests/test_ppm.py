@@ -72,20 +72,27 @@ WZ_BIN = Bdmc(np.array([[0.7, 0.3], [0.4, 0.6]]))
 
 
 def book(params: PpmParams, words, ids=None) -> PpmCodebook:
-    """Hand-built codebook from (K, M, n) binary words, stored as their pulse positions.
+    """Hand-built codebook from (K, M, n) binary words of one weight, stored as their pulse positions.
 
     The one dense-to-positions conversion of the tests: each word's active
-    columns in increasing order, padded with -1 to the largest weight.
+    columns in increasing order.
     """
     cw = np.array(words, dtype=np.uint8)
     assert cw.ndim == 3 and cw.shape[2] == params.n and cw.max(initial=0) <= 1
     weights = cw.sum(axis=2)
-    pos = np.full(cw.shape[:2] + (int(weights.max(initial=0)),), -1, dtype=np.int64)
-    for k, j in np.ndindex(cw.shape[:2]):
-        pos[k, j, : weights[k, j]] = np.flatnonzero(cw[k, j])
+    assert np.all(weights == weights.max(initial=0)), "a book's words share one weight"
+    pos = np.nonzero(cw)[2].reshape(cw.shape[:2] + (int(weights.max(initial=0)),))
     if ids is None:
         ids = np.tile(np.arange(cw.shape[1]), (cw.shape[0], 1))
     return PpmCodebook(params, cw.shape[1], cw.shape[0], pos, np.array(ids))
+
+
+def one_weight_words(rng, shape, n, weight):
+    """Binary words of shape ``shape`` + (n,), each active on ``weight`` columns drawn at random."""
+    words = np.zeros(shape + (n,), dtype=np.uint8)
+    for idx in np.ndindex(*shape):
+        words[idx][rng.choice(n, size=weight, replace=False)] = 1
+    return words
 
 
 class TestPpmParams:
@@ -208,11 +215,11 @@ class TestGenerateCodebook:
 
     def test_oversize_book_refused_before_allocation(self):
         # the cap bounds the book's K*M*l int64 positions plus one narrow sub-code's
-        # float64 decode matrix, M x (min(n, 16 l, M l) + 1): 4 sub-codes of 256 words
-        # of 512 pulses take 8*256*(4*512 + 8193) = 20,973,568 bytes; at that cap 256
+        # float64 decode matrix, M x min(n, 16 l, M l): 4 sub-codes of 256 words of
+        # 512 pulses take 8*256*(4*512 + 8192) = 20,971,520 bytes; at that cap 256
         # messages fit and 257 do not
         params = PpmParams(1 << 18, 1 << 9, 1 << 9, 0)
-        size = 8 * 256 * (4 * 512 + min(params.n, _SLOT_SCORING_RATIO * 512, 256 * 512) + 1)
+        size = 8 * 256 * (4 * 512 + min(params.n, _SLOT_SCORING_RATIO * 512, 256 * 512))
         with mock.patch.object(ppm, "MAX_CODEBOOK_BYTES", size):
             assert generate_codebook(params, num_messages=256, num_keys=4, seed=0).positions.shape == (4, 256, 512)
             tracemalloc.start()
@@ -272,10 +279,11 @@ class TestGenerateCodebook:
     def test_book_validation(self):
         ids = np.zeros((1, 1))
         make = lambda positions: PpmCodebook(self.PARAMS, 1, 1, positions, ids)
-        for padded in ([[[0, 4]]], [[[3, -1, -1]]], [[[-1]]], np.zeros((1, 1, 0))):
-            np.testing.assert_array_equal(make(padded).positions, padded)
-        np.testing.assert_array_equal(make([[[3, 7, -1]]]).codewords, [[[0, 0, 0, 1, 0, 0, 0, 1]]])
-        for row in ([0, 8], [-2, 4], [1, 1], [4, 1], [-1, 2]):  # out of range, below -1, repeated, decreasing, -1 first
+        for positions in ([[[0, 4]]], [[[3]]], np.zeros((1, 1, 0))):  # L = 0 is an all-idle book
+            np.testing.assert_array_equal(make(positions).positions, positions)
+        np.testing.assert_array_equal(make([[[3, 7]]]).codewords, [[[0, 0, 0, 1, 0, 0, 0, 1]]])
+        # out of range, negative, repeated, decreasing, and padding with -1, first, last or alone
+        for row in ([0, 8], [-2, 4], [1, 1], [4, 1], [-1, 2], [3, -1], [-1]):
             with pytest.raises(DomainError, match="increase"):
                 make([[row]])
         for shape in ([[0, 4]], [[[0], [4]]], [[[[0]]]]):  # 2-d, two messages, 4-d
@@ -283,6 +291,19 @@ class TestGenerateCodebook:
                 make(shape)
         with pytest.raises(DimensionError):
             PpmCodebook(self.PARAMS, 1, 1, [[[0]]], np.zeros((1, 2)))
+
+    def test_oversize_dense_view_refused_before_allocation(self):
+        # one word at n = 2^40 is 8 bytes of positions; its dense view would take 1 TiB
+        cb = PpmCodebook(PpmParams(2**40, 1, 2**40, 0), 1, 1, [[[5]]], [[0]])
+        tracemalloc.start()
+        try:
+            for view in (lambda: cb.codewords, cb.flat_words):
+                with pytest.raises(ResourceLimitError, match="cap"):
+                    view()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
     def test_book_is_read_only(self):
         cb = generate_codebook(self.PARAMS, 2, 1, seed=18)
@@ -331,10 +352,10 @@ class TestQDecode:
         cb = book(self.PARAMS, self.WORDS, ids=[[7, 3, 5]])
         assert q_decode(cb, 0, np.array([1, 0, 0, 1]), self.METRIC) == 3
 
-    def test_padded_words_agree_for_any_integer_block_type(self):
-        # words of unequal weight are padded with -1, scored as a pad symbol, here 2:
-        # a bool block cannot hold it, so the scorer must copy it to a wider type
-        cb = book(self.PARAMS, [[[1, 0, 1, 0], [0, 0, 0, 1], [0, 1, 1, 1]]])
+    def test_words_agree_for_any_integer_block_type(self):
+        # the scorer gathers the block's own symbols, so a bool block indexes the
+        # table as it is, with no copy to a wider type
+        cb = book(self.PARAMS, [[[1, 0, 1, 0], [0, 1, 0, 1], [0, 1, 1, 0], [1, 0, 0, 1]]])
         for idx in range(16):
             y = np.array([(idx >> i) & 1 for i in range(4)])
             for dtype in (bool, np.uint8, np.int64):
@@ -390,13 +411,13 @@ class TestEstimateError:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_holds_one_sub_code_matrix_at_a_time(self, workers):
-        # a narrow sub-code's decode matrix, M x (|U| + 1) floats on its pulse columns
+        # a narrow sub-code's decode matrix, M x |U| floats on its pulse columns
         # U, is built when its pairs run and dropped before the next sub-code's; built
         # for all K = 4 sub-codes up front they peaked above four matrices.  Chunks of
         # 16 symbols keep |U| <= n = 16 l, so all four sub-codes are narrow
         cb = generate_codebook(PpmParams(4096, 256, 16, 0), num_messages=64, num_keys=4, seed=3)
         assert all(_sub_code_pulses(cb.positions[k])[2] is not None for k in range(4))
-        largest = max(8 * 64 * (_pulse_slots(cb.positions[k])[0].size + 1) for k in range(4))
+        largest = max(8 * 64 * _pulse_slots(cb.positions[k])[0].size for k in range(4))
         tracemalloc.start()
         try:
             estimate_error(example1(), cb, trials_per_pair=1, seed=5, workers=workers)
@@ -409,10 +430,10 @@ class TestEstimateError:
     def test_wide_sub_codes_build_no_decode_matrix(self, workers):
         # 64 words of l = 85 pulses on about 5300 columns per sub-code are wide, so
         # they are scored at their slots: the traced peak stays far below one
-        # M x (|U| + 1) float matrix (2.7 MB here), which a product scorer builds
+        # M x |U| float matrix (2.7 MB here), which a product scorer builds
         cb = generate_codebook(ppm_params(10**5, 0.1, Q0, Q1), num_messages=64, num_keys=4, seed=3)
         assert all(_sub_code_pulses(cb.positions[k])[2] is None for k in range(4))
-        smallest = min(8 * 64 * (_pulse_slots(cb.positions[k])[0].size + 1) for k in range(4))
+        smallest = min(8 * 64 * _pulse_slots(cb.positions[k])[0].size for k in range(4))
         tracemalloc.start()
         try:
             estimate_error(example1(), cb, trials_per_pair=1, seed=5, workers=workers)
@@ -592,20 +613,18 @@ class TestPulseColumnsMatchDense:
         num_keys=st.integers(1, 3),
         num_messages=st.integers(1, 5),
         ny=st.integers(2, 4),
-        kind=st.sampled_from(["sparse", "dense", "idle_subcode", "every_position"]),
+        kind=st.sampled_from(["sparse", "dense", "all_idle", "every_position"]),
     )
     def test_error_counts_and_covertness_equal_dense(self, seed, n, num_keys, num_messages, ny, kind):
         rng = np.random.default_rng(seed)
-        if kind == "every_position":  # w = 1: every word is active everywhere
+        if kind == "every_position":  # w = 1: every word is active everywhere, L = n
             params = PpmParams(n, n, 1, 0)
             words = generate_codebook(params, num_messages, num_keys, seed).codewords
         else:
             l = int(rng.integers(1, n + 1))
             params = PpmParams(n, l, n // l, n - (n // l) * l)
-            density = 0.5 if kind == "dense" else 2.0 / (n + 1)  # sparse books hold weight-0 words
-            words = (rng.random((num_keys, num_messages, n)) < density).astype(np.uint8)
-            if kind == "idle_subcode":
-                words[0] = 0
+            weight = {"sparse": min(n, int(rng.integers(0, 3))), "dense": int(rng.integers(0, n + 1)), "all_idle": 0}[kind]
+            words = one_weight_words(rng, (num_keys, num_messages), n, weight)
         cb = book(params, words)
         inst = CovertInstance(
             wy=Bdmc(rng.dirichlet(np.ones(ny), size=2)),
@@ -651,15 +670,14 @@ def tie_prone_counts(seed, n, num_keys, num_messages, ny, density, trials):
 
     Metric entries from {1, 3, 9}: every rhat is 0, +-log 3 or +-log 9, so
     scores of different words tie exactly or up to rounding (log 9 against
-    log 3 + log 3); duplicate and weight-0 words force TIE verdicts, and words
-    of unequal weight pad their positions with -1.
+    log 3 + log 3).  The book's one weight L is a binomial(n, density) draw;
+    duplicate words, and every word of an L = 0 book, force TIE verdicts.
     """
     rng = np.random.default_rng(seed)
-    words = (rng.random((num_keys, num_messages, n)) < density).astype(np.uint8)
+    words = one_weight_words(rng, (num_keys, num_messages), n, int(rng.binomial(n, density)))
     for k in range(num_keys):
         j, i = rng.integers(num_messages, size=2)
         words[k, j] = words[k, i]
-        words[k, rng.integers(num_messages)] = 0
     cb = book(PpmParams(n, 1, n, 0), words)
     inst = CovertInstance(
         wy=Bdmc(rng.dirichlet(np.ones(ny), size=2)),
@@ -681,7 +699,7 @@ TIE_PRONE_CASES = dict(
     num_keys=st.integers(1, 3),
     num_messages=st.integers(1, 6),
     ny=st.integers(2, 4),
-    density=st.sampled_from([0.1, 0.3, 0.6]),
+    density=st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]),  # 0 and 1 give L = 0 and L = n
     trials=st.sampled_from([1, 37, 1500]),
 )
 
@@ -703,7 +721,7 @@ class TestSlotScoring:
     @given(**TIE_PRONE_CASES)
     def test_slot_counts_equal_the_trial_major_kernel(self, **case):
         # a ratio of 0 makes every sub-code with a pulse wide, so small hand-built
-        # books, padding and all, go through the slot scorer
+        # books go through the slot scorer
         with mock.patch.object(ppm, "_SLOT_SCORING_RATIO", 0):
             counts, reference = tie_prone_counts(**case)
         assert counts == reference
@@ -748,11 +766,10 @@ class TestSlotScores:
     @example(seed=3, num_words=4, width=12, pulses=5, t=3, ny=3, gather=24)  # 2-slot pieces and a tail of 1
     def test_equals_the_word_matrix_product(self, seed, num_words, width, pulses, t, ny, gather):
         rng = np.random.default_rng(seed)
-        slots = np.full((num_words, pulses), -1)  # each word: increasing slots, padded with -1
-        for row in slots:
-            weight = int(rng.integers(0, min(pulses, width) + 1))
-            row[:weight] = np.sort(rng.choice(width, size=weight, replace=False))
-        table = np.append(rng.normal(size=ny), 0.0)
+        weight = min(pulses, width)  # each word: increasing slots, one weight for all
+        slots = np.array([np.sort(rng.choice(width, size=weight, replace=False)) for _ in range(num_words)])
+        slots = slots.reshape(num_words, weight)
+        table = rng.normal(size=ny)
         y = rng.integers(0, ny, size=(t, width)).astype(np.uint8)
         with mock.patch.object(ppm, "_SLOT_GATHER", gather):
             scores = _slot_scores(table, y, slots)
@@ -770,11 +787,11 @@ class TestIdleColumnsDrawNothing:
         num_keys=st.integers(1, 3),
         num_messages=st.integers(1, 5),
         ny=st.integers(2, 4),
-        density=st.sampled_from([0.05, 0.2, 0.5, 1.0]),
+        density=st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]),  # 0 and 1 give L = 0 and L = n
     )
     def test_inserted_idle_columns_change_nothing(self, seed, n, extra, num_keys, num_messages, ny, density):
         rng = np.random.default_rng(seed)
-        words = (rng.random((num_keys, num_messages, n)) < density).astype(np.uint8)
+        words = one_weight_words(rng, (num_keys, num_messages), n, int(rng.binomial(n, density)))
         wide = np.zeros((num_keys, num_messages, n + extra), dtype=np.uint8)
         wide[:, :, np.sort(rng.choice(n + extra, size=n, replace=False))] = words
         narrow_cb = book(PpmParams(n, 1, n, 0), words)
@@ -801,7 +818,7 @@ class TestIdleColumnsDrawNothing:
         # at most 1000 x 4 entries, and the peak stays well under 1 MiB
         n = 10**6
         words = np.zeros((2, 2, n), dtype=np.uint8)
-        words[:, :, [10, 500_000, n - 1]] = [[[1, 0, 0], [0, 1, 0]], [[0, 0, 1], [1, 1, 0]]]
+        words[:, :, [10, 500_000, n - 1]] = [[[1, 1, 0], [0, 1, 1]], [[1, 0, 1], [1, 1, 0]]]
         cb = book(PpmParams(n, 1, n, 0), words)
         tracemalloc.start()
         try:
@@ -922,8 +939,8 @@ class TestCovertness:
     PARAMS = PpmParams(4, 2, 2, 0)
 
     def test_idle_book_has_zero_divergence(self):
-        padding_only = PpmCodebook(self.PARAMS, 2, 1, np.full((1, 2, 3), -1), [[0, 1]])
-        for cb in (book(self.PARAMS, [[[0, 0, 0, 0]]]), padding_only):
+        two_idle_words = PpmCodebook(self.PARAMS, 2, 1, np.zeros((1, 2, 0)), [[0, 1]])
+        for cb in (book(self.PARAMS, [[[0, 0, 0, 0]]]), two_idle_words):
             rep = covertness_exact(cb, WZ_BIN)
             assert rep.method == METHOD_EXACT
             assert rep.kl_estimate == 0.0
@@ -1039,7 +1056,7 @@ class TestCovertnessExactKernel:
         seed=st.integers(0, 2**32 - 1),
         ny=st.sampled_from([2, 3]),
         num_words=st.integers(1, 8),
-        kind=st.sampled_from(["half_dense", "sparse", "all_idle", "ppm"]),
+        kind=st.sampled_from(["half_dense", "sparse", "all_idle", "all_active", "ppm"]),
         tiny_exp=st.sampled_from([0, 20, 40, 56, 60]),
     )
     @example(seed=1, ny=2, num_words=8, kind="half_dense", tiny_exp=60)
@@ -1050,8 +1067,8 @@ class TestCovertnessExactKernel:
             l = int(rng.integers(1, n + 1))
             cb = generate_codebook(PpmParams(n, l, n // l, n - (n // l) * l), num_words, 1, seed)
         else:
-            density = {"half_dense": 0.5, "sparse": 2.0 / (n + 1), "all_idle": 0.0}[kind]
-            cb = book(PpmParams(n, n, 1, 0), [(rng.random((num_words, n)) < density).astype(np.uint8)])
+            density = {"half_dense": 0.5, "sparse": 2.0 / (n + 1), "all_idle": 0.0, "all_active": 1.0}[kind]
+            cb = book(PpmParams(n, n, 1, 0), one_weight_words(rng, (1, num_words), n, int(rng.binomial(n, density))))
         q = rng.dirichlet(np.ones(ny), size=2)
         if tiny_exp:  # one idle-law entry near 10^-tiny_exp sends some ratio blocks to the log-domain path
             q[0, rng.integers(ny)] = 10.0**-tiny_exp
@@ -1062,11 +1079,13 @@ class TestCovertnessExactKernel:
         assert got.kl_estimate == pytest.approx(reference_covertness_exact(cb, wz), rel=1e-10, abs=1e-13)
 
     def test_underflowing_ratio_blocks_are_repaired(self):
-        # word 1 pulses on the first half only, word 2 everywhere: the ratios of
-        # the likely states with the rare symbol on the first half underflow in
-        # the shifted product and must come from the log-domain path
-        cb = book(PpmParams(12, 12, 1, 0), [[[1] * 6 + [0] * 6, [1] * 12]])
-        exact = covertness_exact(cb, WZ_EXTREME).kl_estimate
+        # word 1 pulses on the first half, word 2 on the second: the ratios of the
+        # likely states with the rare symbol on one half underflow in the shifted
+        # product and must come from the log-domain path
+        cb = book(PpmParams(12, 12, 1, 0), [[[1] * 6 + [0] * 6, [0] * 6 + [1] * 6]])
+        with mock.patch.object(ppm, "_logsumexp_rows", wraps=ppm._logsumexp_rows) as repair:
+            exact = covertness_exact(cb, WZ_EXTREME).kl_estimate
+        assert repair.called
         assert math.isfinite(exact)
         assert exact == pytest.approx(reference_covertness_exact(cb, WZ_EXTREME), rel=1e-10, abs=1e-13)
 
