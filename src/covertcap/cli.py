@@ -140,6 +140,9 @@ def _write_csv(path: str, header: str, rows: list[str]) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    for name, value in (("--workers", args.workers), ("--covertness-cap", args.covertness_cap)):
+        if value < 1:
+            raise DomainError(f"{name} must be at least 1, got {value}")
     inst = load_channel_spec(args.spec_file)
     with open(args.sim_config, "r", encoding="utf-8") as fh:
         try:
@@ -254,11 +257,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".", help="directory for errors.csv and covertness.csv")
     p.add_argument(
         "--workers", type=int, default=1,
-        help="thread count for error trials; results do not depend on it",
+        help="thread count for error trials, at least 1; results do not depend on it",
     )
     p.add_argument(
         "--covertness-cap", type=int, default=2**24, metavar="STATES",
-        help="largest |Z|^n enumerated exactly before falling back to Monte Carlo",
+        help="largest |Z|^n enumerated exactly before falling back to Monte Carlo, at least 1",
     )
     p.set_defaults(func=cmd_simulate)
     return parser

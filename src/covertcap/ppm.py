@@ -13,6 +13,12 @@ count regenerates bit-identically whatever the iteration order or thread
 schedule.  Each Monte-Carlo estimator (covertness_mc, sample_s_statistic)
 reads the one stream keyed by (seed, tag); every Monte-Carlo loop takes its
 block sizes from one rule, _blocks, so a block's memory does not grow with n.
+A block of about _PULSE_BLOCK uniforms is drawn a few rows at a time, about
+_SAMPLE_CHUNK uniforms per draw, and each chunk is sampled straight into the
+block's uint8 outputs (_sample_at_pulses): the uniforms take 512 KiB (or one
+row, where a row holds more) and the outputs 1 MiB, not the 8 MiB of a whole
+block of float64 uniforms.  The stream is read in the same row order whatever
+the chunk size.
 
 A book stores each word as its pulse positions, all words of one weight L,
 not as n bytes, and every array built from it spans only its pulse columns,
@@ -89,9 +95,14 @@ MAX_CODEBOOK_BYTES = 2**30
 # gather: as one piece it scored decode trials 2.8-3.6x slower at 40 to 655 trials
 # of a 64-word sub-code at n = 10^4, and 3.2x at 18 trials at n = 10^7
 _SLOT_GATHER = 1 << 15
-# uniforms per block of any Monte-Carlo loop; every one is sampled and
-# scored, so a block's temporaries take a few times 8 MiB
+# uniforms per block of any Monte-Carlo loop, sampled into 1 MiB of uint8 outputs;
+# no float64 array of the block's uniforms is built, so sampling takes 1.5 MiB
+# (scoring may still build floats of up to 8 MiB: covertness_mc's scores of a
+# book of many words, a narrow sub-code's or sample_s_statistic's looked-up outputs)
 _PULSE_BLOCK = 1 << 20
+# uniforms per draw of _sample_at_pulses, a few rows of a block at a time: one
+# draw's float64 uniforms take 512 KiB, or one row where a row holds more
+_SAMPLE_CHUNK = 1 << 16
 
 
 def _stream(seed: int, tag: int, c1: int = 0, c2: int = 0) -> np.random.Generator:
@@ -108,8 +119,8 @@ def _blocks(total: int, width: int, most: int | None = None):
     return ((start, min(step, total - start)) for start in range(0, total, step))
 
 
-def _sample_symbols(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF samples of the law with cumsum ``cum`` at uniforms ``u``.
+def _sample_symbols(cum: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse-CDF samples of the law with cumsum ``cum`` at uniforms ``u``, written into ``out`` if given.
 
     Counts the thresholds cum[:-1] at or below each u (sequential-search
     inversion; Devroye 1986, section III.2).  cum is a cumsum with cum[-1]
@@ -119,10 +130,12 @@ def _sample_symbols(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     search (they tie near 128 outputs), helped by an index of the narrowest
     unsigned type that holds cum.size (uint8 below 256 outputs).
     """
-    y = np.zeros(u.shape, dtype=np.min_scalar_type(cum.size))
-    for c in cum[:-1]:
-        y += u >= c
-    return y
+    if out is None:
+        out = np.empty(u.shape, dtype=np.min_scalar_type(cum.size))
+    np.greater_equal(u, cum[0], out=out)  # the first count is written, not added to zeros (cum[0] = 1 at one output)
+    for c in cum[1:-1]:
+        out += u >= c
+    return out
 
 
 def _cumulative(p: np.ndarray) -> np.ndarray:
@@ -183,17 +196,27 @@ def _slot_scores(table: np.ndarray, y: np.ndarray, slots: np.ndarray) -> np.ndar
     return scores
 
 
-def _sample_at_pulses(gen, t, cols, at, cum0, cum1) -> np.ndarray:
+def _sample_at_pulses(gen, t, cols, pulses, cum0, cum1) -> np.ndarray:
     """Outputs at columns ``cols`` of t channel blocks, one uniform per entry.
 
     The stream advances by t*|cols| uniforms, row by row, so idle columns
-    draw nothing.  Every entry is inverse-CDF sampled from cum0, then the
-    pulse entries, selected by the index expression ``at`` into the
-    (t, |cols|) block, are sampled again from cum1 and overwrite theirs.
+    draw nothing.  They are drawn a few rows at a time, about _SAMPLE_CHUNK
+    per draw and at least one row, and each chunk is sampled straight into
+    the (t, |cols|) outputs: every entry is inverse-CDF sampled from cum0,
+    then the chunk's pulse entries are sampled again from cum1 and overwrite
+    theirs.  ``pulses`` holds the pulse entries' column indices: one index or
+    1-d array for the same columns in every row, or a (t, L) array of each
+    row's own.  The outputs are the same for any chunk size.
     """
-    u = gen.random((t, cols.size))
-    y = _sample_symbols(cum0, u)
-    y[at] = _sample_symbols(cum1, u[at])
+    y = np.empty((t, cols.size), dtype=np.min_scalar_type(cum0.size))
+    step = max(1, _SAMPLE_CHUNK // max(1, cols.size))
+    shared = np.ndim(pulses) < 2
+    for lo in range(0, t, step):
+        hi = min(lo + step, t)
+        u = gen.random((hi - lo, cols.size))
+        at = (slice(None), pulses) if shared else (np.arange(hi - lo)[:, None], pulses[lo:hi])
+        _sample_symbols(cum0, u, y[lo:hi])
+        y[lo:hi][at] = _sample_symbols(cum1, u[at])
     return y
 
 
@@ -389,9 +412,11 @@ def q_decode(codebook: PpmCodebook, k: int, y: np.ndarray, metric: DecodingMetri
     The winning word maximizes sum_i log q(x_i, y_i); because all words share
     the term sum_i log q(0, y_i), only the active positions' log-ratios are
     scored, by _slot_scores.  A top score shared within TIE_TOL is a TIE
-    (counted as an error by callers).  Symbols outside the metric's alphabet
-    raise DomainError.
+    (counted as an error by callers).  A sub-code index outside [0, K) and
+    symbols outside the metric's alphabet raise DomainError.
     """
+    if not 0 <= k < codebook.num_keys:
+        raise DomainError(f"sub-code index must lie in [0, {codebook.num_keys}), got {k!r}")
     y = np.asarray(y)
     if y.shape != (codebook.params.n,):
         raise DimensionError(f"output block must have length {codebook.params.n}")
@@ -454,12 +479,11 @@ def _pair_errors(codebook, k, j, trials, seed, cum0, cum1, rhat, pulses, chunk=1
     rival is within TIE_TOL of it.  Exact ties therefore count as errors.
     """
     cols, slots, words = pulses
-    at = (slice(None), slots[j])
     pair = k * codebook.num_messages + j
     gen = _stream(seed, _TAG_ERROR, c1=pair)
     failures = 0
     for _, t in _blocks(trials, cols.size, chunk):
-        y = _sample_at_pulses(gen, t, cols, at, cum0, cum1)
+        y = _sample_at_pulses(gen, t, cols, slots[j], cum0, cum1)
         scores = _slot_scores(rhat, y, slots) if words is None else words @ np.take(rhat, y).T
         own = scores[j] - TIE_TOL
         scores[j] = -np.inf
@@ -601,7 +625,9 @@ def _mixture_kl(positions: np.ndarray, base_logs: np.ndarray, d: np.ndarray) -> 
     entry of both in (0, 1]; a ratio block whose product falls below
     _REPAIR_BELOW, where underflow in the factors could matter, is recomputed
     from a log-sum-exp over the words.  Blocks hold at most _PRODUCT_BLOCK
-    ratios, whatever n and C are.
+    ratios, whatever n and C are, and each is evaluated in place: the log is
+    taken in the product's buffer, and one log-Q buffer is exponentiated and
+    multiplied by it, so a block takes two float arrays of at most 2 MiB.
     """
     cols, slots = _pulse_slots(positions)
     wmat = _word_matrix(slots, cols.size)
@@ -623,16 +649,19 @@ def _mixture_kl(positions: np.ndarray, base_logs: np.ndarray, d: np.ndarray) -> 
         rows = slice(i0, min(i0 + rows_blk, n_a))
         for j0 in range(0, n_b, cols_blk):
             cols = slice(j0, min(j0 + cols_blk, n_b))
-            m = e_a[rows] @ e_b[:, cols]
+            log_r = e_a[rows] @ e_b[:, cols]  # the ratios, then their logs in place
+            low_i, low_j = np.nonzero(log_r < _REPAIR_BELOW) if log_r.min() < _REPAIR_BELOW else ((), ())
             with np.errstate(divide="ignore"):
-                log_r = np.log(m) + (alpha[rows] - log_c)[:, None]
-            if m.min() < _REPAIR_BELOW:
-                low_i, low_j = np.nonzero(m < _REPAIR_BELOW)
-                for k0 in range(0, low_i.size, repair_blk):
-                    ii, jj = low_i[k0 : k0 + repair_blk], low_j[k0 : k0 + repair_blk]
-                    log_r[ii, jj] = _logsumexp_rows(s_a[rows][ii] + s_b[cols][jj]) - log_c
-            log_q = log_r + b_a[rows, None] + b_b[None, cols]
-            kl += float(np.sum(np.exp(log_q) * log_r))
+                np.log(log_r, out=log_r)
+            log_r += (alpha[rows] - log_c)[:, None]
+            for k0 in range(0, len(low_i), repair_blk):
+                ii, jj = low_i[k0 : k0 + repair_blk], low_j[k0 : k0 + repair_blk]
+                log_r[ii, jj] = _logsumexp_rows(s_a[rows][ii] + s_b[cols][jj]) - log_c
+            q_log_r = np.add(log_r, b_a[rows, None])  # log Q, then Q log R in place
+            q_log_r += b_b[None, cols]
+            np.exp(q_log_r, out=q_log_r)
+            q_log_r *= log_r
+            kl += float(np.sum(q_log_r))
     return kl
 
 
@@ -696,7 +725,7 @@ def covertness_mc(codebook: PpmCodebook, wz: Bdmc, samples: int, seed: int) -> C
     vals = np.empty(samples)
     for done, t in _blocks(samples, cols.size):
         picked = slots[gen.integers(0, len(slots), size=t)]
-        z = _sample_at_pulses(gen, t, cols, (np.arange(t)[:, None], picked), cum0, cum1)
+        z = _sample_at_pulses(gen, t, cols, picked, cum0, cum1)
         for lo, r in _blocks(t, len(slots)):  # unnamed, a chunk's scores are freed before the next is built
             vals[done + lo : done + lo + r] = _logsumexp_rows(_slot_scores(d_full, z[lo : lo + r], slots).T) - math.log(len(slots))
     est = float(vals.mean())
@@ -793,7 +822,7 @@ def sample_s_statistic(
     cols = np.arange(w)
     vals = np.empty(samples)
     for done, t in _blocks(samples, w):
-        r_all = rhat[_sample_at_pulses(gen, t, cols, (slice(None), 0), cum0, cum1)]
+        r_all = rhat[_sample_at_pulses(gen, t, cols, 0, cum0, cum1)]
         vals[done : done + t] = math.log(w) - _logsumexp_rows(s * (r_all - r_all[:, :1]))
     return SStatReport(
         mean=float(vals.mean()),

@@ -277,6 +277,19 @@ class TestSimulate:
         assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--workers", "0"), ("--workers", "-3"), ("--covertness-cap", "0"), ("--covertness-cap", "-5")],
+    )
+    def test_nonpositive_flag_exits_2_before_the_book(self, sim_files, tmp_path, capsys, monkeypatch, flag, value):
+        # no worker count below one, and no cap below one state, has a meaning: they
+        # once ran serially and forced Monte Carlo without a word
+        spec, config = sim_files
+        monkeypatch.setattr("covertcap.cli.generate_codebook", lambda *args: pytest.fail("book built"))
+        assert main(["simulate", spec, config, "--out-dir", str(tmp_path / "out"), flag, value]) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_inadmissible_blocklength_exits_2(self, sim_files, tmp_path, capsys):
         spec, _ = sim_files
         config = write_json(tmp_path, "tiny.json", dict(SIM_CONFIG, n=5))

@@ -361,6 +361,14 @@ class TestQDecode:
             for dtype in (bool, np.uint8, np.int64):
                 assert q_decode(cb, 0, y.astype(dtype), self.METRIC) == self.brute_force(cb, y)
 
+    def test_sub_code_index_checked(self):
+        # a negative index once decoded in the last sub-code, and k = K raised a bare IndexError
+        cb = book(self.PARAMS, self.WORDS + self.WORDS)
+        for k in (-1, 2, 5):
+            with pytest.raises(DomainError, match="sub-code"):
+                q_decode(cb, k, np.array([1, 0, 1, 0]), self.METRIC)
+        assert q_decode(cb, 1, np.array([1, 0, 1, 0]), self.METRIC) == 0
+
     def test_block_length_checked(self):
         cb = book(self.PARAMS, self.WORDS)
         with pytest.raises(DimensionError):
@@ -521,6 +529,66 @@ class TestSampleSymbols:
         np.testing.assert_array_equal(_sample_symbols(cum, blocks), np.searchsorted(cum, blocks, side="right"))
 
 
+def one_shot_sample(gen, t, cols, pulses, cum0, cum1):
+    """Outputs of one (t, |cols|) draw of uniforms and two inverse-CDF passes, as before draws were chunked."""
+    u = gen.random((t, cols.size))
+    y = np.searchsorted(cum0, u, side="right")
+    at = (slice(None), pulses) if np.ndim(pulses) < 2 else (np.arange(t)[:, None], pulses)
+    y[at] = np.searchsorted(cum1, u[at], side="right")
+    return y
+
+
+def sampler_case(rng, t, width, ny, kind):
+    """(cols, pulses, cum0, cum1) for t rows on ``width`` columns: pulses shared by every row, per row, or one column."""
+    cum0, cum1 = (_cumulative(p) for p in rng.dirichlet(np.ones(ny), size=2))
+    cols = np.sort(rng.choice(3 * width + 1, size=width, replace=False))
+    weight = int(rng.integers(0, width + 1))
+    pulses = {
+        "shared": lambda: np.sort(rng.choice(width, size=weight, replace=False)),
+        "per_row": lambda: np.array([np.sort(rng.choice(width, size=weight, replace=False)) for _ in range(t)]).reshape(t, weight),
+        "single": lambda: int(rng.integers(0, width)),
+    }[kind]()
+    return cols, pulses, cum0, cum1
+
+
+class TestChunkedSampling:
+    """Drawing a block a few rows at a time gives the one-shot draw's outputs and leaves the stream where it did."""
+
+    def check(self, seed, t, cols, pulses, cum0, cum1):
+        chunked, one_shot = _stream(seed, _TAG_ERROR), _stream(seed, _TAG_ERROR)
+        y = _sample_at_pulses(chunked, t, cols, pulses, cum0, cum1)
+        assert y.dtype == np.uint8 and y.shape == (t, cols.size)
+        np.testing.assert_array_equal(y, one_shot_sample(one_shot, t, cols, pulses, cum0, cum1))
+        assert chunked.random() == one_shot.random()  # both read t * |cols| uniforms
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        t=st.integers(1, 40),
+        width=st.integers(1, 30),
+        ny=st.integers(1, 5),
+        kind=st.sampled_from(["shared", "per_row", "single"]),
+        chunk=st.one_of(st.just(ppm._SAMPLE_CHUNK), st.integers(1, 100)),
+    )
+    @example(seed=0, t=7, width=5, ny=3, kind="per_row", chunk=1)  # a draw of less than one row
+    def test_any_chunk_size_equals_one_draw(self, seed, t, width, ny, kind, chunk):
+        case = sampler_case(np.random.default_rng(seed), t, width, ny, kind)
+        with mock.patch.object(ppm, "_SAMPLE_CHUNK", chunk):
+            self.check(seed, t, *case)
+
+    @pytest.mark.parametrize("t, width", [(300, 500), (3, 70_000)])  # 131 rows per draw; one row per draw
+    @pytest.mark.parametrize("kind", ["shared", "per_row"])
+    def test_blocks_of_several_chunks(self, t, width, kind):
+        assert t * width > 2 * ppm._SAMPLE_CHUNK
+        self.check(9, t, *sampler_case(np.random.default_rng(t), t, width, 3, kind))
+
+    def test_empty_columns_draw_nothing(self):
+        cum = _cumulative(np.array([0.5, 0.5]))
+        gen = _stream(1, _TAG_ERROR)
+        assert _sample_at_pulses(gen, 5, np.arange(0), np.arange(0), cum, cum).shape == (5, 0)
+        assert gen.random() == _stream(1, _TAG_ERROR).random()
+
+
 def stream_draws(key, count=8):
     return _stream(*key).integers(0, 2**64, size=count, dtype=np.uint64)
 
@@ -648,14 +716,14 @@ def row_major_pair_errors(cb, k, j, trials, seed, cum0, cum1, rhat, chunk=1024):
     """Error count of pair (k, j) from trial-major (t, M) scores, as before word-major scoring."""
     cols, slots = _pulse_slots(cb.positions[k])
     words = _word_matrix(slots, cols.size)
-    at = (slice(None), np.flatnonzero(words[j]))
+    pulses = np.flatnonzero(words[j])
     gen = _stream(seed, _TAG_ERROR, c1=k * cb.num_messages + j)
     chunk = min(chunk, max(1, _PULSE_BLOCK // max(1, cols.size)))
     failures = 0
     done = 0
     while done < trials:
         t = min(chunk, trials - done)
-        y = _sample_at_pulses(gen, t, cols, at, cum0, cum1)
+        y = _sample_at_pulses(gen, t, cols, pulses, cum0, cum1)
         scores = rhat[y] @ words.T
         top = scores.max(axis=1)
         at_top = (scores >= top[:, None] - TIE_TOL).sum(axis=1)
@@ -848,6 +916,50 @@ class TestIdleColumnsDrawNothing:
             tracemalloc.stop()
         assert math.isfinite(report.kl_estimate)
         assert peak < 32 * 2**20
+
+
+def simulated_book(inst, n, num_messages, num_keys, trials, fraction, seed):
+    """The expurgated book ``simulate`` builds on ``inst`` from these config values."""
+    cb = generate_codebook(ppm_params(n, inst.delta, inst.q0, inst.q1), num_messages, num_keys, seed)
+    return expurgate(estimate_error(inst, cb, trials, seed), cb, fraction)
+
+
+def traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSamplingChunkMemory:
+    """A block's uniforms are drawn a chunk at a time, and exact ratio blocks are evaluated in place."""
+
+    def test_covertness_mc_on_the_dense_benchmark_book(self):
+        # the simulate_dense book (n = 10^4, 2 x 60 kept words) draws blocks of 402
+        # samples on 2606 pulse columns: their uint8 outputs and the scorer's
+        # transposed copy take 1 MiB each, one draw's uniforms 512 KiB; the block's
+        # float64 uniforms alone took 8 MiB (traced peak 10.1 MiB)
+        cb = simulated_book(example1(), 10**4, 64, 2, 25, 1 / 16, seed=1)
+        assert traced_peak(lambda: covertness_mc(cb, Bdmc(WZ1), 500, seed=1)) < 4 * 2**20
+
+    def test_covertness_exact_on_the_exact_benchmark_book(self):
+        # the simulate_exact book (n = 20, 4 x 12 kept words): a ratio block of
+        # _PRODUCT_BLOCK floats (2 MiB) and its log-Q buffer, where the ratios, their
+        # logs and the temporaries of Q log R took a block each (traced peak 8.8 MiB)
+        inst = CovertInstance(wy=WZ_BIN, wz=WZ_BIN, q=DecodingMetric(np.array([[0.9, 0.1], [0.1, 0.9]])), delta=0.3)
+        cb = simulated_book(inst, 20, 16, 4, 4000, 1 / 4, seed=1)
+        assert traced_peak(lambda: covertness_exact(cb, WZ_BIN)) < 3 * 8 * ppm._PRODUCT_BLOCK
+
+    def test_estimate_error_on_blocks_of_several_chunks(self):
+        # 24 wide words of 85 pulses on 2026 columns at n = 10^5: trial blocks of 517
+        # rows are drawn in 17 chunks of 32, so the block's float64 uniforms (8 MiB,
+        # traced peak 10.0 MiB) are never built at once
+        cb = generate_codebook(ppm_params(10**5, 0.1, Q0, Q1), num_messages=24, num_keys=1, seed=3)
+        cols, _, words = _sub_code_pulses(cb.positions[0])
+        assert words is None and 2 * ppm._SAMPLE_CHUNK < 517 * cols.size <= _PULSE_BLOCK
+        assert traced_peak(lambda: estimate_error(example1(), cb, trials_per_pair=520, seed=5)) < 4 * 2**20
 
 
 def report_for(p_hat: np.ndarray, trials: int = 100) -> ErrorReport:
