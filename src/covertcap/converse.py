@@ -13,10 +13,18 @@ per-(x, y) simplices, run on a smoothed objective D(m1 || (1-eps) m0 + eps u)
 for a decreasing eps schedule with warm starts, each line search by the lower
 bound's safeguarded Newton; a composition-lattice search provides an
 independent certification oracle.
+
+The minimum depends on the metric q only through its argmax table S_q
+(``maximal_sets(q).allowed``), so ``upper_bound`` keeps its last solve, keyed
+by the channel, the table and the stopping rule.  One entry is enough: every
+entry of S_q is a step function of any one metric entry, so along a sweep
+equal tables come in consecutive runs.  A larger memo would also carry solves
+between unrelated calls in one process, which separate processes never share.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -132,7 +140,12 @@ def diagonal_coupling(wy: Bdmc, table: MaximalSetTable) -> JointConditional:
 
 def objective_kl(jc: JointConditional) -> float:
     """D(m1 || m0) between the coupling's surrogate marginals; +inf if undominated."""
-    m0, m1 = jc.marginals()
+    return _marginal_kl(jc.wy.w, jc.v)
+
+
+def _marginal_kl(w: np.ndarray, v: np.ndarray) -> float:
+    # objective_kl on the channel rows and coupling array themselves
+    m0, m1 = np.einsum("xy,xyz->xz", w, v)
     mask = m1 > 0.0
     if np.any(m0[mask] <= 0.0):
         return float("inf")
@@ -212,18 +225,41 @@ def upper_bound(inst: CovertInstance, tol: float = 1e-8, max_iters: int = 20000)
     the vertices entered, and ``wts[i]`` its weight; the away vertex is the
     first row with the largest gradient sum; the oracle vertex's sum minus
     it is the step's slope at 0.  The reported kl_value is the raw
-    (unsmoothed) objective at the final iterate, or at the diagonal coupling
-    if that is better, clamped at 0: where the minimum is 0 the raw objective
+    (unsmoothed) objective at the final iterate (``_drop_undominated`` first
+    if it is infinite), or at the diagonal coupling if that is better,
+    clamped at 0: where the minimum is 0 the raw objective
     is float dust of either sign, and a divergence is never negative.  The
     diagonal guarantee caps kl_value at D(P1 || P0).  ``converged`` says
     whether every stage reached ``tol``.
+
+    The loop reads only W_Y, the table S_q, ``tol`` and ``max_iters``, so the
+    solve is memoized on those (one entry, see the module docstring): a call
+    whose metric has the previous call's table returns the previous coupling,
+    gap and flag, scaled by its own t_delta.
     """
     require_valid(inst)
     wp = weight_parameter(inst.delta, inst.q0, inst.q1)
     table = maximal_sets(inst.q)
     w = inst.wy.w
-    ny = inst.wy.num_outputs
-    allowed = table.allowed
+    v, kl_value, gap, converged = _solve(w.tobytes(), w.shape, table.allowed.tobytes(), tol, max_iters)
+    return UpperBoundResult(
+        value=wp.t * kl_value,
+        kl_value=kl_value,
+        minimizer=JointConditional(wy=inst.wy, table=table, v=v),
+        fw_gap=gap,
+        t_delta=wp.t,
+        converged=converged,
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _solve(
+    w_bytes: bytes, shape: tuple[int, int], allowed_bytes: bytes, tol: float, max_iters: int
+) -> tuple[np.ndarray, float, float, bool]:
+    """upper_bound's (coupling, kl_value, fw_gap, converged) from the bytes of W_Y and S_q."""
+    w = np.frombuffer(w_bytes).reshape(shape)
+    ny = shape[1]
+    allowed = np.frombuffer(allowed_bytes, dtype=bool).reshape(2, ny, ny)
     uniform = 1.0 / ny
     cell_base = np.arange(2 * ny) * ny  # flat index of v[x, y, 0], cells in (x, y) order
 
@@ -283,25 +319,36 @@ def upper_bound(inst: CovertInstance, tol: float = 1e-8, max_iters: int = 20000)
 
     # exact renormalization before wrapping; off-allowed entries are exact zeros
     v = v / v.sum(axis=2, keepdims=True)
-    iterate = JointConditional(wy=inst.wy, table=table, v=v)
-    kl_iter = objective_kl(iterate)
+    kl_iter = _marginal_kl(w, v)
+    if kl_iter == math.inf:
+        v = _drop_undominated(w, v)
+        kl_iter = _marginal_kl(w, v)
 
-    diag = diagonal_coupling(inst.wy, table)
-    kl_diag = objective_kl(diag)  # = D(P1 || P0), always finite under A3
-    if kl_iter <= kl_diag:
-        best, kl_best = iterate, kl_iter
-    else:
-        best, kl_best = diag, kl_diag
+    diag = np.broadcast_to(np.eye(ny), (2, ny, ny))
+    kl_diag = _marginal_kl(w, diag)  # = D(P1 || P0), always finite under A3
+    if kl_iter > kl_diag:
+        v, kl_iter = diag, kl_diag
+    v.setflags(write=False)  # the memo hands this array to every hit
+    return v, max(kl_iter, 0.0), gap, converged
 
-    kl_best = max(kl_best, 0.0)
-    return UpperBoundResult(
-        value=wp.t * kl_best,
-        kl_value=kl_best,
-        minimizer=best,
-        fw_gap=gap,
-        t_delta=wp.t,
-        converged=converged,
-    )
+
+def _drop_undominated(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The coupling without input 1's mass on outputs where m0 is 0, rows renormalized.
+
+    The smoothed objective leaves about eps of input-1 mass on an output that
+    input 0 never reaches, which makes the raw D infinite.  Dropping it keeps
+    every row on its allowed set, so the result is still a feasible coupling.
+    ``v`` is returned as it is if some sending row would lose all its mass.
+    """
+    m0, m1 = np.einsum("xy,xyz->xz", w, v)
+    rows = np.flatnonzero(w[1] > 0.0)
+    kept = v[1][rows] * ((m0 > 0.0) | (m1 <= 0.0))
+    sums = kept.sum(axis=1, keepdims=True)
+    if np.any(sums <= 0.0):
+        return v
+    v = v.copy()
+    v[1, rows] = kept / sums
+    return v
 
 
 def _lattice_marginals(w_row: np.ndarray, allowed_x: np.ndarray, grid_g: int) -> np.ndarray:
@@ -317,8 +364,20 @@ def _lattice_marginals(w_row: np.ndarray, allowed_x: np.ndarray, grid_g: int) ->
         comps = np.concatenate(list(_type_blocks(targets.size, grid_g, _ORACLE_BLOCK))) / grid_g
         cell = np.zeros((comps.shape[0], ny))
         cell[:, targets] = w_row[y] * comps
-        m = np.unique((m[:, None, :] + cell[None, :, :]).reshape(-1, ny), axis=0)
+        m = _distinct_rows((m[:, None, :] + cell[None, :, :]).reshape(-1, ny))
     return m
+
+
+def _distinct_rows(a: np.ndarray) -> np.ndarray:
+    """``np.unique(a, axis=0)`` for a C-contiguous float array with no negative entry.
+
+    Such floats sort as their uint64 bit patterns do, so one lexsort on the
+    bits (first column most significant) gives np.unique's order.
+    """
+    a = a[np.lexsort(a.view(np.uint64).T[::-1])]
+    keep = np.ones(a.shape[0], dtype=bool)
+    np.any(a[1:] != a[:-1], axis=1, out=keep[1:])
+    return a[keep]
 
 
 def upper_bound_grid_oracle(

@@ -8,13 +8,15 @@ resolution.  Frozen literals were produced by those oracles.
 """
 
 import importlib
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from covertcap import (
     Bdmc,
@@ -33,8 +35,10 @@ from covertcap import (
     upper_bound,
     upper_bound_grid_oracle,
     verify_maximal,
+    weight_parameter,
 )
-from covertcap.converse import _TINY, _lattice_marginals, _line_search, _lmo_targets
+from covertcap.cli import main
+from covertcap.converse import _TINY, _distinct_rows, _lattice_marginals, _line_search, _lmo_targets
 from covertcap.core import _type_blocks
 
 from conftest import (
@@ -44,10 +48,12 @@ from conftest import (
     random_binary_instance,
     random_instance,
     random_metric,
+    random_warden,
 )
 
 T, F = True, False
 lower_bound_module = importlib.import_module("covertcap.lower_bound")
+converse_module = importlib.import_module("covertcap.converse")
 
 
 def erasures_instance(xi: float) -> CovertInstance:
@@ -380,6 +386,149 @@ class TestUpperBound:
         )
         with pytest.raises(ValidationError):
             upper_bound(inst)
+
+
+def without_output(inst: CovertInstance, y: int) -> CovertInstance:
+    """``inst`` with output y unreachable from both inputs, channel rows renormalized."""
+    w = np.array(inst.wy.w)
+    w[:, y] = 0.0
+    wy = Bdmc(w / w.sum(axis=1, keepdims=True))
+    return CovertInstance(wy=wy, wz=inst.wz, q=inst.q, delta=inst.delta)
+
+
+class TestUnusedOutput:
+    """An output neither input produces, which input 1 may still reach under the metric."""
+
+    def test_matches_the_instance_without_it(self):
+        # the eps smoothing left 5e-8 of input-1 mass on output 3, where m0 = 0;
+        # the raw D was infinite and the bound fell back to D(P1 || P0), 8.5x the oracle
+        four = CovertInstance(
+            wy=Bdmc(np.array([[0.07, 0.73, 0.20, 0.0], [0.14, 0.39, 0.47, 0.0]])),
+            wz=Bdmc(np.array([[0.09, 0.71, 0.20], [0.22, 0.13, 0.65]])),
+            q=DecodingMetric(np.array([[1.8, 1.45, 1.67, 0.43], [0.68, 0.44, 0.47, 4.0]])),
+            delta=0.15,
+        )
+        three = CovertInstance(
+            wy=Bdmc(four.wy.w[:, :3]), wz=four.wz, q=DecodingMetric(four.q.q[:, :3]), delta=four.delta
+        )
+        res = upper_bound(four)
+        assert res.kl_value == pytest.approx(upper_bound(three).kl_value, abs=1e-9)
+        assert res.kl_value <= upper_bound_grid_oracle(four, 12)
+        assert verify_maximal(res.minimizer, maximal_sets(four.q), four.wy)
+        assert objective_kl(res.minimizer) == res.kl_value
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_never_above_the_lattice_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        ny = int(rng.integers(3, 5))
+        inst = without_output(random_instance(rng, ny=ny), int(rng.integers(ny)))
+        try:
+            oracle = upper_bound_grid_oracle(inst, 8, max_points=3000)
+        except ResourceLimitError:
+            assume(False)  # the lattice is too large to enumerate in a unit test
+        # 1000 steps per stage keep the slowest draws under half a second; at that
+        # budget 157 of 157 enumerable draws held, and 28 failed before the mend
+        assert upper_bound(inst, max_iters=1000).kl_value <= oracle + 1e-6
+
+
+@pytest.fixture
+def fresh_memo():
+    """upper_bound's memo, cleared before and after the test.
+
+    A test that patches a converse constant must use it: the memo's key holds
+    the instance and the stopping rule, not module constants.
+    """
+    converse_module._solve.cache_clear()
+    yield converse_module._solve
+    converse_module._solve.cache_clear()
+
+
+def solve_afresh(inst: CovertInstance, **kwargs):
+    converse_module._solve.cache_clear()
+    return upper_bound(inst, **kwargs)
+
+
+def result_bits(res) -> tuple:
+    return (
+        res.value.hex(), res.kl_value.hex(), res.fw_gap.hex(), res.converged, res.minimizer.v.tobytes()
+    )
+
+
+def tie_points(q: np.ndarray, cell: tuple[int, int]) -> list[float]:
+    """Values of q[cell] at which the two inputs tie on some pair of outputs.
+
+    With x, y = cell and o the other input, the pairs (y, z) and (z, y) tie at
+    log q(x, y) = log q(x, z) - log q(o, z) + log q(o, y).
+    """
+    x, y = cell
+    o = 1 - x
+    return [float(q[x, z] * q[o, y] / q[o, z]) for z in range(q.shape[1]) if z != y]
+
+
+class TestConverseMemo:
+    """upper_bound memoizes its last solve on (W_Y, S_q, tol, max_iters)."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), descending=st.booleans())
+    def test_sweep_matches_fresh_solves(self, seed, descending):
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, ny=int(rng.integers(2, 6)))
+        cell = (int(rng.integers(2)), int(rng.integers(inst.q.num_outputs)))
+        grid = sorted({*np.linspace(0.2, 5.0, 9).tolist(), *tie_points(inst.q.q, cell)}, reverse=descending)
+        insts = []
+        for u in grid:
+            q = np.array(inst.q.q)
+            q[cell] = u
+            insts.append(CovertInstance(wy=inst.wy, wz=inst.wz, q=DecodingMetric(q), delta=inst.delta))
+        converse_module._solve.cache_clear()
+        swept = [result_bits(upper_bound(i)) for i in insts]
+        assert converse_module._solve.cache_info().hits > 0
+        assert swept == [result_bits(solve_afresh(i)) for i in insts]
+
+    def test_figure_sweep_solves_four_tables(self, fresh_memo, tmp_path, capsys):
+        spec = tmp_path / "example1_u3.json"
+        spec.write_text(json.dumps({
+            "wy": example1().wy.w.tolist(), "wz": example1().wz.w.tolist(),
+            "q": example1().q.q.tolist(), "delta": example1().delta,
+        }))
+        assert main(["sweep", str(spec)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 201
+        info = fresh_memo.cache_info()
+        assert (info.misses, info.hits) == (4, 196)
+
+    def test_key_is_complete(self, fresh_memo):
+        inst = example1(0.5)
+        base = upper_bound(inst)
+        # the same channel and table: the solve is shared, t_delta is each call's own
+        rescaled = CovertInstance(wy=inst.wy, wz=inst.wz, q=DecodingMetric(2.0 * inst.q.q), delta=inst.delta)
+        other_delta = CovertInstance(wy=inst.wy, wz=inst.wz, q=inst.q, delta=0.2)
+        other_warden = CovertInstance(
+            wy=inst.wy, wz=random_warden(np.random.default_rng(7)), q=inst.q, delta=inst.delta
+        )
+        for other in (rescaled, other_delta, other_warden):
+            misses = fresh_memo.cache_info().misses
+            res = upper_bound(other)
+            assert fresh_memo.cache_info().misses == misses
+            assert res.t_delta == weight_parameter(other.delta, other.q0, other.q1).t
+            assert result_bits(res) == result_bits(solve_afresh(other))
+        assert result_bits(upper_bound(other_delta)) != result_bits(base)
+        # another channel, tolerance or step budget is another solve
+        swapped = CovertInstance(wy=Bdmc(inst.wy.w[::-1]), wz=inst.wz, q=inst.q, delta=inst.delta)
+        for other, kwargs in ((swapped, {}), (inst, {"tol": 1e-6}), (inst, {"max_iters": 500})):
+            upper_bound(inst)
+            misses = fresh_memo.cache_info().misses
+            res = upper_bound(other, **kwargs)
+            assert fresh_memo.cache_info().misses == misses + 1
+            assert result_bits(res) == result_bits(solve_afresh(other, **kwargs))
+
+    def test_patched_constants_need_a_cleared_memo(self, fresh_memo, monkeypatch):
+        inst = example1(0.5)
+        default = result_bits(upper_bound(inst))
+        monkeypatch.setattr(converse_module, "_EPS_SCHEDULE", (1e-3,))
+        assert result_bits(upper_bound(inst)) == default  # the key does not hold the schedule
+        fresh_memo.cache_clear()
+        assert upper_bound(inst).kl_value != float.fromhex(default[1])
 
 
 def segment_slope(m1, d1, m0t, d0, eps, g):
@@ -803,6 +952,21 @@ class TestGridOracleDistinctMarginals:
             assert np.unique(m, axis=0).shape == m.shape
             sizes.append(m.shape[0])
         assert sizes == [4993, 1733]  # of 8125 raw points each
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 60), st.integers(1, 4)).flatmap(
+            # zeros, subnormals, neighbouring floats and repeats, never a negative entry
+            lambda shape: arrays(np.float64, shape, elements=st.sampled_from(
+                [0.0, 5e-324, 1e-300, 0.1, 0.2, 0.30000000000000004, 0.3, 1.0, 1e300]
+            ))
+        )
+    )
+    def test_distinct_rows_match_numpy_unique(self, a):
+        distinct = _distinct_rows(a)
+        expected = np.unique(a, axis=0)
+        assert distinct.shape == expected.shape
+        assert distinct.tobytes() == expected.tobytes()
 
     def test_peak_memory(self):
         inst = example1(0.5)
