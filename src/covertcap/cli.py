@@ -10,7 +10,7 @@ Four subcommands share one channel-spec JSON format (see core):
 Every rate is printed in nats per sqrt(n) with 9 significant digits; CSV uses
 decimal points and LF line endings regardless of locale.  Exit codes: 0 on
 success, 1 on parse errors, 2 on validation/domain errors, 3 on resource
-limits.
+limits, solver caps among them.
 """
 
 from __future__ import annotations
@@ -59,8 +59,7 @@ def cmd_capacity(args: argparse.Namespace) -> int:
     report = validate_instance(inst)
     marks = {True: "pass", False: "FAIL"}
     if report.ok:
-        wp = weight_parameter(inst.delta, inst.q0, inst.q1)
-        print(f"t_delta = {_fmt(wp.t)}")
+        print(f"t_delta = {_fmt(weight_parameter(inst.delta, inst.q0, inst.q1).t)}")
         print(f"covert_capacity = {_fmt(covert_capacity(inst))} nats/sqrt(n)")
     print(f"A1 adversary laws differ: {marks[report.a1_warden_laws_differ]}")
     print(f"A2 Q1 dominated by Q0:    {marks[report.a2_q1_dominated_by_q0]}")

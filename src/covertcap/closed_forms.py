@@ -23,19 +23,16 @@ from .core import (
     DecodingMetric,
     DimensionError,
     DomainError,
+    _valid_weight,
     innocent_only_set,
     kl_divergence,
-    require_valid,
-    weight_parameter,
 )
 from .lower_bound import _log_odds_ratio
 
 
 def covert_capacity(inst: CovertInstance) -> float:
     """Covert capacity with the best (matched) decoder: t * D(P1 || P0)."""
-    require_valid(inst)
-    wp = weight_parameter(inst.delta, inst.q0, inst.q1)
-    return wp.t * kl_divergence(inst.p1, inst.p0)
+    return _valid_weight(inst).t * kl_divergence(inst.p1, inst.p0)
 
 
 class DichotomyCase(Enum):
@@ -65,10 +62,9 @@ def binary_dichotomy(inst: CovertInstance) -> DichotomyResult:
     and the full matched capacity t * D(P1 || P0) survives; otherwise,
     boundary included, the capacity is zero.
     """
-    require_valid(inst)
+    wp = _valid_weight(inst)
     if inst.wy.num_outputs != 2:
         raise DimensionError("binary dichotomy needs exactly two output symbols")
-    wp = weight_parameter(inst.delta, inst.q0, inst.q1)
 
     w = inst.wy.w
     qq = inst.q.q
@@ -97,8 +93,7 @@ def erasures_only_capacity(inst: CovertInstance) -> float:
     instance's metric field is not consulted.  Equals zero when no output
     symbol is exclusive to the idle input.
     """
-    require_valid(inst)
-    wp = weight_parameter(inst.delta, inst.q0, inst.q1)
+    wp = _valid_weight(inst)
     d_set = innocent_only_set(inst.wy)
     mass_outside = 1.0 - float(inst.p0.probs[d_set].sum())
     # A3 guarantees P0 mass on supp(P1), so mass_outside > 0 for valid instances

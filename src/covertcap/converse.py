@@ -40,9 +40,9 @@ from .core import (
     ProbVector,
     ResourceLimitError,
     _type_blocks,
+    _valid_weight,
     kl_divergence,
     require_valid,
-    weight_parameter,
 )
 from .lower_bound import _newton_max
 
@@ -235,17 +235,17 @@ def upper_bound(inst: CovertInstance, tol: float = 1e-8, max_iters: int = 20000)
     The loop reads only W_Y, the table S_q, ``tol`` and ``max_iters``, so the
     solve is memoized on those (one entry, see the module docstring): a call
     whose metric has the previous call's table returns the previous coupling,
-    gap and flag, scaled by its own t_delta.
+    gap and flag, scaled by its own t_delta; the coupling, checked once when
+    solved, carries that solve's channel and table, equal to the hit's own.
     """
-    require_valid(inst)
-    wp = weight_parameter(inst.delta, inst.q0, inst.q1)
+    wp = _valid_weight(inst)
     table = maximal_sets(inst.q)
     w = inst.wy.w
-    v, kl_value, gap, converged = _solve(w.tobytes(), w.shape, table.allowed.tobytes(), tol, max_iters)
+    minimizer, kl_value, gap, converged = _solve(w.tobytes(), w.shape, table.allowed.tobytes(), tol, max_iters)
     return UpperBoundResult(
         value=wp.t * kl_value,
         kl_value=kl_value,
-        minimizer=JointConditional(wy=inst.wy, table=table, v=v),
+        minimizer=minimizer,
         fw_gap=gap,
         t_delta=wp.t,
         converged=converged,
@@ -255,8 +255,8 @@ def upper_bound(inst: CovertInstance, tol: float = 1e-8, max_iters: int = 20000)
 @functools.lru_cache(maxsize=1)
 def _solve(
     w_bytes: bytes, shape: tuple[int, int], allowed_bytes: bytes, tol: float, max_iters: int
-) -> tuple[np.ndarray, float, float, bool]:
-    """upper_bound's (coupling, kl_value, fw_gap, converged) from the bytes of W_Y and S_q."""
+) -> tuple[JointConditional, float, float, bool]:
+    """upper_bound's (minimizer, kl_value, fw_gap, converged) from the bytes of W_Y and S_q."""
     w = np.frombuffer(w_bytes).reshape(shape)
     ny = shape[1]
     allowed = np.frombuffer(allowed_bytes, dtype=bool).reshape(2, ny, ny)
@@ -328,8 +328,7 @@ def _solve(
     kl_diag = _marginal_kl(w, diag)  # = D(P1 || P0), always finite under A3
     if kl_iter > kl_diag:
         v, kl_iter = diag, kl_diag
-    v.setflags(write=False)  # the memo hands this array to every hit
-    return v, max(kl_iter, 0.0), gap, converged
+    return JointConditional(wy=Bdmc(w), table=MaximalSetTable(allowed), v=v), max(kl_iter, 0.0), gap, converged
 
 
 def _drop_undominated(w: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ sqrt(n).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import IO, Any
@@ -38,7 +39,7 @@ class ValidationError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """An exact enumeration would exceed the configured budget."""
+    """An exact enumeration would exceed the configured budget, or a solver hit its step cap."""
 
 
 class ChannelSpecError(ValueError):
@@ -93,7 +94,8 @@ class Bdmc:
     """A binary-input DMC given by its two conditional rows.
 
     ``w[x, y]`` is the probability of output ``y`` on input ``x``.  Row 0 is
-    the idle (no transmission) distribution, row 1 the active one.
+    the idle (no transmission) distribution, row 1 the active one.  The facts
+    the standing assumptions read are computed on first use and kept.
     """
 
     w: np.ndarray
@@ -113,6 +115,21 @@ class Bdmc:
 
     def row(self, x: int) -> ProbVector:
         return self._rows[x]
+
+    @functools.cached_property
+    def rows_differ(self) -> bool:
+        """Whether the rows differ somewhere by more than SUM_TOL (A1 for the warden)."""
+        return bool(np.max(np.abs(self.w[0] - self.w[1])) > SUM_TOL)
+
+    @functools.cached_property
+    def row1_dominated(self) -> bool:
+        """Whether row 1 has no mass above ZERO_TOL where row 0 has at most ZERO_TOL (A2, A3)."""
+        return not bool(np.any((self.w[1] > ZERO_TOL) & (self.w[0] <= ZERO_TOL)))
+
+    @functools.cached_property
+    def chi2(self) -> float:
+        """chi2(row 1 || row 0), +inf if row 1 has mass where row 0 is exactly zero."""
+        return chi2_divergence(self._rows[1], self._rows[0])
 
 
 @dataclass(frozen=True)
@@ -238,7 +255,10 @@ def weight_parameter(delta: float, q0: ProbVector, q1: ProbVector) -> WeightPara
     """The weight t = sqrt(2 delta / chi2(q1 || q0)) governing covert input mass."""
     if not np.isfinite(delta) or delta <= 0.0:
         raise DomainError(f"delta must be positive, got {delta!r}")
-    c2 = chi2_divergence(q1, q0)
+    return _weight(delta, chi2_divergence(q1, q0))
+
+
+def _weight(delta: float, c2: float) -> WeightParam:
     if c2 == 0.0:
         raise ValidationError("adversary marginals coincide (chi2 = 0); no covert signalling")
     if not np.isfinite(c2):
@@ -247,38 +267,16 @@ def weight_parameter(delta: float, q0: ProbVector, q1: ProbVector) -> WeightPara
 
 
 def validate_instance(inst: CovertInstance) -> ValidationReport:
-    """Check A1 (warden laws differ), A2 (Q1 << Q0), A3 (P1 << P0), metric positivity.
+    """Check A1 (warden laws differ), A2 (Q1 << Q0) and A3 (P1 << P0) from the channels' cached facts.
 
     Returns a report rather than raising, so invalid instances can be described
     to the caller; rate computations reject instances whose report is not ok.
+    Metric positivity always passes: DecodingMetric refuses a nonpositive entry.
     """
-    failures: list[str] = []
-
-    qz0, qz1 = inst.wz.w[0], inst.wz.w[1]
-    a1 = bool(np.max(np.abs(qz0 - qz1)) > SUM_TOL)
-    if not a1:
-        failures.append("A1: adversary output laws coincide")
-
-    a2 = not bool(np.any((qz1 > ZERO_TOL) & (qz0 <= ZERO_TOL)))
-    if not a2:
-        failures.append("A2: Q1 puts mass where Q0 has none")
-
-    py0, py1 = inst.wy.w[0], inst.wy.w[1]
-    a3 = not bool(np.any((py1 > ZERO_TOL) & (py0 <= ZERO_TOL)))
-    if not a3:
-        failures.append("A3: P1 puts mass where P0 has none")
-
-    metric_ok = bool(np.all(inst.q.q > 0.0))
-    if not metric_ok:
-        failures.append("metric: nonpositive entry")  # unreachable for typed instances
-
-    return ValidationReport(
-        a1_warden_laws_differ=a1,
-        a2_q1_dominated_by_q0=a2,
-        a3_p1_dominated_by_p0=a3,
-        metric_positive=metric_ok,
-        failures=tuple(failures),
-    )
+    facts = (inst.wz.rows_differ, inst.wz.row1_dominated, inst.wy.row1_dominated)
+    lines = ("A1: adversary output laws coincide", "A2: Q1 puts mass where Q0 has none",
+             "A3: P1 puts mass where P0 has none")
+    return ValidationReport(*facts, metric_positive=True, failures=tuple(ln for ok, ln in zip(facts, lines) if not ok))
 
 
 def require_valid(inst: CovertInstance) -> ValidationReport:
@@ -287,6 +285,12 @@ def require_valid(inst: CovertInstance) -> ValidationReport:
     if not report.ok:
         raise ValidationError("; ".join(report.failures))
     return report
+
+
+def _valid_weight(inst: CovertInstance) -> WeightParam:
+    """require_valid, then weight_parameter's result (bits and errors) from the warden's cached chi2."""
+    require_valid(inst)
+    return _weight(inst.delta, inst.wz.chi2)
 
 
 def innocent_only_set(wy: Bdmc) -> np.ndarray:

@@ -26,10 +26,10 @@ from .core import (
     DimensionError,
     DomainError,
     ProbVector,
+    ResourceLimitError,
     WeightParam,
+    _valid_weight,
     kl_divergence,
-    require_valid,
-    weight_parameter,
 )
 
 AT_INFINITY = math.inf       # s_star marker when the sup is a limit, not a max
@@ -136,7 +136,8 @@ def _newton_max(slope_curvature, lo: float, hi: float, tol: float) -> float:
     """Root in [lo, hi] of g, where ``slope_curvature(s) = (g(s), g'(s))`` and g(lo) > 0 >= g(hi),
     by Newton from the midpoint with a bisection step whenever Newton would leave the bracket
     or g' is not negative (rtsafe, Numerical Recipes, section 9.4); it ends once a step moves
-    s by at most ``tol``.  g is the derivative of the concave function this maximizes."""
+    s by at most ``tol``, or raises ResourceLimitError after NEWTON_CAP steps.  g is the
+    derivative of the concave function this maximizes."""
     s = 0.5 * (lo + hi)
     for _ in range(NEWTON_CAP):
         g, h = slope_curvature(s)
@@ -147,7 +148,7 @@ def _newton_max(slope_curvature, lo: float, hi: float, tol: float) -> float:
         if abs(nxt - s) <= tol:
             return nxt
         s = nxt
-    raise RuntimeError(f"Newton exceeded {NEWTON_CAP} steps in [{lo!r}, {hi!r}], contradicting concavity")
+    raise ResourceLimitError(f"Newton exceeded {NEWTON_CAP} steps in [{lo!r}, {hi!r}], contradicting concavity")
 
 
 def lower_bound(inst: CovertInstance) -> LowerBoundResult:
@@ -159,8 +160,7 @@ def lower_bound(inst: CovertInstance) -> LowerBoundResult:
     is 0 if f'(0) <= 0, or else at the root of f', bracketed by doubling from
     s=1 and pinned down by safeguarded Newton until a step moves s by <= STEP_TOL.
     """
-    require_valid(inst)
-    wp = weight_parameter(inst.delta, inst.q0, inst.q1)
+    wp = _valid_weight(inst)
     tf = tilt_function(inst.q, inst.p0, inst.p1)
     slope, limit = slope_at_infinity(tf)
 
@@ -179,7 +179,7 @@ def lower_bound(inst: CovertInstance) -> LowerBoundResult:
     while _slope_curvature(tf, hi)[0] > 0.0:
         lo, hi = hi, 2.0 * hi
         if hi > BRACKET_CAP:
-            raise RuntimeError("bracketing exceeded 2**40 with a negative slope at infinity")
+            raise ResourceLimitError("bracketing exceeded 2**40 with a negative slope at infinity")
     s_star = _newton_max(lambda s: _slope_curvature(tf, s), lo, hi, STEP_TOL)
     f_star = f_s(tf, s_star)
     if f_star <= 0.0:

@@ -98,7 +98,7 @@ _SLOT_GATHER = 1 << 15
 # uniforms per block of any Monte-Carlo loop, sampled into 1 MiB of uint8 outputs;
 # no float64 array of the block's uniforms is built, so sampling takes 1.5 MiB
 # (scoring may still build floats of up to 8 MiB: covertness_mc's scores of a
-# book of many words, a narrow sub-code's or sample_s_statistic's looked-up outputs)
+# book of many words, or a narrow sub-code's looked-up outputs)
 _PULSE_BLOCK = 1 << 20
 # uniforms per draw of _sample_at_pulses, a few rows of a block at a time: one
 # draw's float64 uniforms take 512 KiB, or one row where a row holds more
@@ -794,7 +794,8 @@ def sample_s_statistic(
     to 1.  Every sample lies in the closed interval [bound_low, bound_high]
     determined by the extreme metric ratios over the supports of p1 and p0;
     the mean approaches the tilt value f(s) as w grows.  Chunks are drawn by
-    _sample_at_pulses, active output in column 0.
+    _sample_at_pulses, active output in column 0, and scored about
+    _SAMPLE_CHUNK outputs at a time, so no float array of a whole block is built.
     """
     if w < 2:
         raise DomainError(f"w must be at least 2, got {w!r}")
@@ -822,8 +823,10 @@ def sample_s_statistic(
     cols = np.arange(w)
     vals = np.empty(samples)
     for done, t in _blocks(samples, w):
-        r_all = rhat[_sample_at_pulses(gen, t, cols, 0, cum0, cum1)]
-        vals[done : done + t] = math.log(w) - _logsumexp_rows(s * (r_all - r_all[:, :1]))
+        y = _sample_at_pulses(gen, t, cols, 0, cum0, cum1)
+        for lo, r in _blocks(t, w, max(1, _SAMPLE_CHUNK // w)):  # rows are scored apart: same bits
+            r_all = rhat[y[lo : lo + r]]
+            vals[done + lo : done + lo + r] = math.log(w) - _logsumexp_rows(s * (r_all - r_all[:, :1]))
     return SStatReport(
         mean=float(vals.mean()),
         stderr=float(vals.std(ddof=1) / math.sqrt(samples)),

@@ -5,6 +5,7 @@ contract: 0 success, 1 parse/IO, 2 validation/domain, 3 resource limits.
 """
 
 import hashlib
+import importlib
 import json
 import math
 import tracemalloc
@@ -16,6 +17,8 @@ from covertcap import upper_bound_grid_oracle, weight_parameter
 from covertcap.cli import main
 
 from conftest import example1, random_instance
+
+lower_bound_module = importlib.import_module("covertcap.lower_bound")
 
 EXAMPLE_SPEC = {
     "wy": [[0.6, 0.2, 0.2], [0.2, 0.2, 0.6]],
@@ -127,6 +130,24 @@ class TestBounds:
         path = write_json(tmp_path, "flat.json", spec)
         assert main(["bounds", path, "--grid-check", "1000"]) == 3
         assert "grid oracle lattice pairs" in capsys.readouterr().err
+
+
+class TestSolverCaps:
+    """A solver cap is a resource limit: exit 3 with one error line, no traceback."""
+
+    @pytest.mark.parametrize("cap, value, u, words", [
+        ("NEWTON_CAP", 2, 3.0, "Newton exceeded 2 steps"),
+        # s_star is near 1.6 at q(0,0) = 0.5, beyond a bracket capped at 1
+        ("BRACKET_CAP", 1.0, 0.5, "bracketing exceeded"),
+    ])
+    def test_cap_exits_3(self, tmp_path, capsys, monkeypatch, cap, value, u, words):
+        path = write_json(tmp_path, "spec.json", dict(EXAMPLE_SPEC, q=[[u, 1.0, 1.0], [1.0, 1.0, 3.0]]))
+        monkeypatch.setattr(lower_bound_module, cap, value)
+        assert main(["bounds", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ") and words in captured.err
 
 
 class TestSweep:

@@ -497,6 +497,19 @@ class TestConverseMemo:
         info = fresh_memo.cache_info()
         assert (info.misses, info.hits) == (4, 196)
 
+    def test_hit_minimizer_is_feasible_for_its_own_call(self, fresh_memo):
+        # a hit returns the coupling checked when it was solved, with that solve's
+        # channel and table; it must hold for the hit's own table and channel too
+        base = example1()
+        for u in np.linspace(0.05, 10.0, 40):
+            q = np.array(base.q.q)
+            q[0, 0] = u
+            inst = CovertInstance(wy=Bdmc(base.wy.w), wz=base.wz, q=DecodingMetric(q), delta=base.delta)
+            res = upper_bound(inst)
+            assert verify_maximal(res.minimizer, maximal_sets(inst.q), inst.wy)
+            assert max(objective_kl(res.minimizer), 0.0) == res.kl_value
+        assert fresh_memo.cache_info().hits > 30
+
     def test_key_is_complete(self, fresh_memo):
         inst = example1(0.5)
         base = upper_bound(inst)

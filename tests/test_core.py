@@ -1,8 +1,10 @@
 """Core data model, divergences, validation, and the channel-spec reader."""
 
+import functools
 import io
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,15 +19,21 @@ from covertcap import (
     ProbVector,
     ValidationError,
     chi2_divergence,
+    covert_capacity,
     innocent_only_set,
     kl_divergence,
     load_channel_spec,
+    lower_bound,
     require_valid,
+    upper_bound,
+    upper_bound_grid_oracle,
     validate_instance,
     weight_parameter,
 )
+from covertcap import core as core_module
+from covertcap.cli import main
 
-from conftest import example1, random_instance
+from conftest import WY1, WZ1, example1, random_instance
 
 
 class TestProbVector:
@@ -257,6 +265,114 @@ class TestValidateInstance:
         )
         with pytest.raises(ValidationError, match="A1"):
             require_valid(inst)
+
+
+A1 = "A1: adversary output laws coincide"
+A2 = "A2: Q1 puts mass where Q0 has none"
+A3 = "A3: P1 puts mass where P0 has none"
+CHI2_INF = "q1 not dominated by q0 (chi2 infinite); covertness unachievable"
+
+# (receiver rows, warden rows, the ValidationError message every rate computation raises)
+FAILING = {
+    "A1": (WY1, [[0.5, 0.3, 0.2], [0.5, 0.3, 0.2]], A1),
+    "A2": (WY1, [[0.9, 0.1, 0.0], [0.2, 0.3, 0.5]], A2),
+    "A3": ([[0.6, 0.4, 0.0], [0.2, 0.2, 0.6]], WZ1, A3),
+    "A1+A3": ([[0.6, 0.4, 0.0], [0.2, 0.2, 0.6]], [[0.5, 0.3, 0.2], [0.5, 0.3, 0.2]], f"{A1}; {A3}"),
+    # Q1's 1e-16 where Q0 is 0 passes A2 at ZERO_TOL, but chi2 is infinite
+    "chi2": (WY1, [[0.8, 0.2, 0.0], [0.2, 0.8, 1e-16]], CHI2_INF),
+}
+
+
+def failing_instance(case: str) -> CovertInstance:
+    wy, wz, _ = FAILING[case]
+    return CovertInstance(wy=Bdmc(np.array(wy)), wz=Bdmc(np.array(wz)), q=example1().q, delta=0.1)
+
+
+def write_spec(tmp_path, inst: CovertInstance) -> str:
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(
+        {"wy": inst.wy.w.tolist(), "wz": inst.wz.w.tolist(), "q": inst.q.q.tolist(), "delta": inst.delta}
+    ))
+    return str(path)
+
+
+class TestValidateOnce:
+    """Each channel computes its A1-A3 facts and chi2 once; every message is kept."""
+
+    def test_sweep_computes_each_fact_once_per_channel(self, tmp_path, capsys, monkeypatch):
+        calls = Counter()
+        chi2 = core_module.chi2_divergence
+
+        def spy_chi2(p, r):
+            calls["chi2_divergence"] += 1
+            return chi2(p, r)
+
+        monkeypatch.setattr(core_module, "chi2_divergence", spy_chi2)
+        for name in ("rows_differ", "row1_dominated", "chi2"):
+            def counted(self, fact=Bdmc.__dict__[name].func, name=name):
+                calls[name] += 1
+                return fact(self)
+
+            prop = functools.cached_property(counted)
+            prop.__set_name__(Bdmc, name)
+            monkeypatch.setattr(Bdmc, name, prop)
+        assert main(["sweep", write_spec(tmp_path, example1())]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 201
+        # one warden and one receiver channel: A1 and chi2 on the warden, dominance on both
+        assert calls == {"chi2_divergence": 1, "chi2": 1, "rows_differ": 1, "row1_dominated": 2}
+
+    def test_facts_match_the_definitions(self):
+        rng = np.random.default_rng(8)
+        for case in FAILING:
+            inst = failing_instance(case)
+            for ch in (inst.wy, inst.wz):
+                assert ch.chi2 == chi2_divergence(ch.row(1), ch.row(0))
+        for _ in range(20):
+            inst = random_instance(rng)
+            assert inst.wz.chi2 == weight_parameter(inst.delta, inst.q0, inst.q1).chi2
+            assert validate_instance(inst).ok
+
+    @pytest.mark.parametrize("case", sorted(FAILING))
+    def test_library_messages(self, case):
+        inst = failing_instance(case)
+        message = FAILING[case][2]
+        for compute in (lower_bound, upper_bound, covert_capacity):
+            with pytest.raises(ValidationError) as err:
+                compute(inst)
+            assert str(err.value) == message
+        if case == "chi2":
+            # the oracle reports D in nats and needs no t_delta, so only A1-A3 bind it
+            assert upper_bound_grid_oracle(inst, 4) >= 0.0
+        else:
+            with pytest.raises(ValidationError) as err:
+                upper_bound_grid_oracle(inst, 4)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("case", sorted(FAILING))
+    @pytest.mark.parametrize("command", [["bounds"], ["bounds", "--grid-check", "4"], ["sweep", "--steps", "3"]])
+    def test_cli_messages_exit_2(self, tmp_path, capsys, case, command):
+        path = write_spec(tmp_path, failing_instance(case))
+        assert main([command[0], path, *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {FAILING[case][2]}\n"
+        assert captured.out == ("u,lower,upper,covert_capacity\n" if command[0] == "sweep" else "")
+
+    def test_capacity_prints_its_four_check_lines(self, tmp_path, capsys):
+        checks = ["A1 adversary laws differ: {}", "A2 Q1 dominated by Q0:    {}",
+                  "A3 P1 dominated by P0:    {}", "metric strictly positive: {}"]
+        assert main(["capacity", write_spec(tmp_path, example1())]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "t_delta = 0.285714286", "covert_capacity = 0.12555569 nats/sqrt(n)",
+            *(line.format("pass") for line in checks),
+        ]
+        assert main(["capacity", write_spec(tmp_path, failing_instance("A1+A3"))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            checks[0].format("FAIL"), checks[1].format("pass"), checks[2].format("FAIL"), checks[3].format("pass"),
+        ]
+        assert captured.err == f"failure: {A1}\nfailure: {A3}\n"
+        assert main(["capacity", write_spec(tmp_path, failing_instance("chi2"))]) == 2
+        assert capsys.readouterr() == ("", f"error: {CHI2_INF}\n")
 
 
 class TestInnocentOnlySet:

@@ -1367,6 +1367,40 @@ class TestSStatistic:
         )
         assert abs(rep.mean - 0.4 * math.log(3)) < 0.05
 
+    # recorded when a block was scored as one piece; rows are scored apart, so
+    # row chunks move no bit: (w, s, samples, seed) -> (mean, stderr, min, max)
+    SCORED_WHOLE = {
+        (400, 0.7, 20_000, 1): (
+            "0x1.962b6fd409d59p-2", "0x1.1c87b82ff12f6p-8", "-0x1.97e102222fd88p-1", "0x1.02d6018bc1cd4p+0"
+        ),
+        (3, 1.3, 5000, 7): (
+            "0x1.f30ca76356c15p-3", "0x1.82720ed5c976ep-7", "-0x1.3d58605eabacep+1", "0x1.fac73e758bfa3p-1"
+        ),
+        (70_000, 0.5, 40, 3): (
+            "0x1.2adfcf453cba2p-2", "0x1.1b6372b83f53dp-4", "-0x1.bf5e419ce7160p-2", "0x1.553b91269b600p-1"
+        ),
+    }
+
+    @pytest.mark.parametrize("key", sorted(SCORED_WHOLE))
+    def test_row_chunks_keep_the_bits(self, key):
+        w, s, samples, seed = key
+        inst = example1()
+        rep = sample_s_statistic(inst.q, inst.p0, inst.p1, w=w, s=s, samples=samples, seed=seed)
+        got = tuple(x.hex() for x in (rep.mean, rep.stderr, rep.sample_min, rep.sample_max))
+        assert got == self.SCORED_WHOLE[key]
+
+    def test_memory_is_one_sampling_chunk(self):
+        # a whole block of looked-up floats took 32 MiB here; sampling takes 1.5 MiB
+        # and each of the four float temporaries of a row chunk 512 KiB
+        inst = example1()
+        tracemalloc.start()
+        try:
+            sample_s_statistic(inst.q, inst.p0, inst.p1, w=400, s=0.7, samples=20_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_determinism(self):
         inst = example1(3.0)
         kw = dict(w=16, s=1.0, samples=500)
