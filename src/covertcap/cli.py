@@ -39,6 +39,7 @@ from .core import (
 )
 from .lower_bound import lower_bound
 from .ppm import (
+    _check_samples,
     _states_exceed,
     covertness_exact,
     covertness_mc,
@@ -47,6 +48,10 @@ from .ppm import (
     generate_codebook,
     ppm_params,
 )
+
+# most rows a sweep takes: about 3 minutes at the figure's pace; a larger --steps is
+# refused with exit 3 before its values are built
+MAX_SWEEP_STEPS = 10**6
 
 
 def _fmt(x: float) -> str:
@@ -97,6 +102,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise DomainError(f"--cell expects 'x,y' with integers, got {args.cell!r}") from None
     if args.steps < 1:
         raise DomainError(f"--steps must be at least 1, got {args.steps}")
+    if args.steps > MAX_SWEEP_STEPS:
+        raise ResourceLimitError(f"--steps {args.steps} is above the cap of {MAX_SWEEP_STEPS} rows")
     x, y = cell
     if not (0 <= x < 2 and 0 <= y < inst.q.num_outputs):
         raise DimensionError(f"cell {cell} is outside the metric's shape")
@@ -164,14 +171,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ChannelSpecError(f"'seed' must be an integer in [0, 2^64), got {seed!r}")
 
     params = ppm_params(n, inst.delta, inst.q0, inst.q1)
+    cap = args.covertness_cap
+    exact = not _states_exceed(inst.wz.num_outputs, params.n, cap)
+    if not exact:
+        _check_samples(cov_samples)  # before the book is built and the decode trials run
     book = generate_codebook(params, num_messages, num_keys, seed)
     report = estimate_error(inst, book, trials, seed, workers=args.workers)
     if fraction > 0.0:
         book = expurgate(report, book, fraction)
         report = estimate_error(inst, book, trials, seed, workers=args.workers)
 
-    cap = args.covertness_cap
-    if not _states_exceed(inst.wz.num_outputs, params.n, cap):
+    if exact:
         cov = covertness_exact(book, inst.wz, max_states=cap)
     else:
         cov = covertness_mc(book, inst.wz, cov_samples, seed)

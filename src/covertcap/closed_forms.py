@@ -62,7 +62,7 @@ def binary_dichotomy(inst: CovertInstance) -> DichotomyResult:
     and the full matched capacity t * D(P1 || P0) survives; otherwise,
     boundary included, the capacity is zero.
     """
-    wp = _valid_weight(inst)
+    _valid_weight(inst)
     if inst.wy.num_outputs != 2:
         raise DimensionError("binary dichotomy needs exactly two output symbols")
 
@@ -72,9 +72,8 @@ def binary_dichotomy(inst: CovertInstance) -> DichotomyResult:
     if relabeled:
         qq = qq[:, ::-1]
     log_rho = _log_odds_ratio(qq)
-    if log_rho > 0.0:
-        cap = wp.t * kl_divergence(inst.p1, inst.p0)  # label-invariant
-        return DichotomyResult(capacity=cap, case=DichotomyCase.POSITIVE, relabeled=relabeled)
+    if log_rho > 0.0:  # the matched capacity is label-invariant
+        return DichotomyResult(capacity=covert_capacity(inst), case=DichotomyCase.POSITIVE, relabeled=relabeled)
     return DichotomyResult(capacity=0.0, case=DichotomyCase.ZERO, relabeled=relabeled)
 
 

@@ -39,6 +39,7 @@ from .core import (
     DomainError,
     ProbVector,
     ResourceLimitError,
+    _kl,
     _type_blocks,
     _valid_weight,
     kl_divergence,
@@ -146,10 +147,7 @@ def objective_kl(jc: JointConditional) -> float:
 def _marginal_kl(w: np.ndarray, v: np.ndarray) -> float:
     # objective_kl on the channel rows and coupling array themselves
     m0, m1 = np.einsum("xy,xyz->xz", w, v)
-    mask = m1 > 0.0
-    if np.any(m0[mask] <= 0.0):
-        return float("inf")
-    return float(np.sum(m1[mask] * (np.log(m1[mask]) - np.log(m0[mask]))))
+    return _kl(m1, m0)
 
 
 def _lmo_targets(grad: np.ndarray, allowed: np.ndarray) -> np.ndarray:

@@ -154,6 +154,11 @@ class DecodingMetric:
     def num_outputs(self) -> int:
         return self.q.shape[1]
 
+    @functools.cached_property
+    def log_ratio(self) -> np.ndarray:
+        """rhat(y) = log q(1, y) - log q(0, y), read-only: all that the decoder's decisions read of q."""
+        return _readonly(np.log(self.q[1]) - np.log(self.q[0]))
+
 
 @dataclass(frozen=True)
 class CovertInstance:
@@ -233,11 +238,15 @@ def kl_divergence(p: ProbVector, r: ProbVector) -> float:
     """
     if len(p) != len(r):
         raise DimensionError("KL divergence needs equal-length distributions")
-    pp, rr = p.probs, r.probs
-    mask = pp > 0.0
-    if np.any(rr[mask] <= 0.0):
+    return _kl(p.probs, r.probs)
+
+
+def _kl(p: np.ndarray, r: np.ndarray) -> float:
+    """kl_divergence on the arrays themselves."""
+    mask = p > 0.0
+    if np.any(r[mask] <= 0.0):
         return float("inf")
-    return float(np.sum(pp[mask] * (np.log(pp[mask]) - np.log(rr[mask]))))
+    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(r[mask]))))
 
 
 def chi2_divergence(p: ProbVector, r: ProbVector) -> float:

@@ -44,11 +44,11 @@ NEWTON_CAP = 100             # steps beyond this mean the searched slope is not 
 class TiltFunction:
     """Precomputed ingredients of f(s) for one (metric, P0, P1) triple.
 
-    ``log_ratio`` is rhat per output symbol; ``mean_under_p1`` is E_P1[rhat];
-    ``rmax`` is the largest rhat on the support of P0 and ``limit_mass`` the
-    P0-mass of symbols within ``ARGMAX_TOL`` of it.  The shifted log-ratios
-    rhat - rmax and the P0 masses on the support of P0, which every f_s call
-    needs, are derived once here.
+    ``log_ratio`` is the metric's rhat per output symbol (DecodingMetric.log_ratio);
+    ``mean_under_p1`` is E_P1[rhat]; ``rmax`` is the largest rhat on the support
+    of P0 and ``limit_mass`` the P0-mass of symbols within ``ARGMAX_TOL`` of it.
+    The shifted log-ratios rhat - rmax and the P0 masses on the support of P0,
+    which every f_s call needs, are derived once here.
     """
 
     log_ratio: np.ndarray
@@ -70,10 +70,8 @@ def tilt_function(q: DecodingMetric, p0: ProbVector, p1: ProbVector) -> TiltFunc
     """Build the TiltFunction for metric q and receiver laws (p0, p1)."""
     if q.num_outputs != len(p0) or len(p0) != len(p1):
         raise DimensionError("metric and output laws must share one alphabet")
-    rhat = np.log(q.q[1]) - np.log(q.q[0])
+    rhat = q.log_ratio
     supp0 = p0.probs > 0.0
-    if not np.any(supp0):
-        raise DomainError("P0 has empty support")
     rmax = float(np.max(rhat[supp0]))
     near = supp0 & (rhat >= rmax - ARGMAX_TOL)
     return TiltFunction(

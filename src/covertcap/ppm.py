@@ -89,6 +89,7 @@ _MASK64 = (1 << 64) - 1
 _SLOT_SCORING_RATIO = 16
 # largest arrays built from a book: its K*M*l positions and one narrow sub-code's
 # float64 word matrix, M x |U| with |U| <= min(n, 16*l, M*l), or its dense view;
+# also a Monte-Carlo estimator's float64 values, one per sample (_check_samples).
 # Monte-Carlo blocks are bounded apart from the book, by _PULSE_BLOCK
 MAX_CODEBOOK_BYTES = 2**30
 # entries of one slot gather of _slot_scores, a cache-sized share of the (l*M, t)
@@ -103,6 +104,12 @@ _PULSE_BLOCK = 1 << 20
 # uniforms per draw of _sample_at_pulses, a few rows of a block at a time: one
 # draw's float64 uniforms take 512 KiB, or one row where a row holds more
 _SAMPLE_CHUNK = 1 << 16
+
+
+def _check_samples(samples: int) -> None:
+    """Raise ResourceLimitError, before anything is drawn, when ``samples`` float64 values exceed MAX_CODEBOOK_BYTES."""
+    if 8 * samples > MAX_CODEBOOK_BYTES:
+        raise ResourceLimitError(f"{samples} samples need {8 * samples} bytes of values, above the cap {MAX_CODEBOOK_BYTES}")
 
 
 def _stream(seed: int, tag: int, c1: int = 0, c2: int = 0) -> np.random.Generator:
@@ -139,8 +146,9 @@ def _sample_symbols(cum: np.ndarray, u: np.ndarray, out: np.ndarray | None = Non
 
 
 def _cumulative(p: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(p)
-    cum[-1] = 1.0
+    # the cumulative law of each row of p (a law, or a channel's two rows), ending at exactly 1
+    cum = np.cumsum(p, axis=-1)
+    cum[..., -1] = 1.0
     return cum
 
 
@@ -241,21 +249,12 @@ def _slack(n: int, delta: float) -> float:
     return 2.0 * delta - n ** (-1.0 / 3.0)
 
 
-def _min_n_positive_slack(delta: float) -> int:
-    # smallest n with 2*delta > n^(-1/3); float-safe integer scan near (2 delta)^-3
-    n = max(1, int((2.0 * delta) ** (-3.0)) - 2)
-    while _slack(n, delta) <= 0.0:
-        n += 1
-    return n
-
-
-def _min_n_for_one_chunk(delta: float, c2: float) -> int:
-    # smallest admissible n with floor(sqrt(slack*n/chi2)) >= 1, by doubling + bisection
-    lo = _min_n_positive_slack(delta)
-    ok = lambda n: _slack(n, delta) > 0.0 and _slack(n, delta) * n / c2 >= 1.0
-    hi = lo
+def _smallest_n(ok) -> int:
+    """Smallest n >= 1 passing ``ok``, a test that holds for every n past its first pass, by doubling then bisection."""
+    hi = 1
     while not ok(hi):
         hi *= 2
+    lo = hi // 2 + 1
     while lo < hi:
         mid = (lo + hi) // 2
         if ok(mid):
@@ -283,13 +282,13 @@ def ppm_params(n: int, delta: float, q0: ProbVector, q1: ProbVector) -> PpmParam
     if slack <= 0.0:
         raise DomainError(
             f"n={n} is too small for delta={delta}: need 2*delta > n^(-1/3), "
-            f"i.e. n >= {_min_n_positive_slack(delta)}"
+            f"i.e. n >= {_smallest_n(lambda m: _slack(m, delta) > 0.0)}"
         )
     l = int(math.floor(math.sqrt(slack * n / c2)))
     if l < 1:
         raise DomainError(
             f"n={n} admits no chunk at delta={delta} (chi2={c2:.6g}); "
-            f"smallest workable n is {_min_n_for_one_chunk(delta, c2)}"
+            f"smallest workable n is {_smallest_n(lambda m: _slack(m, delta) > 0.0 and _slack(m, delta) * m / c2 >= 1.0)}"
         )
     w = n // l
     if w < 1:
@@ -365,11 +364,15 @@ def _misplaced(pos: np.ndarray) -> bool:
     return False
 
 
+def _pulse_draw(params: PpmParams, rng: np.random.Generator) -> np.ndarray:
+    """A chunk-structured word's l increasing pulse positions: one uniform position per chunk of w."""
+    return np.arange(params.l) * params.w + rng.integers(0, params.w, size=params.l)
+
+
 def sample_codeword(params: PpmParams, rng: np.random.Generator) -> np.ndarray:
     """One chunk-structured word: a uniform active position per chunk, idle tail."""
-    pos = rng.integers(0, params.w, size=params.l)
     word = np.zeros(params.n, dtype=np.uint8)
-    word[np.arange(params.l) * params.w + pos] = 1
+    word[_pulse_draw(params, rng)] = 1
     return word
 
 
@@ -393,17 +396,12 @@ def generate_codebook(params: PpmParams, num_messages: int, num_keys: int, seed:
             f"codebook of {num_keys} keys x {num_messages} messages x {params.l} pulses (n={params.n}) "
             f"needs {size} bytes of positions and decode matrix, above the cap {MAX_CODEBOOK_BYTES}"
         )
-    starts = np.arange(params.l) * params.w
     pos = np.empty((num_keys, num_messages, params.l), dtype=np.int64)
     for k in range(num_keys):
         for m in range(num_messages):
-            pos[k, m] = starts + _stream(seed, _TAG_CODEBOOK, c1=k, c2=m).integers(0, params.w, size=params.l)
+            pos[k, m] = _pulse_draw(params, _stream(seed, _TAG_CODEBOOK, c1=k, c2=m))
     ids = np.tile(np.arange(num_messages, dtype=np.int64), (num_keys, 1))
     return PpmCodebook(params, num_messages, num_keys, pos, ids)
-
-
-def _log_ratio(metric: DecodingMetric) -> np.ndarray:
-    return np.log(metric.q[1]) - np.log(metric.q[0])
 
 
 def q_decode(codebook: PpmCodebook, k: int, y: np.ndarray, metric: DecodingMetric) -> int:
@@ -423,7 +421,7 @@ def q_decode(codebook: PpmCodebook, k: int, y: np.ndarray, metric: DecodingMetri
     if y.min(initial=0) < 0 or y.max(initial=0) >= metric.num_outputs:
         raise DomainError(f"output symbols must lie in [0, {metric.num_outputs})")
     cols, slots = _pulse_slots(codebook.positions[k])
-    scores = _slot_scores(_log_ratio(metric), y[None, cols], slots)[:, 0]
+    scores = _slot_scores(metric.log_ratio, y[None, cols], slots)[:, 0]
     top = float(scores.max())
     winners = np.flatnonzero(scores >= top - TIE_TOL)
     if winners.size > 1:
@@ -511,14 +509,12 @@ def estimate_error(
     """
     if trials_per_pair < 1:
         raise DomainError("trials_per_pair must be >= 1")
-    cum0 = _cumulative(inst.wy.w[0])
-    cum1 = _cumulative(inst.wy.w[1])
-    rhat = _log_ratio(inst.q)
+    cum0, cum1 = _cumulative(inst.wy.w)
     K, M = codebook.num_keys, codebook.num_messages
 
     def sub_code(mapper, k):
         pulses = _sub_code_pulses(codebook.positions[k])
-        run = lambda j: _pair_errors(codebook, k, j, trials_per_pair, seed, cum0, cum1, rhat, pulses)
+        run = lambda j: _pair_errors(codebook, k, j, trials_per_pair, seed, cum0, cum1, inst.q.log_ratio, pulses)
         return list(mapper(run, range(M)))
 
     with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:  # starts no thread unless mapped on
@@ -683,8 +679,7 @@ def covertness_exact(codebook: PpmCodebook, wz: Bdmc, max_states: int = 2**24) -
         raise ResourceLimitError(
             f"exact covertness needs {wz.num_outputs}^{n} states, above the cap {max_states}; use covertness_mc"
         )
-    qz0, qz1 = wz.w[0], wz.w[1]
-    if np.any((qz1 > 0.0) & (qz0 <= 0.0)) and codebook.positions.size > 0:
+    if np.any((wz.w[1] > 0.0) & (wz.w[0] <= 0.0)) and codebook.positions.size > 0:
         return CovertnessReport(METHOD_EXACT, float("inf"), None, 0)
     active, base_logs, d = _warden_deltas(wz)
     kl = _mixture_kl(codebook.positions, base_logs, d)
@@ -707,20 +702,21 @@ def covertness_mc(codebook: PpmCodebook, wz: Bdmc, samples: int, seed: int) -> C
     idle, Qhat and Q0^n share the factor Q0(z_i), which cancels in the ratio.
     A block of _blocks draws t word choices, then t*|U| uniforms, so the block
     size is part of the random stream.  Each word's log likelihood ratio sums
-    the outputs' log ratios at its slots (_slot_scores), in row chunks of
-    _blocks that leave the draws alone: a chunk holds at most _PULSE_BLOCK
-    rows x words, so its scores and each temporary of the scorer take at most
-    8 MiB.
+    the outputs' log Q1/Q0 (_warden_deltas, as for covertness_exact) at its
+    slots (_slot_scores), in row chunks of _blocks that leave the draws alone:
+    a chunk holds at most _PULSE_BLOCK rows x words, so its scores and each
+    temporary of the scorer take at most 8 MiB.
     """
     if samples < 100:
         raise DomainError(f"need at least 100 samples, got {samples!r}")
-    qz0, qz1 = wz.w[0], wz.w[1]
-    if np.any((qz1 > 0.0) & (qz0 <= 0.0)) and codebook.positions.size > 0:
+    _check_samples(samples)
+    if np.any((wz.w[1] > 0.0) & (wz.w[0] <= 0.0)) and codebook.positions.size > 0:
         return CovertnessReport(METHOD_MC, float("inf"), None, samples)
     cols, slots = _pulse_slots(codebook.positions)
-    d_full = np.where(qz0 > 0.0, np.log(np.maximum(qz1, 1e-300)) - np.log(np.maximum(qz0, 1e-300)), 0.0)
-    cum0 = _cumulative(qz0)
-    cum1 = _cumulative(qz1)
+    active, _, d = _warden_deltas(wz)
+    d_full = np.zeros(wz.num_outputs)  # log Q1/Q0 on supp(Q0), 0 elsewhere
+    d_full[active] = d
+    cum0, cum1 = _cumulative(wz.w)
     gen = _stream(seed, _TAG_COVERT)
     vals = np.empty(samples)
     for done, t in _blocks(samples, cols.size):
@@ -794,8 +790,8 @@ def sample_s_statistic(
     to 1.  Every sample lies in the closed interval [bound_low, bound_high]
     determined by the extreme metric ratios over the supports of p1 and p0;
     the mean approaches the tilt value f(s) as w grows.  Chunks are drawn by
-    _sample_at_pulses, active output in column 0, and scored about
-    _SAMPLE_CHUNK outputs at a time, so no float array of a whole block is built.
+    _sample_at_pulses, active output in column 0, and sampled and scored in
+    blocks of about _SAMPLE_CHUNK outputs, so no float array of more is built.
     """
     if w < 2:
         raise DomainError(f"w must be at least 2, got {w!r}")
@@ -803,12 +799,11 @@ def sample_s_statistic(
         raise DomainError(f"s must be nonnegative, got {s!r}")
     if samples < 2:
         raise DomainError("need at least 2 samples for a standard error")
+    _check_samples(samples)
     if q.num_outputs != len(p0) or len(p0) != len(p1):
         raise DimensionError("metric and output laws must share one alphabet")
-    rhat = _log_ratio(q)
+    rhat = q.log_ratio
     supp0, supp1 = p0.support(), p1.support()
-    if supp1.size == 0 or supp0.size == 0:
-        raise DomainError("both output laws need nonempty support")
     # Sharp support interval: the j=1 term of the average is always exp(0)=1,
     # the other w-1 exponents range over s*(rhat(idle) - rhat(active)).
     a = s * (float(rhat[supp1].max()) - float(rhat[supp0].min()))
@@ -818,15 +813,12 @@ def sample_s_statistic(
     bound_low = math.log(w) - float(np.logaddexp(0.0, log_w1 + b))
 
     gen = _stream(seed, _TAG_SSTAT)
-    cum0 = _cumulative(p0.probs)
-    cum1 = _cumulative(p1.probs)
+    cum0, cum1 = _cumulative(np.stack([p0.probs, p1.probs]))
     cols = np.arange(w)
     vals = np.empty(samples)
-    for done, t in _blocks(samples, w):
-        y = _sample_at_pulses(gen, t, cols, 0, cum0, cum1)
-        for lo, r in _blocks(t, w, max(1, _SAMPLE_CHUNK // w)):  # rows are scored apart: same bits
-            r_all = rhat[y[lo : lo + r]]
-            vals[done + lo : done + lo + r] = math.log(w) - _logsumexp_rows(s * (r_all - r_all[:, :1]))
+    for done, t in _blocks(samples, w, max(1, _SAMPLE_CHUNK // w)):  # rows are read and scored apart: same bits
+        r_all = rhat[_sample_at_pulses(gen, t, cols, 0, cum0, cum1)]
+        vals[done : done + t] = math.log(w) - _logsumexp_rows(s * (r_all - r_all[:, :1]))
     return SStatReport(
         mean=float(vals.mean()),
         stderr=float(vals.std(ddof=1) / math.sqrt(samples)),

@@ -192,6 +192,13 @@ class TestSweep:
         assert main(["sweep", spec_file, "--steps", "0"]) == 2
         capsys.readouterr()
 
+    def test_oversize_steps_exits_3_before_the_values(self, spec_file, capsys, monkeypatch):
+        monkeypatch.setattr("covertcap.cli.np.linspace", lambda *args: pytest.fail("values built"))
+        assert main(["sweep", spec_file, "--steps", str(10**15)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "cap" in captured.err
+        assert captured.out == ""
+
 
 class TestSimulate:
     @pytest.fixture
@@ -309,6 +316,15 @@ class TestSimulate:
         monkeypatch.setattr("covertcap.cli.generate_codebook", lambda *args: pytest.fail("book built"))
         assert main(["simulate", spec, config, "--out-dir", str(tmp_path / "out"), flag, value]) == 2
         assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_oversize_covertness_samples_exit_3_before_the_book(self, sim_files, tmp_path, capsys, monkeypatch):
+        # 2^12 output states above a cap of 1 take the Monte-Carlo path, which refuses 10^15 samples
+        spec, _ = sim_files
+        config = write_json(tmp_path, "huge.json", dict(SIM_CONFIG, covertness_samples=10**15))
+        monkeypatch.setattr("covertcap.cli.generate_codebook", lambda *args: pytest.fail("book built"))
+        assert main(["simulate", spec, config, "--out-dir", str(tmp_path / "out"), "--covertness-cap", "1"]) == 3
+        assert "cap" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_inadmissible_blocklength_exits_2(self, sim_files, tmp_path, capsys):

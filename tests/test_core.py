@@ -98,6 +98,15 @@ class TestDecodingMetric:
         with pytest.raises(DimensionError):
             DecodingMetric(np.array([1.0, 2.0]))
 
+    def test_log_ratio_is_one_read_only_array(self):
+        q = np.array([[0.3, 1.7, 2.0e-9], [1.1, 0.2, 5.0]])
+        metric = DecodingMetric(q)
+        rhat = metric.log_ratio
+        assert rhat.tobytes() == (np.log(q[1]) - np.log(q[0])).tobytes()
+        assert metric.log_ratio is rhat
+        with pytest.raises(ValueError):
+            rhat[0] = 0.0
+
 
 class TestCovertInstance:
     def test_row_properties(self):

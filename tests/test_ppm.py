@@ -29,6 +29,7 @@ from covertcap import (
     PpmParams,
     ProbVector,
     ResourceLimitError,
+    chi2_divergence,
     covertness_exact,
     covertness_mc,
     estimate_error,
@@ -51,7 +52,6 @@ from covertcap.ppm import (
     _TAG_ERROR,
     MAX_CODEBOOK_BYTES,
     _cumulative,
-    _log_ratio,
     _pair_errors,
     _PULSE_BLOCK,
     _pulse_slots,
@@ -126,6 +126,22 @@ class TestPpmParams:
         with pytest.raises(DomainError):
             ppm_params(n_ok - 1, 0.1, Q0, Q1)
 
+    @settings(max_examples=300, deadline=None)
+    @given(delta=st.floats(1e-4, 0.49), c2=st.floats(1e-3, 1e3))
+    @example(delta=1e-5, c2=1.0)
+    @example(delta=1e-6, c2=1e3)
+    def test_hints_match_the_two_searches_they_merge(self, delta, c2):
+        a = 1.0 / (1.0 + c2)
+        q0, q1 = ProbVector([a, 1.0 - a]), ProbVector([1.0, 0.0])  # chi2(q1 || q0) = (1 - a) / a
+        c2 = chi2_divergence(q1, q0)
+        n_pos = min_n_positive_slack_reference(delta)
+        with pytest.raises(DomainError, match=rf"i\.e\. n >= {n_pos}$"):
+            ppm_params(1, delta, q0, q1)
+        n_one = min_n_for_one_chunk_reference(delta, c2)
+        if n_one > n_pos:  # else n_pos admits a chunk and no hint is given
+            with pytest.raises(DomainError, match=rf"smallest workable n is {n_one}$"):
+                ppm_params(n_pos, delta, q0, q1)
+
     def test_input_validation(self):
         for bad_n in (0, -5):
             with pytest.raises(DomainError):
@@ -146,6 +162,31 @@ class TestPpmParams:
             PpmParams(0, 1, 1, 0)
         with pytest.raises(DomainError):
             PpmParams(8, 2, 4, -1)
+
+
+def min_n_positive_slack_reference(delta):
+    """Smallest n with 2 delta > n^(-1/3), by the integer scan near (2 delta)^-3 that ppm_params once used."""
+    n = max(1, int((2.0 * delta) ** (-3.0)) - 2)
+    while 2.0 * delta - n ** (-1.0 / 3.0) <= 0.0:
+        n += 1
+    return n
+
+
+def min_n_for_one_chunk_reference(delta, c2):
+    """Smallest n with positive slack and slack * n / c2 >= 1, by the doubling and bisection from the
+    positive-slack n that ppm_params once used."""
+    slack = lambda n: 2.0 * delta - n ** (-1.0 / 3.0)
+    ok = lambda n: slack(n) > 0.0 and slack(n) * n / c2 >= 1.0
+    lo = hi = min_n_positive_slack_reference(delta)
+    while not ok(hi):
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 class TestCodewordSampling:
@@ -458,7 +499,7 @@ class TestEstimateError:
         cb = generate_codebook(PpmParams(6, 2, 3, 0), num_messages=3, num_keys=2, seed=7)
         default = estimate_error(inst, cb, trials_per_pair=300, seed=8).errors
         cum0, cum1 = _cumulative(inst.wy.w[0]), _cumulative(inst.wy.w[1])
-        rhat = np.append(_log_ratio(inst.q), 0.0)
+        rhat = np.append(inst.q.log_ratio, 0.0)
         for ratio, chunk in ((_SLOT_SCORING_RATIO, 1), (_SLOT_SCORING_RATIO, 7), (0, 1), (0, 7)):
             with mock.patch.object(ppm, "_SLOT_SCORING_RATIO", ratio):
                 counts = [
@@ -701,7 +742,7 @@ class TestPulseColumnsMatchDense:
             delta=0.1,
         )
         trials = int(rng.integers(1, 200))
-        cum0, cum1, rhat = _cumulative(inst.wy.w[0]), _cumulative(inst.wy.w[1]), _log_ratio(inst.q)
+        cum0, cum1, rhat = _cumulative(inst.wy.w[0]), _cumulative(inst.wy.w[1]), inst.q.log_ratio
         dense = [
             [dense_pair_errors(cb, k, j, trials, seed, cum0, cum1, rhat) for j in range(num_messages)]
             for k in range(num_keys)
@@ -753,7 +794,7 @@ def tie_prone_counts(seed, n, num_keys, num_messages, ny, density, trials):
         q=DecodingMetric(rng.choice([1.0, 3.0, 9.0], size=(2, ny))),
         delta=0.1,
     )
-    cum0, cum1, rhat = _cumulative(inst.wy.w[0]), _cumulative(inst.wy.w[1]), _log_ratio(inst.q)
+    cum0, cum1, rhat = _cumulative(inst.wy.w[0]), _cumulative(inst.wy.w[1]), inst.q.log_ratio
     reference = [
         [row_major_pair_errors(cb, k, j, trials, seed, cum0, cum1, rhat) for j in range(num_messages)]
         for k in range(num_keys)
@@ -809,7 +850,7 @@ class TestSlotScoring:
         cols, slots, words = pulses = _sub_code_pulses(cb.positions[0])
         assert words is None and 64 * 1024 > ppm._SLOT_GATHER
         cum0, cum1 = _cumulative(inst.wy.w[0]), _cumulative(inst.wy.w[1])
-        rhat = np.append(_log_ratio(inst.q), 0.0)
+        rhat = np.append(inst.q.log_ratio, 0.0)
         narrow = (cols, slots, _word_matrix(slots, cols.size))
         for j in (0, 63):
             slot = _pair_errors(cb, 0, j, 1500, 4, cum0, cum1, rhat, pulses)
@@ -980,6 +1021,41 @@ def report_for(p_hat: np.ndarray, trials: int = 100) -> ErrorReport:
     )
 
 
+def exact_pair_errors(cb, k, inst, block=1 << 14):
+    """Exact decode-error probability of every word of sub-code k, over all outputs on its pulse columns.
+
+    Binary outputs only: state i spells output bit u as bit u of i.  A word's
+    verdict is estimate_error's: decoded when the best rival, the top score or
+    the runner-up taken by np.partition, lies below its own score less TIE_TOL.
+    """
+    cols, slots = _pulse_slots(cb.positions[k])
+    M, U = len(slots), cols.size
+    words = _word_matrix(slots, U)
+    log0, log1 = np.log(inst.wy.w[0]), np.log(inst.wy.w[1])
+    p_err = np.zeros(M)
+    for lo in range(0, 2**U, block):
+        y = (np.arange(lo, min(lo + block, 2**U))[:, None] >> np.arange(U)) & 1
+        scores = inst.q.log_ratio[y] @ words.T
+        second, top = np.partition(scores, M - 2, axis=1)[:, -2:].T
+        rival = np.where(scores >= top[:, None], second[:, None], top[:, None])
+        log_p = log0[y].sum(axis=1)[:, None] + (log1 - log0)[y] @ words.T
+        p_err += (np.exp(log_p) * ~(rival < scores - TIE_TOL)).sum(axis=0)
+    return np.clip(p_err, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("ratio", [_SLOT_SCORING_RATIO, 0], ids=["narrow_product", "slot_scorer"])
+def test_error_counts_match_the_exact_error_probabilities(ratio):
+    # the binary simulate benchmark's book at seed 1: n = 20, l = 3, 18 pulse columns in sub-code 0
+    inst = CovertInstance(Bdmc(WZ_BIN.w), WZ_BIN, DecodingMetric([[0.9, 0.1], [0.1, 0.9]]), 0.3)
+    cb = generate_codebook(ppm_params(20, 0.3, inst.q0, inst.q1), 16, 4, seed=1)
+    assert _pulse_slots(cb.positions[0])[0].size == 18
+    trials = 4000
+    with mock.patch.object(ppm, "_SLOT_SCORING_RATIO", ratio):
+        p_hat = estimate_error(inst, cb, trials, seed=7).p_hat[0]
+    p = exact_pair_errors(cb, 0, inst)
+    assert np.all(np.abs(p_hat - p) <= 4 * np.sqrt(p * (1 - p) / trials) + 1e-9)
+
+
 class TestExpurgate:
     PARAMS = PpmParams(4, 2, 2, 0)
 
@@ -1119,6 +1195,27 @@ class TestCovertness:
         cb = generate_codebook(self.PARAMS, num_messages=2, num_keys=1, seed=34)
         with pytest.raises(DomainError):
             covertness_mc(cb, WZ_BIN, samples=99, seed=0)
+
+    def test_mc_refuses_oversize_samples_before_allocating(self):
+        cb = generate_codebook(self.PARAMS, num_messages=2, num_keys=1, seed=34)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="cap"):
+                covertness_mc(cb, WZ_BIN, samples=MAX_CODEBOOK_BYTES // 8 + 1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_mc_reads_the_warden_log_ratios_of_the_exact_sum(self):
+        # Q0 puts 1e-305 on a symbol Q1 gives 0.3: a Q0 clamped at 1e-300 in the
+        # Monte-Carlo log ratios once put the estimate 5.4 stderr below the exact value
+        cb = generate_codebook(PpmParams(6, 2, 3, 0), 4, 1, seed=3)
+        wz = Bdmc(np.array([[0.7, 0.3, 1e-305], [0.4, 0.3, 0.3]]))
+        exact = covertness_exact(cb, wz)
+        mc = covertness_mc(cb, wz, samples=100_000, seed=5)
+        assert exact.kl_estimate == pytest.approx(419.8552, abs=1e-4)
+        assert abs(mc.kl_estimate - exact.kl_estimate) <= 4 * mc.stderr
 
 
 def reference_covertness_exact(cb, wz):
@@ -1418,6 +1515,14 @@ class TestSStatistic:
             sample_s_statistic(inst.q, inst.p0, inst.p1, w=4, s=-0.5, samples=100, seed=0)
         with pytest.raises(DomainError):
             sample_s_statistic(inst.q, inst.p0, inst.p1, w=4, s=1.0, samples=1, seed=0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="cap"):
+                sample_s_statistic(inst.q, inst.p0, inst.p1, w=4, s=1.0, samples=MAX_CODEBOOK_BYTES // 8 + 1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
         with pytest.raises(DimensionError):
             sample_s_statistic(
                 inst.q, ProbVector([0.5, 0.5]), ProbVector([0.4, 0.6]), w=4, s=1.0,
