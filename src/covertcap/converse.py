@@ -150,10 +150,11 @@ def _marginal_kl(w: np.ndarray, v: np.ndarray) -> float:
     return _kl(m1, m0)
 
 
-def _lmo_targets(grad: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    # the linear oracle: per (x, y) all mass on the allowed yhat with the
-    # smallest gradient coordinate, smallest index on exact ties
-    return np.argmin(np.where(allowed, grad, np.inf), axis=2)
+def _lmo_targets(grad: np.ndarray, allowed: np.ndarray, masked: np.ndarray) -> np.ndarray:
+    # the linear oracle: per (x, y) all mass on the allowed yhat with the smallest gradient
+    # coordinate, smallest index on exact ties; ``masked`` is a buffer kept inf off ``allowed``
+    np.copyto(masked, grad, where=allowed)
+    return masked.argmin(axis=2)
 
 
 @dataclass(frozen=True)
@@ -185,19 +186,19 @@ def _line_search(m1, d1, m0t, d0, eps: float, gmax: float, slope0: float) -> flo
         phi'  = sum d1 (log a1 - log a0 + 1) - (1-eps) sum (a1/a0) d0,
         phi'' = sum (d1 - (1-eps) (a1/a0) d0)^2 / a1,
 
-    so one pass over the outputs the step moves gives both.
+    so one pass over the outputs the step moves ((1-eps) d0 is 0 only where d0
+    is) gives both, in scalar Python: ``np.log`` and ``np.sum`` round otherwise.
     """
     if slope0 >= 0.0:
         return 0.0
-    moved = np.flatnonzero((d1 != 0.0) | (d0 != 0.0))
-    e0s = (1.0 - eps) * d0[moved]
-    terms = list(zip(m1[moved].tolist(), d1[moved].tolist(), m0t[moved].tolist(), e0s.tolist()))
+    terms = [t for t in zip(m1.tolist(), d1.tolist(), m0t.tolist(), ((1.0 - eps) * d0).tolist()) if t[1] or t[3]]
 
     def falling(g: float) -> tuple[float, float]:
         # (-phi'(g), -phi''(g)): the slope and curvature of the concave -phi
         slope = curv = 0.0
         for p1, e1, p0, e0 in terms:
-            a1 = max(p1 + g * e1, _TINY)
+            a1 = p1 + g * e1
+            a1 = _TINY if _TINY > a1 else a1  # max(a1, _TINY) without the call
             rho = a1 / (p0 + g * e0)
             u = e1 - rho * e0
             slope += rho * e0 - e1 * (math.log(rho) + 1.0)
@@ -218,17 +219,18 @@ def upper_bound(inst: CovertInstance, tol: float = 1e-8, max_iters: int = 20000)
     or ``max_iters``.  Each step moves mass from the worst vertex of the current
     convex decomposition onto the linear-oracle vertex, which avoids the
     zig-zag stall of plain conditional gradients when the optimum sits on a
-    face.  The decomposition is kept as arrays: row i of ``active`` holds
-    the flat indices into the gradient of one one-hot vertex, in the order
-    the vertices entered, and ``wts[i]`` its weight; the away vertex is the
-    first row with the largest gradient sum; the oracle vertex's sum minus
-    it is the step's slope at 0.  The reported kl_value is the raw
-    (unsmoothed) objective at the final iterate (``_drop_undominated`` first
-    if it is infinite), or at the diagonal coupling if that is better,
-    clamped at 0: where the minimum is 0 the raw objective
-    is float dust of either sign, and a divergence is never negative.  The
-    diagonal guarantee caps kl_value at D(P1 || P0).  ``converged`` says
-    whether every stage reached ``tol``.
+    face.  The decomposition is kept as arrays: row i of ``active`` holds the
+    flat indices into the gradient of one one-hot vertex, in the order the
+    vertices entered, and ``wts[i]`` its weight; the away vertex is the first
+    row with the largest gradient sum; the oracle vertex's sum minus it is the
+    step's slope at 0.  Each step overwrites the gradient, the oracle's masked
+    copy and the direction, made once per solve.  The reported kl_value is the
+    raw (unsmoothed) objective at the final iterate (``_drop_undominated``
+    first if it is infinite), or at the diagonal coupling if that is better,
+    clamped at 0: where the minimum is 0 the raw objective is float dust of
+    either sign, and a divergence is never negative.  The diagonal guarantee
+    caps kl_value at D(P1 || P0).  ``converged`` says whether every stage
+    reached ``tol``, which must be finite and positive.
 
     The loop reads only W_Y, the table S_q, ``tol`` and ``max_iters``, so the
     solve is memoized on those (one entry, see the module docstring): a call
@@ -236,6 +238,8 @@ def upper_bound(inst: CovertInstance, tol: float = 1e-8, max_iters: int = 20000)
     gap and flag, scaled by its own t_delta; the coupling, checked once when
     solved, carries that solve's channel and table, equal to the hit's own.
     """
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise DomainError(f"tol must be a positive finite number, got {tol!r}")
     wp = _valid_weight(inst)
     table = maximal_sets(inst.q)
     w = inst.wy.w
@@ -263,43 +267,42 @@ def _solve(
 
     # current point and its convex decomposition over one-hot vertices
     diag_row = cell_base + np.tile(np.arange(ny), 2)
-    v = np.zeros(2 * ny * ny)
-    v[diag_row] = 1.0
-    v = v.reshape(2, ny, ny)
+    diag = np.broadcast_to(np.eye(ny), (2, ny, ny))
+    v = diag.copy()
     active = diag_row[None, :]
     wts = np.ones(1)
+    vertex = np.dtype((np.void, active.itemsize * 2 * ny))  # an active row as one comparable item
+    grad, direction, masked = np.empty((2, ny, ny)), np.zeros((2, ny, ny)), np.full((2, ny, ny), np.inf)
+    flat_direction = direction.reshape(-1)
 
     gap = math.inf
     converged = True
     for eps in _EPS_SCHEDULE:
         for _ in range(max_iters):
-            m = np.einsum("xy,xyz->xz", w, v)
-            m0, m1 = m[0], m[1]
+            m0, m1 = np.einsum("xy,xyz->xz", w, v)
             m0t = (1.0 - eps) * m0 + eps * uniform
             logterm = np.log(np.maximum(m1, _TINY)) - np.log(m0t)
-            g1 = w[1][:, None] * (logterm + 1.0)[None, :]
-            g0 = -(1.0 - eps) * w[0][:, None] * (m1 / m0t)[None, :]
-            grad = np.stack([g0, g1])
-            to_row = cell_base + _lmo_targets(grad, allowed).ravel()
-            to_sum = grad.ravel()[to_row].sum()
-            gap = float(np.sum(grad * v) - to_sum)
+            np.multiply(-(1.0 - eps) * w[0][:, None], m1 / m0t, out=grad[0])
+            np.multiply(w[1][:, None], logterm + 1.0, out=grad[1])
+            to_row = cell_base + _lmo_targets(grad, allowed, masked).ravel()
+            to_sum = grad.take(to_row).sum()
+            gap = float((grad * v).sum() - to_sum)
             if gap < tol:
                 break
             # away vertex: the active one the gradient most wants to leave
-            away_sums = grad.ravel()[active].sum(axis=1)
-            away = int(np.argmax(away_sums))
+            away_sums = grad.take(active).sum(axis=1)
+            away = int(away_sums.argmax())
             gmax = float(wts[away])
-            direction = np.zeros(2 * ny * ny)
-            direction[to_row] = 1.0
-            direction[active[away]] -= 1.0
-            direction = direction.reshape(2, ny, ny)
+            direction.fill(0.0)
+            flat_direction[to_row] = 1.0
+            flat_direction[active[away]] -= 1.0
             dm = np.einsum("xy,xyz->xz", w, direction)
             gamma = _line_search(m1, dm[1], m0t, dm[0], eps, gmax, float(to_sum - away_sums[away]))
             if gamma <= 0.0:
                 converged = False
                 break
-            v = v + gamma * direction
-            hit = np.flatnonzero((active == to_row).all(axis=1))
+            v += gamma * direction
+            hit = (active.view(vertex) == to_row.view(vertex)).nonzero()[0]
             if hit.size:
                 wts[hit[0]] += gamma
             else:
@@ -322,7 +325,6 @@ def _solve(
         v = _drop_undominated(w, v)
         kl_iter = _marginal_kl(w, v)
 
-    diag = np.broadcast_to(np.eye(ny), (2, ny, ny))
     kl_diag = _marginal_kl(w, diag)  # = D(P1 || P0), always finite under A3
     if kl_iter > kl_diag:
         v, kl_iter = diag, kl_diag

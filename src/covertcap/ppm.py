@@ -249,6 +249,12 @@ def _slack(n: int, delta: float) -> float:
     return 2.0 * delta - n ** (-1.0 / 3.0)
 
 
+def _chunks(n: int, delta: float, c2: float) -> int:
+    """The schedule's l at blocklength n, or 0 where the budget leaves no slack."""
+    slack = _slack(n, delta)
+    return int(math.floor(math.sqrt(slack * n / c2))) if slack > 0.0 else 0
+
+
 def _smallest_n(ok) -> int:
     """Smallest n >= 1 passing ``ok``, a test that holds for every n past its first pass, by doubling then bisection."""
     hi = 1
@@ -264,12 +270,28 @@ def _smallest_n(ok) -> int:
     return lo
 
 
+def _workable_from(delta: float, c2: float) -> int:
+    """Smallest n from which every larger n has a schedule, 1 <= l <= n.
+
+    l >= 1, once met, holds for every larger n, but l <= n does not: it fails
+    where slack(n) n / (n + 1)^2 >= chi2, and that ratio rises until the
+    first n where 2 delta (1 - n) + (4/3) n^(2/3) - (2/3) n^(-1/3), the sign
+    of its slope, is <= 0, then falls.  So l <= m holds for every m >= n iff
+    it holds at the larger of n and each of the two integers around that turn.
+    """
+    turn = _smallest_n(lambda m: 2.0 * delta * (1 - m) + (4.0 / 3.0) * m ** (2.0 / 3.0) - (2.0 / 3.0) * m ** (-1.0 / 3.0) <= 0.0)
+    return _smallest_n(
+        lambda n: _chunks(n, delta, c2) >= 1 and all(_chunks(m, delta, c2) <= m for m in (max(n, turn - 1), max(n, turn)))
+    )
+
+
 def ppm_params(n: int, delta: float, q0: ProbVector, q1: ProbVector) -> PpmParams:
     """Chunk schedule meeting the divergence budget delta against warden (q0, q1).
 
     l = floor(sqrt((2 delta - n^(-1/3)) n / chi2(q1 || q0))), w = n // l,
-    r = n - w l.  Raises DomainError, naming the smallest workable n, when the
-    budget leaves no slack at this blocklength or when it admits no chunk.
+    r = n - w l.  Raises DomainError when the budget leaves no slack at this
+    blocklength, admits no chunk, or makes more chunks than symbols; each
+    message names the n from which every larger blocklength is workable.
     """
     if n < 1 or n != int(n):
         raise DomainError(f"n must be a positive integer, got {n!r}")
@@ -278,24 +300,16 @@ def ppm_params(n: int, delta: float, q0: ProbVector, q1: ProbVector) -> PpmParam
     c2 = chi2_divergence(q1, q0)
     if c2 == 0.0 or not math.isfinite(c2):
         raise DomainError("warden marginals must differ and q1 must be dominated by q0")
-    slack = _slack(n, delta)
-    if slack <= 0.0:
-        raise DomainError(
-            f"n={n} is too small for delta={delta}: need 2*delta > n^(-1/3), "
-            f"i.e. n >= {_smallest_n(lambda m: _slack(m, delta) > 0.0)}"
-        )
-    l = int(math.floor(math.sqrt(slack * n / c2)))
-    if l < 1:
-        raise DomainError(
-            f"n={n} admits no chunk at delta={delta} (chi2={c2:.6g}); "
-            f"smallest workable n is {_smallest_n(lambda m: _slack(m, delta) > 0.0 and _slack(m, delta) * m / c2 >= 1.0)}"
-        )
-    w = n // l
-    if w < 1:
-        raise DomainError(
-            f"schedule degenerate at n={n}, delta={delta}: more chunks than symbols (l={l})"
-        )
-    return PpmParams(n=n, l=l, w=w, r=n - w * l)
+    l = _chunks(n, delta, c2)
+    if 1 <= l <= n:
+        return PpmParams(n=n, l=l, w=n // l, r=n % l)
+    if _slack(n, delta) <= 0.0:
+        why = f"n={n} is too small for delta={delta}: need 2*delta > n^(-1/3), i.e. n >= {_smallest_n(lambda m: _slack(m, delta) > 0.0)}"
+    elif l < 1:
+        why = f"n={n} admits no chunk at delta={delta} (chi2={c2:.6g})"
+    else:
+        why = f"schedule degenerate at n={n}, delta={delta}: more chunks than symbols (l={l})"
+    raise DomainError(f"{why}; every n >= {_workable_from(delta, c2)} is workable")
 
 
 @dataclass(frozen=True)

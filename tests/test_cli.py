@@ -435,6 +435,16 @@ def test_tol_is_accepted_where_the_converse_runs(spec_file, capsys, argv):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+@pytest.mark.parametrize("argv", [["bounds"], ["sweep", "--steps", "2"]], ids=["bounds", "sweep"])
+def test_bad_tol_exits_2_with_one_error_line(spec_file, capsys, argv, tol):
+    # inf stopped every stage at once: bounds printed the diagonal bound as upper
+    assert main([*argv, spec_file, f"--tol={tol}"]) == 2
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [f"error: tol must be a positive finite number, got {float(tol)!r}"]
+    assert len(out.splitlines()) <= 1  # sweep prints its header before the first row
+
+
 @pytest.mark.parametrize("command", ["capacity", "simulate"])
 def test_tol_is_refused_where_no_converse_runs(tmp_path, capsys, command):
     argv = [command, write_json(tmp_path, "spec.json", SIM_SPEC)]

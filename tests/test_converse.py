@@ -38,7 +38,17 @@ from covertcap import (
     weight_parameter,
 )
 from covertcap.cli import main
-from covertcap.converse import _TINY, _distinct_rows, _lattice_marginals, _line_search, _lmo_targets
+from covertcap.converse import (
+    _TINY,
+    MaximalSetTable,
+    _distinct_rows,
+    _drop_undominated,
+    _lattice_marginals,
+    _line_search,
+    _lmo_targets,
+    _marginal_kl,
+)
+from covertcap.lower_bound import _newton_max
 from covertcap.core import _type_blocks
 
 from conftest import (
@@ -253,10 +263,15 @@ class TestCouplings:
         assert objective_kl(jc) == pytest.approx(math.log(1 / 0.7), abs=1e-12)
 
 
+def inf_buffer(ny: int = 3) -> np.ndarray:
+    """The oracle's masked buffer as a solve starts it."""
+    return np.full((2, ny, ny), np.inf)
+
+
 class TestLinearOracle:
     def test_zero_gradient_takes_smallest_allowed_index(self):
         table = maximal_sets(example1(3.0).q)
-        idx = _lmo_targets(np.zeros((2, 3, 3)), table.allowed)
+        idx = _lmo_targets(np.zeros((2, 3, 3)), table.allowed, inf_buffer())
         np.testing.assert_array_equal(idx, [[0, 0, 0], [0, 1, 2]])
 
     def test_hand_built_gradient(self):
@@ -267,7 +282,18 @@ class TestLinearOracle:
                 [[5.0, 1.0, 2.0], [0.0, 0.0, 9.0], [7.0, 8.0, -1.0]],
             ]
         )
-        np.testing.assert_array_equal(_lmo_targets(grad, table.allowed), [[0, 1, 2], [1, 1, 2]])
+        np.testing.assert_array_equal(_lmo_targets(grad, table.allowed, inf_buffer()), [[0, 1, 2], [1, 1, 2]])
+
+    def test_reused_buffer_matches_a_fresh_mask(self):
+        # a solve keeps one masked buffer for its table; each call overwrites only
+        # the allowed entries, so earlier gradients never leak into the argmin
+        rng = np.random.default_rng(43)
+        table = maximal_sets(random_instance(rng, ny=6).q)
+        masked = inf_buffer(6)
+        for _ in range(20):
+            grad = rng.normal(size=(2, 6, 6))
+            expected = np.argmin(np.where(table.allowed, grad, np.inf), axis=2)
+            np.testing.assert_array_equal(_lmo_targets(grad, table.allowed, masked), expected)
 
     def test_vertex_minimizes_linear_objective(self):
         rng = np.random.default_rng(44)
@@ -275,7 +301,7 @@ class TestLinearOracle:
             inst = random_instance(rng)
             table = maximal_sets(inst.q)
             grad = rng.normal(size=(2, 3, 3))
-            idx = _lmo_targets(grad, table.allowed)
+            idx = _lmo_targets(grad, table.allowed, inf_buffer())
             assert np.all(np.take_along_axis(table.allowed, idx[..., None], axis=2))
             val = float(np.take_along_axis(grad, idx[..., None], axis=2).sum())
             for _ in range(5):
@@ -377,6 +403,11 @@ class TestUpperBound:
         assert not res.converged
         assert res.fw_gap >= 1e-8
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        with pytest.raises(DomainError, match="tol must be a positive finite number"):
+            upper_bound(example1(0.5), tol=tol)
+
     def test_invalid_instance_rejected(self):
         inst = CovertInstance(
             wy=Bdmc(np.array([[0.6, 0.4], [0.3, 0.7]])),
@@ -396,18 +427,23 @@ def without_output(inst: CovertInstance, y: int) -> CovertInstance:
     return CovertInstance(wy=wy, wz=inst.wz, q=inst.q, delta=inst.delta)
 
 
+def unused_output_instance() -> CovertInstance:
+    """Four outputs; neither input produces output 3, which input 1 may reach."""
+    return CovertInstance(
+        wy=Bdmc(np.array([[0.07, 0.73, 0.20, 0.0], [0.14, 0.39, 0.47, 0.0]])),
+        wz=Bdmc(np.array([[0.09, 0.71, 0.20], [0.22, 0.13, 0.65]])),
+        q=DecodingMetric(np.array([[1.8, 1.45, 1.67, 0.43], [0.68, 0.44, 0.47, 4.0]])),
+        delta=0.15,
+    )
+
+
 class TestUnusedOutput:
     """An output neither input produces, which input 1 may still reach under the metric."""
 
     def test_matches_the_instance_without_it(self):
         # the eps smoothing left 5e-8 of input-1 mass on output 3, where m0 = 0;
         # the raw D was infinite and the bound fell back to D(P1 || P0), 8.5x the oracle
-        four = CovertInstance(
-            wy=Bdmc(np.array([[0.07, 0.73, 0.20, 0.0], [0.14, 0.39, 0.47, 0.0]])),
-            wz=Bdmc(np.array([[0.09, 0.71, 0.20], [0.22, 0.13, 0.65]])),
-            q=DecodingMetric(np.array([[1.8, 1.45, 1.67, 0.43], [0.68, 0.44, 0.47, 4.0]])),
-            delta=0.15,
-        )
+        four = unused_output_instance()
         three = CovertInstance(
             wy=Bdmc(four.wy.w[:, :3]), wz=four.wz, q=DecodingMetric(four.q.q[:, :3]), delta=four.delta
         )
@@ -684,7 +720,7 @@ def bisection_min_kl(inst: CovertInstance, tol: float = 1e-8, max_iters: int = 2
             g1 = w[1][:, None] * (logterm + 1.0)[None, :]
             g0 = -(1.0 - eps) * w[0][:, None] * (m1 / m0t)[None, :]
             grad = np.stack([g0, g1])
-            to_row = cell_base + _lmo_targets(grad, table.allowed).ravel()
+            to_row = cell_base + head_lmo_targets(grad, table.allowed).ravel()
             if float(np.sum(grad * v) - grad.ravel()[to_row].sum()) < tol:
                 break
             away = int(np.argmax(grad.ravel()[active].sum(axis=1)))
@@ -741,6 +777,154 @@ class TestNewtonFrankWolfe:
     def test_agrees_with_bisection_frank_wolfe(self, kind, seed, ny):
         inst = converse_instance(kind, seed, ny)
         assert abs(upper_bound(inst).kl_value - bisection_min_kl(inst)) <= 1e-10
+
+
+# the converse's constants, frozen for the reference Frank-Wolfe below
+_EPS_SCHEDULE = (1e-3, 1e-5, 1e-7)
+_GAMMA_TOL = 2.0**-44
+
+
+def head_lmo_targets(grad: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    # the linear oracle as the reference Frank-Wolfe below calls it
+    return np.argmin(np.where(allowed, grad, np.inf), axis=2)
+
+
+def head_line_search(m1, d1, m0t, d0, eps: float, gmax: float, slope0: float) -> float:
+    """``converse._line_search`` before its scalar loop was tuned: a verbatim copy."""
+    if slope0 >= 0.0:
+        return 0.0
+    moved = np.flatnonzero((d1 != 0.0) | (d0 != 0.0))
+    e0s = (1.0 - eps) * d0[moved]
+    terms = list(zip(m1[moved].tolist(), d1[moved].tolist(), m0t[moved].tolist(), e0s.tolist()))
+
+    def falling(g: float) -> tuple[float, float]:
+        # (-phi'(g), -phi''(g)): the slope and curvature of the concave -phi
+        slope = curv = 0.0
+        for p1, e1, p0, e0 in terms:
+            a1 = max(p1 + g * e1, _TINY)
+            rho = a1 / (p0 + g * e0)
+            u = e1 - rho * e0
+            slope += rho * e0 - e1 * (math.log(rho) + 1.0)
+            curv -= u * u / a1
+        return slope, curv
+
+    if falling(gmax)[0] >= 0.0:
+        return gmax
+    return _newton_max(falling, 0.0, gmax, _GAMMA_TOL * gmax)
+
+
+def head_solve(w_bytes: bytes, shape: tuple[int, int], allowed_bytes: bytes, tol: float, max_iters: int):
+    """``converse._solve`` before its steps reused their arrays: a verbatim copy, unmemoized.
+
+    It allocates every step's gradient, oracle mask and direction afresh and
+    keeps the decomposition in arrays rebuilt by vstack, append and delete.
+    This is the reference the converse must match bit for bit.
+    """
+    w = np.frombuffer(w_bytes).reshape(shape)
+    ny = shape[1]
+    allowed = np.frombuffer(allowed_bytes, dtype=bool).reshape(2, ny, ny)
+    uniform = 1.0 / ny
+    cell_base = np.arange(2 * ny) * ny  # flat index of v[x, y, 0], cells in (x, y) order
+
+    # current point and its convex decomposition over one-hot vertices
+    diag_row = cell_base + np.tile(np.arange(ny), 2)
+    v = np.zeros(2 * ny * ny)
+    v[diag_row] = 1.0
+    v = v.reshape(2, ny, ny)
+    active = diag_row[None, :]
+    wts = np.ones(1)
+
+    gap = math.inf
+    converged = True
+    for eps in _EPS_SCHEDULE:
+        for _ in range(max_iters):
+            m = np.einsum("xy,xyz->xz", w, v)
+            m0, m1 = m[0], m[1]
+            m0t = (1.0 - eps) * m0 + eps * uniform
+            logterm = np.log(np.maximum(m1, _TINY)) - np.log(m0t)
+            g1 = w[1][:, None] * (logterm + 1.0)[None, :]
+            g0 = -(1.0 - eps) * w[0][:, None] * (m1 / m0t)[None, :]
+            grad = np.stack([g0, g1])
+            to_row = cell_base + head_lmo_targets(grad, allowed).ravel()
+            to_sum = grad.ravel()[to_row].sum()
+            gap = float(np.sum(grad * v) - to_sum)
+            if gap < tol:
+                break
+            # away vertex: the active one the gradient most wants to leave
+            away_sums = grad.ravel()[active].sum(axis=1)
+            away = int(np.argmax(away_sums))
+            gmax = float(wts[away])
+            direction = np.zeros(2 * ny * ny)
+            direction[to_row] = 1.0
+            direction[active[away]] -= 1.0
+            direction = direction.reshape(2, ny, ny)
+            dm = np.einsum("xy,xyz->xz", w, direction)
+            gamma = head_line_search(m1, dm[1], m0t, dm[0], eps, gmax, float(to_sum - away_sums[away]))
+            if gamma <= 0.0:
+                converged = False
+                break
+            v = v + gamma * direction
+            hit = np.flatnonzero((active == to_row).all(axis=1))
+            if hit.size:
+                wts[hit[0]] += gamma
+            else:
+                active = np.vstack([active, to_row])
+                wts = np.append(wts, gamma)
+            left = gmax - gamma
+            if left <= 1e-15:
+                active = np.delete(active, away, axis=0)
+                wts = np.delete(wts, away)
+                np.maximum(v, 0.0, out=v)  # scrub the dropped vertex's float dust
+            else:
+                wts[away] = left
+        else:
+            converged = False
+
+    # exact renormalization before wrapping; off-allowed entries are exact zeros
+    v = v / v.sum(axis=2, keepdims=True)
+    kl_iter = _marginal_kl(w, v)
+    if kl_iter == math.inf:
+        v = _drop_undominated(w, v)
+        kl_iter = _marginal_kl(w, v)
+
+    diag = np.broadcast_to(np.eye(ny), (2, ny, ny))
+    kl_diag = _marginal_kl(w, diag)  # = D(P1 || P0), always finite under A3
+    if kl_iter > kl_diag:
+        v, kl_iter = diag, kl_diag
+    return JointConditional(wy=Bdmc(w), table=MaximalSetTable(allowed), v=v), max(kl_iter, 0.0), gap, converged
+
+
+def head_bits(inst: CovertInstance, tol: float = 1e-8, max_iters: int = 20000) -> tuple:
+    """``result_bits`` of upper_bound as the reference Frank-Wolfe computes it."""
+    w = inst.wy.w
+    allowed = maximal_sets(inst.q).allowed
+    jc, kl_value, gap, converged = head_solve(w.tobytes(), w.shape, allowed.tobytes(), tol, max_iters)
+    t = weight_parameter(inst.delta, inst.q0, inst.q1).t
+    return ((t * kl_value).hex(), kl_value.hex(), gap.hex(), converged, jc.v.tobytes())
+
+
+class TestSameBitsAsReference:
+    """upper_bound returns head_solve's value, kl_value, fw_gap, flag and coupling bytes.
+
+    Both run on the machine under test: the gradient's np.log rounds by CPU,
+    so no hex is pinned here.
+    """
+
+    @pytest.mark.parametrize("ny, seed", [(3, 0), (3, 1), (8, 0), (8, 1), (12, 0), (16, 0)])
+    def test_random_instances(self, ny, seed):
+        inst = random_instance(np.random.default_rng([23, ny, seed]), ny=ny)
+        assert result_bits(solve_afresh(inst)) == head_bits(inst)
+
+    @pytest.mark.parametrize("u", [0.3, 0.5])
+    def test_example(self, u):
+        inst = example1(u)
+        bits = result_bits(solve_afresh(inst))
+        assert bits == head_bits(inst)
+        assert (float.fromhex(bits[1]) < 1e-14) == (u == 0.3)  # u = 0.3: a zero minimum, met to float dust
+
+    def test_unused_output_at_a_step_budget(self):
+        inst = unused_output_instance()
+        assert result_bits(solve_afresh(inst, max_iters=1000)) == head_bits(inst, max_iters=1000)
 
 
 class TestUpperBoundPinned:

@@ -119,9 +119,9 @@ class TestPpmParams:
             ppm_params(100, 0.1, Q0, Q1)
 
     def test_no_chunk_message_names_a_workable_n(self):
-        with pytest.raises(DomainError, match="smallest workable n") as exc:
+        with pytest.raises(DomainError, match="admits no chunk") as exc:
             ppm_params(126, 0.1, Q0, Q1)
-        n_ok = int(re.search(r"smallest workable n is (\d+)", str(exc.value)).group(1))
+        n_ok = int(re.search(r"every n >= (\d+) is workable", str(exc.value)).group(1))
         assert ppm_params(n_ok, 0.1, Q0, Q1).l >= 1
         with pytest.raises(DomainError):
             ppm_params(n_ok - 1, 0.1, Q0, Q1)
@@ -131,16 +131,36 @@ class TestPpmParams:
     @example(delta=1e-5, c2=1.0)
     @example(delta=1e-6, c2=1e3)
     def test_hints_match_the_two_searches_they_merge(self, delta, c2):
-        a = 1.0 / (1.0 + c2)
-        q0, q1 = ProbVector([a, 1.0 - a]), ProbVector([1.0, 0.0])  # chi2(q1 || q0) = (1 - a) / a
+        # the hint is the later of the two parent searches' n and the first n past
+        # the run of degenerate schedules, which those searches did not see
+        q0, q1 = binary_warden(c2)
         c2 = chi2_divergence(q1, q0)
         n_pos = min_n_positive_slack_reference(delta)
-        with pytest.raises(DomainError, match=rf"i\.e\. n >= {n_pos}$"):
-            ppm_params(1, delta, q0, q1)
         n_one = min_n_for_one_chunk_reference(delta, c2)
+        hint = max(n_pos, n_one, last_degenerate_reference(delta, c2) + 1)
+        with pytest.raises(DomainError, match=rf"i\.e\. n >= {n_pos}; every n >= {hint} is workable$"):
+            ppm_params(1, delta, q0, q1)
         if n_one > n_pos:  # else n_pos admits a chunk and no hint is given
-            with pytest.raises(DomainError, match=rf"smallest workable n is {n_one}$"):
+            with pytest.raises(DomainError, match=rf"admits no chunk .*; every n >= {hint} is workable$"):
                 ppm_params(n_pos, delta, q0, q1)
+
+    @pytest.mark.parametrize(
+        "delta, accepted_below, first",
+        [
+            (0.375, [], 62),  # the hint said n >= 3, and n = 3 to 61 were refused
+            (0.3, [5, 6], 37),  # accepted at 5 and 6, refused from 7 to 36
+        ],
+    )
+    def test_every_refusal_names_where_the_workable_tail_starts(self, delta, accepted_below, first):
+        q0, q1 = binary_warden(0.0078125)
+        for n in range(1, first):
+            if n in accepted_below:
+                assert ppm_params(n, delta, q0, q1).w >= 1
+                continue
+            with pytest.raises(DomainError, match=rf"; every n >= {first} is workable$"):
+                ppm_params(n, delta, q0, q1)
+        for n in range(first, 4 * first):
+            assert ppm_params(n, delta, q0, q1).w >= 1
 
     def test_input_validation(self):
         for bad_n in (0, -5):
@@ -162,6 +182,22 @@ class TestPpmParams:
             PpmParams(0, 1, 1, 0)
         with pytest.raises(DomainError):
             PpmParams(8, 2, 4, -1)
+
+
+def binary_warden(c2):
+    """(q0, q1) on two symbols with chi2(q1 || q0) = c2 up to rounding."""
+    a = 1.0 / (1.0 + c2)
+    return ProbVector([a, 1.0 - a]), ProbVector([1.0, 0.0])  # chi2(q1 || q0) = (1 - a) / a
+
+
+def last_degenerate_reference(delta, c2):
+    """Largest n whose schedule has more chunks than symbols, 0 if none, by scanning every n
+    below 2 delta / chi2, past which slack * n / chi2 < n^2 and so l <= n."""
+    for n in range(int(2.0 * delta / c2) + 1, 0, -1):
+        slack = 2.0 * delta - n ** (-1.0 / 3.0)
+        if slack > 0.0 and math.floor(math.sqrt(slack * n / c2)) > n:
+            return n
+    return 0
 
 
 def min_n_positive_slack_reference(delta):
