@@ -39,6 +39,7 @@ from .core import (
 )
 from .lower_bound import lower_bound
 from .ppm import (
+    MAX_EXACT_STATES,
     _check_samples,
     _states_exceed,
     covertness_exact,
@@ -115,25 +116,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not (u > 0.0 and math.isfinite(u)):
             raise DomainError(f"swept value {u!r} at step {i} is not strictly positive")
 
-    print("u,lower,upper,covert_capacity")
     cap = covert_capacity(inst)  # metric-independent, same on every row
-    for u in values:
+    for i, u in enumerate(values):
         q = np.array(inst.q.q)
         q[cell] = u
         inst_u = CovertInstance(wy=inst.wy, wz=inst.wz, q=DecodingMetric(q), delta=inst.delta)
         lb = lower_bound(inst_u)
         ub = upper_bound(inst_u, tol=args.tol)
+        if i == 0:  # after row 0's checks, so a refused spec or --tol prints nothing
+            print("u,lower,upper,covert_capacity")
         print(f"{_fmt(u)},{_fmt(lb.value)},{_fmt(ub.value)},{_fmt(cap)}")
     return 0
 
 
-def _require_key(config: dict, key: str, kind, positive: bool = True):
+def _require_key(config: dict, key: str, kind):
     if key not in config:
         raise ChannelSpecError(f"simulation config is missing {key!r}")
     value = config[key]
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ChannelSpecError(f"simulation config {key!r} must be {kind.__name__}, got {value!r}")
-    if positive and value <= 0:
+    if value <= 0:
         raise ChannelSpecError(f"simulation config {key!r} must be positive, got {value!r}")
     return value
 
@@ -269,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="thread count for error trials, at least 1; results do not depend on it",
     )
     p.add_argument(
-        "--covertness-cap", type=int, default=2**24, metavar="STATES",
+        "--covertness-cap", type=int, default=MAX_EXACT_STATES, metavar="STATES",
         help="largest |Z|^n enumerated exactly before falling back to Monte Carlo, at least 1",
     )
     p.set_defaults(func=cmd_simulate)

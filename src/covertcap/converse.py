@@ -50,7 +50,9 @@ from .lower_bound import _newton_max
 _TINY = 1e-300        # clamp inside logs; never influences a finite optimum
 _NEG_CLAMP = -1e18    # stands in for log(0) in the grid oracle, excludes the point
 _ORACLE_BLOCK = 1 << 18  # entries of one cross-term block in the grid oracle
+_MAX_POINTS = 5_000_000  # most raw lattice points per input the grid oracle enumerates
 _MAX_PAIRS = 1 << 30  # most (m1, m0) raw lattice pairs the grid oracle scores
+_MAX_ITERS = 20000  # Frank-Wolfe steps per eps stage of the converse
 _EPS_SCHEDULE = (1e-3, 1e-5, 1e-7)  # smoothing weights of the converse's warm-started stages
 _GAMMA_TOL = 2.0**-44  # line-search Newton stops on a step of at most this share of gmax
 
@@ -65,10 +67,6 @@ class MaximalSetTable:
     """
 
     allowed: np.ndarray
-
-    def allowed_targets(self, x: int, y: int) -> np.ndarray:
-        """Indices yhat that may receive mass from y under input x."""
-        return np.flatnonzero(self.allowed[x, y])
 
 
 def maximal_sets(q: DecodingMetric) -> MaximalSetTable:
@@ -106,11 +104,6 @@ class JointConditional:
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
-
-    def marginals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Surrogate-output laws (m0, m1), one per channel input."""
-        m = np.einsum("xy,xyz->xz", self.wy.w, self.v)
-        return m[0], m[1]
 
 
 def verify_maximal(jc: JointConditional, table: MaximalSetTable, wy: Bdmc) -> bool:
@@ -161,7 +154,7 @@ def _lmo_targets(grad: np.ndarray, allowed: np.ndarray, masked: np.ndarray) -> n
 class UpperBoundResult:
     """Converse bound t * kl_value with the coupling that achieves it.
 
-    ``converged`` is False when some eps stage stopped on ``max_iters`` or on
+    ``converged`` is False when some eps stage stopped on _MAX_ITERS or on
     a zero line-search step with the duality gap still at or above ``tol``;
     ``fw_gap`` is the gap where the last stage stopped.
     """
@@ -210,20 +203,20 @@ def _line_search(m1, d1, m0t, d0, eps: float, gmax: float, slope0: float) -> flo
     return _newton_max(falling, 0.0, gmax, _GAMMA_TOL * gmax)
 
 
-def upper_bound(inst: CovertInstance, tol: float = 1e-8, max_iters: int = 20000) -> UpperBoundResult:
+def upper_bound(inst: CovertInstance, tol: float = 1e-8) -> UpperBoundResult:
     """Minimize D(m1 || m0) over maximal couplings; returns t * minimum.
 
     Pairwise Frank-Wolfe with exact line search (``_line_search``) on the
     smoothed objective D(m1 || (1-eps) m0 + eps uniform), run once per eps in
     _EPS_SCHEDULE (warm-started), each stage stopping at duality gap < ``tol``
-    or ``max_iters``.  Each step moves mass from the worst vertex of the current
-    convex decomposition onto the linear-oracle vertex, which avoids the
-    zig-zag stall of plain conditional gradients when the optimum sits on a
-    face.  The decomposition is kept as arrays: row i of ``active`` holds the
-    flat indices into the gradient of one one-hot vertex, in the order the
-    vertices entered, and ``wts[i]`` its weight; the away vertex is the first
-    row with the largest gradient sum; the oracle vertex's sum minus it is the
-    step's slope at 0.  Each step overwrites the gradient, the oracle's masked
+    or after _MAX_ITERS steps.  Each step moves mass from the worst vertex of
+    the current convex decomposition onto the linear-oracle vertex, which
+    avoids the zig-zag stall of plain conditional gradients when the optimum
+    sits on a face.  The decomposition is kept as arrays: row i of ``active``
+    holds the flat indices into the gradient of one one-hot vertex, in the
+    order the vertices entered, and ``wts[i]`` its weight; the away vertex is
+    the first row with the largest gradient sum; the oracle vertex's sum minus
+    it is the step's slope at 0.  Each step overwrites the gradient, the oracle's masked
     copy and the direction, made once per solve.  The reported kl_value is the
     raw (unsmoothed) objective at the final iterate (``_drop_undominated``
     first if it is infinite), or at the diagonal coupling if that is better,
@@ -232,10 +225,10 @@ def upper_bound(inst: CovertInstance, tol: float = 1e-8, max_iters: int = 20000)
     caps kl_value at D(P1 || P0).  ``converged`` says whether every stage
     reached ``tol``, which must be finite and positive.
 
-    The loop reads only W_Y, the table S_q, ``tol`` and ``max_iters``, so the
-    solve is memoized on those (one entry, see the module docstring): a call
-    whose metric has the previous call's table returns the previous coupling,
-    gap and flag, scaled by its own t_delta; the coupling, checked once when
+    The loop reads only W_Y, the table S_q and ``tol``, so the solve is
+    memoized on those (one entry, see the module docstring): a call whose
+    metric has the previous call's table returns the previous coupling, gap
+    and flag, scaled by its own t_delta; the coupling, checked once when
     solved, carries that solve's channel and table, equal to the hit's own.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
@@ -243,7 +236,7 @@ def upper_bound(inst: CovertInstance, tol: float = 1e-8, max_iters: int = 20000)
     wp = _valid_weight(inst)
     table = maximal_sets(inst.q)
     w = inst.wy.w
-    minimizer, kl_value, gap, converged = _solve(w.tobytes(), w.shape, table.allowed.tobytes(), tol, max_iters)
+    minimizer, kl_value, gap, converged = _solve(w.tobytes(), w.shape, table.allowed.tobytes(), tol)
     return UpperBoundResult(
         value=wp.t * kl_value,
         kl_value=kl_value,
@@ -256,7 +249,7 @@ def upper_bound(inst: CovertInstance, tol: float = 1e-8, max_iters: int = 20000)
 
 @functools.lru_cache(maxsize=1)
 def _solve(
-    w_bytes: bytes, shape: tuple[int, int], allowed_bytes: bytes, tol: float, max_iters: int
+    w_bytes: bytes, shape: tuple[int, int], allowed_bytes: bytes, tol: float
 ) -> tuple[JointConditional, float, float, bool]:
     """upper_bound's (minimizer, kl_value, fw_gap, converged) from the bytes of W_Y and S_q."""
     w = np.frombuffer(w_bytes).reshape(shape)
@@ -278,7 +271,7 @@ def _solve(
     gap = math.inf
     converged = True
     for eps in _EPS_SCHEDULE:
-        for _ in range(max_iters):
+        for _ in range(_MAX_ITERS):
             m0, m1 = np.einsum("xy,xyz->xz", w, v)
             m0t = (1.0 - eps) * m0 + eps * uniform
             logterm = np.log(np.maximum(m1, _TINY)) - np.log(m0t)
@@ -379,9 +372,7 @@ def _distinct_rows(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def upper_bound_grid_oracle(
-    inst: CovertInstance, grid_g: int, max_points: int = 5_000_000
-) -> float:
+def upper_bound_grid_oracle(inst: CovertInstance, grid_g: int) -> float:
     """Certification oracle: exact minimum of D(m1 || m0) over the composition lattice.
 
     Every conditional row is restricted to coordinates that are multiples of
@@ -389,7 +380,7 @@ def upper_bound_grid_oracle(
     factored through the two families of distinct marginals, so the cost is
     (#distinct m1) x (#distinct m0) inner products, taken in blocks with a row
     max.  Raises ResourceLimitError, before enumerating, when either input's
-    raw lattice (duplicates included) would exceed ``max_points`` points, or
+    raw lattice (duplicates included) would exceed _MAX_POINTS points, or
     the two raw lattices together would make more than _MAX_PAIRS pairs.
     """
     if grid_g < 1:
@@ -399,11 +390,8 @@ def upper_bound_grid_oracle(
     w = inst.wy.w
     cell_targets = [table.allowed[x][w[x] != 0.0].sum(axis=1).tolist() for x in range(2)]
     raw = [math.prod(math.comb(grid_g + k - 1, k - 1) for k in ks) for ks in cell_targets]
-    if max(raw) > max_points:
-        raise ResourceLimitError(
-            f"grid oracle lattice exceeds {max_points} points per input; "
-            f"lower grid_g or raise max_points"
-        )
+    if max(raw) > _MAX_POINTS:
+        raise ResourceLimitError(f"grid oracle lattice exceeds {_MAX_POINTS} points per input; lower grid_g")
     if raw[0] * raw[1] > _MAX_PAIRS:
         raise ResourceLimitError(
             f"grid oracle lattice pairs {raw[0]} x {raw[1]} exceed {_MAX_PAIRS}; lower grid_g"

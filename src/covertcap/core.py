@@ -123,8 +123,9 @@ class Bdmc:
 
     @functools.cached_property
     def row1_dominated(self) -> bool:
-        """Whether row 1 has no mass above ZERO_TOL where row 0 has at most ZERO_TOL (A2, A3)."""
-        return not bool(np.any((self.w[1] > ZERO_TOL) & (self.w[0] <= ZERO_TOL)))
+        """Whether row 1 has no mass where row 0 has at most ZERO_TOL (A2, A3); any
+        positive row-1 mass counts, as in chi2 and KL, which it makes infinite where row 0 is 0."""
+        return not bool(np.any((self.w[1] > 0.0) & (self.w[0] <= ZERO_TOL)))
 
     @functools.cached_property
     def chi2(self) -> float:

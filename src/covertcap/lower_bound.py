@@ -53,7 +53,6 @@ class TiltFunction:
 
     log_ratio: np.ndarray
     p0: ProbVector
-    p1: ProbVector
     mean_under_p1: float
     rmax: float
     limit_mass: float
@@ -77,7 +76,6 @@ def tilt_function(q: DecodingMetric, p0: ProbVector, p1: ProbVector) -> TiltFunc
     return TiltFunction(
         log_ratio=rhat,
         p0=p0,
-        p1=p1,
         mean_under_p1=float(np.dot(p1.probs, rhat)),
         rmax=rmax,
         limit_mass=float(np.sum(p0.probs[near])),

@@ -104,6 +104,11 @@ _PULSE_BLOCK = 1 << 20
 # uniforms per draw of _sample_at_pulses, a few rows of a block at a time: one
 # draw's float64 uniforms take 512 KiB, or one row where a row holds more
 _SAMPLE_CHUNK = 1 << 16
+# most decode trials per block of _pair_errors; the count does not depend on it
+_TRIAL_BLOCK = 1024
+# largest count an exact covertness sum enumerates: output states of
+# covertness_exact (the CLI's --covertness-cap default) or chunk types of ppm_output_kl
+MAX_EXACT_STATES = 2**24
 
 
 def _check_samples(samples: int) -> None:
@@ -457,13 +462,11 @@ class ErrorReport:
     p_hat: np.ndarray
     ci95: np.ndarray
     message_ids: np.ndarray
-    avg_per_key: np.ndarray
-    max_per_key: np.ndarray
     max_overall: float
     ci95_halfwidth: float
 
 
-def _pair_errors(codebook, k, j, trials, seed, cum0, cum1, rhat, pulses, chunk=1024):
+def _pair_errors(codebook, k, j, trials, seed, cum0, cum1, rhat, pulses):
     """Error count for pair (k, j) over its keyed stream; chunking is stream-neutral.
 
     ``pulses`` is ``_sub_code_pulses`` of sub-code k, and ``rhat`` the
@@ -471,8 +474,8 @@ def _pair_errors(codebook, k, j, trials, seed, cum0, cum1, rhat, pulses, chunk=1
     at the sub-code's pulse columns U: a column where all its words are idle
     adds the same log q(0, y) to every score, so it cannot change the verdict.
     Word j's pulses sit on the same columns in every trial, so they are
-    overwritten as whole columns.  Blocks come from _blocks, at most ``chunk``
-    trials each.
+    overwritten as whole columns.  Blocks come from _blocks, at most
+    _TRIAL_BLOCK trials each.
 
     Scores are word-major, (M, t), by one of two scorers chosen by shape:
     - a wide sub-code (no word matrix) sums rhat at each word's l slots,
@@ -494,7 +497,7 @@ def _pair_errors(codebook, k, j, trials, seed, cum0, cum1, rhat, pulses, chunk=1
     pair = k * codebook.num_messages + j
     gen = _stream(seed, _TAG_ERROR, c1=pair)
     failures = 0
-    for _, t in _blocks(trials, cols.size, chunk):
+    for _, t in _blocks(trials, cols.size, _TRIAL_BLOCK):
         y = _sample_at_pulses(gen, t, cols, slots[j], cum0, cum1)
         scores = _slot_scores(rhat, y, slots) if words is None else words @ np.take(rhat, y).T
         own = scores[j] - TIE_TOL
@@ -544,8 +547,6 @@ def estimate_error(
         p_hat=p_hat,
         ci95=ci95,
         message_ids=codebook.message_ids.copy(),
-        avg_per_key=p_hat.mean(axis=1),
-        max_per_key=p_hat.max(axis=1),
         max_overall=float(p_hat[worst]),
         ci95_halfwidth=float(ci95[worst]),
     )
@@ -675,7 +676,7 @@ def _mixture_kl(positions: np.ndarray, base_logs: np.ndarray, d: np.ndarray) -> 
     return kl
 
 
-def covertness_exact(codebook: PpmCodebook, wz: Bdmc, max_states: int = 2**24) -> CovertnessReport:
+def covertness_exact(codebook: PpmCodebook, wz: Bdmc, max_states: int = MAX_EXACT_STATES) -> CovertnessReport:
     """Exact D(Qhat || Q0^n) of the code's output mixture by full enumeration.
 
     Qhat is the uniform mixture over all retained (key, message) words pushed
@@ -743,7 +744,7 @@ def covertness_mc(codebook: PpmCodebook, wz: Bdmc, samples: int, seed: int) -> C
     return CovertnessReport(METHOD_MC, est, stderr, samples)
 
 
-def ppm_output_kl(params: PpmParams, q0: ProbVector, q1: ProbVector, max_states: int = 2**24) -> CovertnessReport:
+def ppm_output_kl(params: PpmParams, q0: ProbVector, q1: ProbVector) -> CovertnessReport:
     """Exact divergence of the ensemble-average PPM output law from Q0^n.
 
     The ensemble law factorizes over chunks, so the divergence is l times
@@ -752,7 +753,7 @@ def ppm_output_kl(params: PpmParams, q0: ProbVector, q1: ProbVector, max_states:
     depends on a chunk only through its type N, and D = sum_N Mult(w; q0)(N)
     R(N) log R(N) sums over C(w + a - 1, a - 1) types (Csiszar, "The Method of
     Types", 1998), log R shifted by the largest d_a in N so no term underflows.
-    ``samples`` is the number of types; above ``max_states`` of them this raises
+    ``samples`` is the number of types; above MAX_EXACT_STATES of them this raises
     ResourceLimitError.  covertness_mc on the w x w identity book samples it.
     """
     w, l = params.w, params.l
@@ -761,10 +762,10 @@ def ppm_output_kl(params: PpmParams, q0: ProbVector, q1: ProbVector, max_states:
     _, base_logs, d = _warden_deltas(Bdmc(np.stack([q0.probs, q1.probs])))
     a = d.size
     types = math.comb(w + a - 1, a - 1)
-    if types > max_states:
+    if types > MAX_EXACT_STATES:
         raise ResourceLimitError(
             f"exact chunk law needs C({w + a - 1}, {a - 1}) = {types} types, above the cap "
-            f"{max_states}; covertness_mc on the {w} x {w} identity book estimates it"
+            f"{MAX_EXACT_STATES}; covertness_mc on the {w} x {w} identity book estimates it"
         )
     log_fact = np.fromiter(map(math.lgamma, range(1, w + 2)), dtype=np.float64, count=w + 1)
     kl = 0.0

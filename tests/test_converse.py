@@ -7,10 +7,12 @@ composition-lattice enumeration bounds the optimum from above at a known
 resolution.  Frozen literals were produced by those oracles.
 """
 
+import contextlib
 import importlib
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -96,7 +98,7 @@ def binary_min_kl(inst: CovertInstance) -> float:
     for x in range(2):
         lo = hi = 0.0
         for y in range(2):
-            targets = table.allowed_targets(x, y)
+            targets = np.flatnonzero(table.allowed[x, y])
             if 0 in targets:
                 hi += w[x, y]
                 if 1 not in targets:
@@ -172,16 +174,6 @@ class TestMaximalSets:
                 maximal_sets(q).allowed, maximal_sets(scaled).allowed
             )
 
-    def test_allowed_targets_matches_table(self):
-        table = maximal_sets(example1(3.0).q)
-        assert list(table.allowed_targets(1, 1)) == [1, 2]
-        assert list(table.allowed_targets(0, 1)) == [0, 1]
-        for x in range(2):
-            for y in range(3):
-                np.testing.assert_array_equal(
-                    table.allowed_targets(x, y), np.flatnonzero(table.allowed[x, y])
-                )
-
 
 class TestCouplings:
     def test_diagonal_kl_is_channel_divergence(self):
@@ -195,7 +187,8 @@ class TestCouplings:
 
     def test_marginals_of_diagonal_are_channel_rows(self):
         inst = example1(3.0)
-        m0, m1 = diagonal_coupling(inst.wy, maximal_sets(inst.q)).marginals()
+        jc = diagonal_coupling(inst.wy, maximal_sets(inst.q))
+        m0, m1 = np.einsum("xy,xyz->xz", jc.wy.w, jc.v)
         np.testing.assert_allclose(m0, inst.wy.w[0], atol=0)
         np.testing.assert_allclose(m1, inst.wy.w[1], atol=0)
 
@@ -257,7 +250,7 @@ class TestCouplings:
         v[0] = [[0.4, 0.6, 0.0], [0.4, 0.6, 0.0], [0.0, 0.0, 1.0]]
         jc = JointConditional(wy=inst.wy, table=table, v=v)
         assert verify_maximal(jc, table, inst.wy)
-        m0, m1 = jc.marginals()
+        m0, m1 = np.einsum("xy,xyz->xz", jc.wy.w, jc.v)
         np.testing.assert_allclose(m0, [0.28, 0.42, 0.3], atol=1e-15)
         np.testing.assert_allclose(m1, [0.4, 0.6, 0.0], atol=0)
         assert objective_kl(jc) == pytest.approx(math.log(1 / 0.7), abs=1e-12)
@@ -399,7 +392,8 @@ class TestUpperBound:
 
     def test_converged_flag(self):
         assert upper_bound(example1(3.0)).converged
-        res = upper_bound(random_instance(np.random.default_rng(0), ny=12), max_iters=1)
+        with step_budget(1):
+            res = upper_bound(random_instance(np.random.default_rng(0), ny=12))
         assert not res.converged
         assert res.fw_gap >= 1e-8
 
@@ -460,12 +454,14 @@ class TestUnusedOutput:
         ny = int(rng.integers(3, 5))
         inst = without_output(random_instance(rng, ny=ny), int(rng.integers(ny)))
         try:
-            oracle = upper_bound_grid_oracle(inst, 8, max_points=3000)
+            with mock.patch.object(converse_module, "_MAX_POINTS", 3000):
+                oracle = upper_bound_grid_oracle(inst, 8)
         except ResourceLimitError:
             assume(False)  # the lattice is too large to enumerate in a unit test
         # 1000 steps per stage keep the slowest draws under half a second; at that
         # budget 157 of 157 enumerable draws held, and 28 failed before the mend
-        assert upper_bound(inst, max_iters=1000).kl_value <= oracle + 1e-6
+        with step_budget(1000):
+            assert upper_bound(inst).kl_value <= oracle + 1e-6
 
 
 @pytest.fixture
@@ -478,6 +474,18 @@ def fresh_memo():
     converse_module._solve.cache_clear()
     yield converse_module._solve
     converse_module._solve.cache_clear()
+
+
+@contextlib.contextmanager
+def step_budget(steps: int):
+    """upper_bound at ``steps`` Frank-Wolfe steps per eps stage, its memo cleared
+    on entry and exit: the memo's key does not hold the module's _MAX_ITERS."""
+    converse_module._solve.cache_clear()
+    try:
+        with mock.patch.object(converse_module, "_MAX_ITERS", steps):
+            yield
+    finally:
+        converse_module._solve.cache_clear()
 
 
 def solve_afresh(inst: CovertInstance, **kwargs):
@@ -503,7 +511,7 @@ def tie_points(q: np.ndarray, cell: tuple[int, int]) -> list[float]:
 
 
 class TestConverseMemo:
-    """upper_bound memoizes its last solve on (W_Y, S_q, tol, max_iters)."""
+    """upper_bound memoizes its last solve on (W_Y, S_q, tol)."""
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), descending=st.booleans())
@@ -562,9 +570,9 @@ class TestConverseMemo:
             assert res.t_delta == weight_parameter(other.delta, other.q0, other.q1).t
             assert result_bits(res) == result_bits(solve_afresh(other))
         assert result_bits(upper_bound(other_delta)) != result_bits(base)
-        # another channel, tolerance or step budget is another solve
+        # another channel or tolerance is another solve
         swapped = CovertInstance(wy=Bdmc(inst.wy.w[::-1]), wz=inst.wz, q=inst.q, delta=inst.delta)
-        for other, kwargs in ((swapped, {}), (inst, {"tol": 1e-6}), (inst, {"max_iters": 500})):
+        for other, kwargs in ((swapped, {}), (inst, {"tol": 1e-6})):
             upper_bound(inst)
             misses = fresh_memo.cache_info().misses
             res = upper_bound(other, **kwargs)
@@ -924,7 +932,9 @@ class TestSameBitsAsReference:
 
     def test_unused_output_at_a_step_budget(self):
         inst = unused_output_instance()
-        assert result_bits(solve_afresh(inst, max_iters=1000)) == head_bits(inst, max_iters=1000)
+        with step_budget(1000):
+            bits = result_bits(upper_bound(inst))
+        assert bits == head_bits(inst, max_iters=1000)
 
 
 class TestUpperBoundPinned:
@@ -1120,15 +1130,16 @@ class TestGridOracleDistinctMarginals:
             ]
             expected = full_enumeration_oracle(inst, grid_g, max_points=3000)
         except ResourceLimitError:
-            with pytest.raises(ResourceLimitError):
-                upper_bound_grid_oracle(inst, grid_g, max_points=3000)
+            with pytest.raises(ResourceLimitError), mock.patch.object(converse_module, "_MAX_POINTS", 3000):
+                upper_bound_grid_oracle(inst, grid_g)
             return
         for x in range(2):
             distinct = _lattice_marginals(inst.wy.w[x], table.allowed[x], grid_g)
             assert np.array_equal(distinct, np.unique(raw[x], axis=0))
         log_bound = float(np.max(np.abs(np.log(raw[0][raw[0] > 0.0]))))
         tol = dot_product_tolerance(inst.wy.num_outputs, log_bound, expected)
-        assert abs(upper_bound_grid_oracle(inst, grid_g, max_points=3000) - expected) <= tol
+        with mock.patch.object(converse_module, "_MAX_POINTS", 3000):
+            assert abs(upper_bound_grid_oracle(inst, grid_g) - expected) <= tol
 
     def test_flat_metric_lattice_has_an_exact_zero(self):
         inst = lattice_instance([1, 2, 0, 1], [0, 1, 0, 3], [1.0] * 8)
@@ -1181,7 +1192,8 @@ class TestGridOracleDistinctMarginals:
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError, match="exceeds 1000 points"):
-                upper_bound_grid_oracle(inst, 40, max_points=1000)
+                with mock.patch.object(converse_module, "_MAX_POINTS", 1000):
+                    upper_bound_grid_oracle(inst, 40)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1189,13 +1201,14 @@ class TestGridOracleDistinctMarginals:
 
     def test_refusal_follows_the_raw_count(self):
         # example1(0.5) has 8125 raw points per input and fewer distinct ones
-        assert upper_bound_grid_oracle(example1(0.5), 24, max_points=8125) > 0.0
-        with pytest.raises(ResourceLimitError):
-            upper_bound_grid_oracle(example1(0.5), 24, max_points=8124)
+        with mock.patch.object(converse_module, "_MAX_POINTS", 8125):
+            assert upper_bound_grid_oracle(example1(0.5), 24) > 0.0
+        with mock.patch.object(converse_module, "_MAX_POINTS", 8124), pytest.raises(ResourceLimitError):
+            upper_bound_grid_oracle(example1(0.5), 24)
 
     def test_oversize_pair_count_refused_before_allocating(self):
         # one output carries all mass and the metric is flat: each input has
-        # C(1002, 2) = 501,501 raw points at G = 1000, within max_points, but
+        # C(1002, 2) = 501,501 raw points at G = 1000, within _MAX_POINTS, but
         # about 2.5e11 pairs
         inst = CovertInstance(
             wy=Bdmc(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])),

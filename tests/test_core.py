@@ -5,9 +5,12 @@ import io
 import json
 import math
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertcap import (
     Bdmc,
@@ -279,7 +282,6 @@ class TestValidateInstance:
 A1 = "A1: adversary output laws coincide"
 A2 = "A2: Q1 puts mass where Q0 has none"
 A3 = "A3: P1 puts mass where P0 has none"
-CHI2_INF = "q1 not dominated by q0 (chi2 infinite); covertness unachievable"
 
 # (receiver rows, warden rows, the ValidationError message every rate computation raises)
 FAILING = {
@@ -287,8 +289,8 @@ FAILING = {
     "A2": (WY1, [[0.9, 0.1, 0.0], [0.2, 0.3, 0.5]], A2),
     "A3": ([[0.6, 0.4, 0.0], [0.2, 0.2, 0.6]], WZ1, A3),
     "A1+A3": ([[0.6, 0.4, 0.0], [0.2, 0.2, 0.6]], [[0.5, 0.3, 0.2], [0.5, 0.3, 0.2]], f"{A1}; {A3}"),
-    # Q1's 1e-16 where Q0 is 0 passes A2 at ZERO_TOL, but chi2 is infinite
-    "chi2": (WY1, [[0.8, 0.2, 0.0], [0.2, 0.8, 1e-16]], CHI2_INF),
+    # Q1's 1e-16 where Q0 is 0, below ZERO_TOL but enough to make chi2 infinite
+    "chi2": (WY1, [[0.8, 0.2, 0.0], [0.2, 0.8, 1e-16]], A2),
 }
 
 
@@ -345,16 +347,9 @@ class TestValidateOnce:
     def test_library_messages(self, case):
         inst = failing_instance(case)
         message = FAILING[case][2]
-        for compute in (lower_bound, upper_bound, covert_capacity):
+        for compute in (lower_bound, upper_bound, covert_capacity, lambda i: upper_bound_grid_oracle(i, 4)):
             with pytest.raises(ValidationError) as err:
                 compute(inst)
-            assert str(err.value) == message
-        if case == "chi2":
-            # the oracle reports D in nats and needs no t_delta, so only A1-A3 bind it
-            assert upper_bound_grid_oracle(inst, 4) >= 0.0
-        else:
-            with pytest.raises(ValidationError) as err:
-                upper_bound_grid_oracle(inst, 4)
             assert str(err.value) == message
 
     @pytest.mark.parametrize("case", sorted(FAILING))
@@ -364,7 +359,7 @@ class TestValidateOnce:
         assert main([command[0], path, *command[1:]]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {FAILING[case][2]}\n"
-        assert captured.out == ("u,lower,upper,covert_capacity\n" if command[0] == "sweep" else "")
+        assert captured.out == ""
 
     def test_capacity_prints_its_four_check_lines(self, tmp_path, capsys):
         checks = ["A1 adversary laws differ: {}", "A2 Q1 dominated by Q0:    {}",
@@ -381,7 +376,48 @@ class TestValidateOnce:
         ]
         assert captured.err == f"failure: {A1}\nfailure: {A3}\n"
         assert main(["capacity", write_spec(tmp_path, failing_instance("chi2"))]) == 2
-        assert capsys.readouterr() == ("", f"error: {CHI2_INF}\n")
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            checks[0].format("pass"), checks[1].format("FAIL"), checks[2].format("pass"), checks[3].format("pass"),
+        ]
+        assert captured.err == f"failure: {A2}\n"
+
+
+class TestTinyUndominatedMass:
+    """Row-1 mass in (0, ZERO_TOL] where row 0 is 0 makes chi2(Q1 || Q0) or D(P1 || P0)
+    infinite, so A2 or A3 refuses it: no command prints an infinite bound."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ny=st.integers(2, 6),
+        tiny=st.floats(5e-324, 1e-15),
+        on_warden=st.booleans(),
+    )
+    def test_every_command_exits_2_naming_the_assumption(self, tmp_path_factory, seed, ny, tiny, on_warden):
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, ny=ny, nz=max(ny, 3))  # a binary warden would lose A1 with its column
+        rows = {"wy": inst.wy.w.copy(), "wz": inst.wz.w.copy()}
+        w = rows["wz" if on_warden else "wy"]
+        c = int(rng.integers(w.shape[1]))
+        w /= 1.0 - w[:, c:c + 1]  # both rows lose output c, then row 1 gets a trace of it back
+        w[:, c] = 0.0, tiny
+        spec = tmp_path_factory.mktemp("spec") / "spec.json"
+        spec.write_text(json.dumps({key: a.tolist() for key, a in rows.items()} | {"q": inst.q.q.tolist(), "delta": 0.1}))
+        loaded = load_channel_spec(str(spec))
+        assert (loaded.wz if on_warden else loaded.wy).w[1, c] > 0.0
+        failure = A2 if on_warden else A3
+        for argv, out_lines, err in (
+            (["capacity"], 4, f"failure: {failure}\n"),
+            (["bounds"], 0, f"error: {failure}\n"),
+            (["bounds", "--grid-check", "4"], 0, f"error: {failure}\n"),
+            (["sweep", "--steps", "3"], 0, f"error: {failure}\n"),
+        ):
+            out, errs = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(errs):
+                assert main([argv[0], str(spec), *argv[1:]]) == 2
+            assert len(out.getvalue().splitlines()) == out_lines
+            assert errs.getvalue() == err
 
 
 class TestInnocentOnlySet:

@@ -536,15 +536,13 @@ class TestEstimateError:
         default = estimate_error(inst, cb, trials_per_pair=300, seed=8).errors
         cum0, cum1 = _cumulative(inst.wy.w[0]), _cumulative(inst.wy.w[1])
         rhat = np.append(inst.q.log_ratio, 0.0)
-        for ratio, chunk in ((_SLOT_SCORING_RATIO, 1), (_SLOT_SCORING_RATIO, 7), (0, 1), (0, 7)):
-            with mock.patch.object(ppm, "_SLOT_SCORING_RATIO", ratio):
-                counts = [
-                    [
-                        _pair_errors(cb, k, j, 300, 8, cum0, cum1, rhat, pulses=_sub_code_pulses(cb.positions[k]), chunk=chunk)
-                        for j in range(3)
+        for ratio in (_SLOT_SCORING_RATIO, 0):
+            for block in (1, 7, 64, 299, 300):
+                with mock.patch.object(ppm, "_SLOT_SCORING_RATIO", ratio), mock.patch.object(ppm, "_TRIAL_BLOCK", block):
+                    counts = [
+                        [_pair_errors(cb, k, j, 300, 8, cum0, cum1, rhat, _sub_code_pulses(cb.positions[k])) for j in range(3)]
+                        for k in range(2)
                     ]
-                    for k in range(2)
-                ]
                 np.testing.assert_array_equal(counts, default)
 
     def test_seed_sensitivity_and_reproducibility(self):
@@ -561,8 +559,6 @@ class TestEstimateError:
         inst = make_instance([[0.7, 0.3], [0.4, 0.6]], [[0.9, 0.1], [0.1, 0.9]])
         cb = generate_codebook(PpmParams(6, 2, 3, 0), num_messages=4, num_keys=3, seed=10)
         rep = estimate_error(inst, cb, trials_per_pair=250, seed=11)
-        np.testing.assert_allclose(rep.avg_per_key, rep.p_hat.mean(axis=1), atol=0)
-        np.testing.assert_allclose(rep.max_per_key, rep.p_hat.max(axis=1), atol=0)
         assert rep.max_overall == rep.p_hat.max()
         np.testing.assert_allclose(rep.p_hat, rep.errors / 250.0, atol=0)
         np.testing.assert_allclose(
@@ -1050,8 +1046,6 @@ def report_for(p_hat: np.ndarray, trials: int = 100) -> ErrorReport:
         p_hat=p_hat,
         ci95=ci,
         message_ids=np.tile(np.arange(p_hat.shape[1]), (p_hat.shape[0], 1)),
-        avg_per_key=p_hat.mean(axis=1),
-        max_per_key=p_hat.max(axis=1),
         max_overall=float(p_hat[worst]),
         ci95_halfwidth=float(ci[worst]),
     )
@@ -1441,9 +1435,10 @@ class TestPpmOutputKl:
 
     def test_method_and_caps(self):
         params = PpmParams(40, 2, 20, 0)  # C(22, 2) = 231 types of 3 symbols
-        assert ppm_output_kl(params, Q0, Q1, max_states=231).samples == 231
-        with pytest.raises(ResourceLimitError, match="covertness_mc"):
-            ppm_output_kl(params, Q0, Q1, max_states=230)
+        with mock.patch.object(ppm, "MAX_EXACT_STATES", 231):
+            assert ppm_output_kl(params, Q0, Q1).samples == 231
+        with mock.patch.object(ppm, "MAX_EXACT_STATES", 230), pytest.raises(ResourceLimitError, match="covertness_mc"):
+            ppm_output_kl(params, Q0, Q1)
 
     def test_undominated_symbol_is_infinite(self):
         rep = ppm_output_kl(
