@@ -37,7 +37,7 @@ params = ppm_params(12, DELTA, ProbVector(WZ[0]), ProbVector(WZ[1]))
 print(f"schedule: n={params.n} pulses={params.l} chunk={params.w} tail={params.r}")
 
 book = generate_codebook(params, num_messages=8, num_keys=4, seed=SEED)
-flat = book.flat_words()
+flat = book.codewords.reshape(-1, params.n)
 print(f"codebook: {book.num_keys} keys x {book.num_messages} messages,"
       f" every word has weight {int(flat.sum(axis=1)[0])}")
 

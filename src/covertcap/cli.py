@@ -34,6 +34,7 @@ from .core import (
     ResourceLimitError,
     ValidationError,
     load_channel_spec,
+    require_valid,
     validate_instance,
     weight_parameter,
 )
@@ -152,6 +153,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if value < 1:
             raise DomainError(f"{name} must be at least 1, got {value}")
     inst = load_channel_spec(args.spec_file)
+    require_valid(inst)
     with open(args.sim_config, "r", encoding="utf-8") as fh:
         try:
             config = json.load(fh)

@@ -15,7 +15,7 @@ bound's safeguarded Newton; a composition-lattice search provides an
 independent certification oracle.
 
 The minimum depends on the metric q only through its argmax table S_q
-(``maximal_sets(q).allowed``), so ``upper_bound`` keeps its last solve, keyed
+(``maximal_sets(q)``), so ``upper_bound`` keeps its last solve, keyed
 by the channel, the table and the stopping rule.  One entry is enough: every
 entry of S_q is a step function of any one metric entry, so along a sweep
 equal tables come in consecutive runs.  A larger memo would also carry solves
@@ -57,26 +57,19 @@ _EPS_SCHEDULE = (1e-3, 1e-5, 1e-7)  # smoothing weights of the converse's warm-s
 _GAMMA_TOL = 2.0**-44  # line-search Newton stops on a step of at most this share of gmax
 
 
-@dataclass(frozen=True)
-class MaximalSetTable:
-    """For every (y, yhat), which inputs x attain max_x q(x, yhat) / q(x, y).
+def maximal_sets(q: DecodingMetric) -> np.ndarray:
+    """The argmax table S_q: for every (y, yhat), which inputs x attain max_x q(x, yhat) / q(x, y).
 
-    ``allowed[x, y, yhat]`` is True when x is an argmax (ties within TIE_TOL in
-    the log domain count for both).  The diagonal yhat = y is always allowed
-    for both inputs since both ratios are 1.
+    Entry [x, y, yhat] of the read-only (2, Y, Y) bool array is True when x is
+    an argmax, computed in the log domain (ties within TIE_TOL count for both).
+    The diagonal yhat = y is always allowed for both inputs since both ratios are 1.
     """
-
-    allowed: np.ndarray
-
-
-def maximal_sets(q: DecodingMetric) -> MaximalSetTable:
-    """Compute the argmax table S_q in the log domain with TIE_TOL ties."""
     lq = np.log(q.q)                      # (2, Y)
     d = lq[:, None, :] - lq[:, :, None]   # d[x, y, yhat] = log q(x,yhat) - log q(x,y)
     dmax = d.max(axis=0)
     allowed = d >= dmax[None, :, :] - TIE_TOL
     allowed.setflags(write=False)
-    return MaximalSetTable(allowed=allowed)
+    return allowed
 
 
 @dataclass(frozen=True)
@@ -84,12 +77,12 @@ class JointConditional:
     """A maximal coupling: per-(x, y) conditional laws over allowed targets.
 
     ``v[x, y, :]`` must be a distribution, with exactly zero mass outside the
-    table's allowed set.  The Y-marginal of the implied joint is W by
-    construction, so it is never stored.
+    argmax table ``table`` (a ``maximal_sets`` array).  The Y-marginal of the
+    implied joint is W by construction, so it is never stored.
     """
 
     wy: Bdmc
-    table: MaximalSetTable
+    table: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
@@ -99,18 +92,18 @@ class JointConditional:
             raise DimensionError(f"coupling must have shape (2, {ny}, {ny}), got {v.shape}")
         if np.any(v < 0.0) or np.any(np.abs(v.sum(axis=2) - 1.0) > 1e-12):
             raise DomainError("coupling rows must be probability distributions")
-        if np.any(v[~self.table.allowed] != 0.0):
+        if np.any(v[~self.table] != 0.0):
             raise DomainError("coupling places mass outside the allowed maximal sets")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
 
 
-def verify_maximal(jc: JointConditional, table: MaximalSetTable, wy: Bdmc) -> bool:
+def verify_maximal(jc: JointConditional, table: np.ndarray, wy: Bdmc) -> bool:
     """Check a coupling against an externally supplied argmax table and channel.
 
     True iff the implied joint W(y|x) * v[x, y](yhat) is zero outside
-    ``table``'s allowed set and its Y-marginal equals ``wy`` within 1e-10.
+    the argmax table ``table`` and its Y-marginal equals ``wy`` within 1e-10.
     The table argument matters: a coupling built against a permissive table
     can place mass a stricter metric forbids.
     """
@@ -118,13 +111,13 @@ def verify_maximal(jc: JointConditional, table: MaximalSetTable, wy: Bdmc) -> bo
     if v.shape != (2, wy.num_outputs, wy.num_outputs):
         return False
     joint = jc.wy.w[:, :, None] * v
-    if np.any(joint[~table.allowed] != 0.0):
+    if np.any(joint[~table] != 0.0):
         return False
     y_marginal = jc.wy.w * v.sum(axis=2)
     return bool(np.all(np.abs(y_marginal - wy.w) <= 1e-10))
 
 
-def diagonal_coupling(wy: Bdmc, table: MaximalSetTable) -> JointConditional:
+def diagonal_coupling(wy: Bdmc, table: np.ndarray) -> JointConditional:
     """The identity coupling yhat = y; always feasible."""
     ny = wy.num_outputs
     v = np.zeros((2, ny, ny))
@@ -159,12 +152,15 @@ class UpperBoundResult:
     ``fw_gap`` is the gap where the last stage stopped.
     """
 
-    value: float
     kl_value: float
     minimizer: JointConditional
     fw_gap: float
     t_delta: float
     converged: bool
+
+    @property
+    def value(self) -> float:
+        return self.t_delta * self.kl_value
 
 
 def _line_search(m1, d1, m0t, d0, eps: float, gmax: float, slope0: float) -> float:
@@ -236,15 +232,8 @@ def upper_bound(inst: CovertInstance, tol: float = 1e-8) -> UpperBoundResult:
     wp = _valid_weight(inst)
     table = maximal_sets(inst.q)
     w = inst.wy.w
-    minimizer, kl_value, gap, converged = _solve(w.tobytes(), w.shape, table.allowed.tobytes(), tol)
-    return UpperBoundResult(
-        value=wp.t * kl_value,
-        kl_value=kl_value,
-        minimizer=minimizer,
-        fw_gap=gap,
-        t_delta=wp.t,
-        converged=converged,
-    )
+    minimizer, kl_value, gap, converged = _solve(w.tobytes(), w.shape, table.tobytes(), tol)
+    return UpperBoundResult(kl_value=kl_value, minimizer=minimizer, fw_gap=gap, t_delta=wp.t, converged=converged)
 
 
 @functools.lru_cache(maxsize=1)
@@ -321,7 +310,7 @@ def _solve(
     kl_diag = _marginal_kl(w, diag)  # = D(P1 || P0), always finite under A3
     if kl_iter > kl_diag:
         v, kl_iter = diag, kl_diag
-    return JointConditional(wy=Bdmc(w), table=MaximalSetTable(allowed), v=v), max(kl_iter, 0.0), gap, converged
+    return JointConditional(wy=Bdmc(w), table=allowed, v=v), max(kl_iter, 0.0), gap, converged
 
 
 def _drop_undominated(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -388,7 +377,7 @@ def upper_bound_grid_oracle(inst: CovertInstance, grid_g: int) -> float:
     require_valid(inst)
     table = maximal_sets(inst.q)
     w = inst.wy.w
-    cell_targets = [table.allowed[x][w[x] != 0.0].sum(axis=1).tolist() for x in range(2)]
+    cell_targets = [table[x][w[x] != 0.0].sum(axis=1).tolist() for x in range(2)]
     raw = [math.prod(math.comb(grid_g + k - 1, k - 1) for k in ks) for ks in cell_targets]
     if max(raw) > _MAX_POINTS:
         raise ResourceLimitError(f"grid oracle lattice exceeds {_MAX_POINTS} points per input; lower grid_g")
@@ -396,8 +385,8 @@ def upper_bound_grid_oracle(inst: CovertInstance, grid_g: int) -> float:
         raise ResourceLimitError(
             f"grid oracle lattice pairs {raw[0]} x {raw[1]} exceed {_MAX_PAIRS}; lower grid_g"
         )
-    m0s = _lattice_marginals(w[0], table.allowed[0], grid_g)
-    m1s = _lattice_marginals(w[1], table.allowed[1], grid_g)
+    m0s = _lattice_marginals(w[0], table[0], grid_g)
+    m1s = _lattice_marginals(w[1], table[1], grid_g)
 
     log_m0 = np.where(m0s > 0.0, np.log(np.maximum(m0s, _TINY)), _NEG_CLAMP)
     self_term = np.sum(np.where(m1s > 0.0, m1s * np.log(np.maximum(m1s, _TINY)), 0.0), axis=1)

@@ -209,11 +209,14 @@ class CovertInstance:
 
 @dataclass(frozen=True)
 class WeightParam:
-    """The covertness weight t = sqrt(2 delta / chi2), with its ingredients."""
+    """The covertness weight t = sqrt(2 delta / chi2), derived from its ingredients."""
 
-    t: float
     delta: float
     chi2: float
+
+    @property
+    def t(self) -> float:
+        return float(np.sqrt(2.0 * self.delta / self.chi2))
 
 
 @dataclass(frozen=True)
@@ -223,8 +226,15 @@ class ValidationReport:
     a1_warden_laws_differ: bool
     a2_q1_dominated_by_q0: bool
     a3_p1_dominated_by_p0: bool
-    metric_positive: bool
-    failures: tuple[str, ...] = field(default=())
+    metric_positive = True  # always: DecodingMetric refuses a nonpositive entry
+
+    @property
+    def failures(self) -> tuple[str, ...]:
+        """One line per failed assumption, in the order A1, A2, A3."""
+        facts = (self.a1_warden_laws_differ, self.a2_q1_dominated_by_q0, self.a3_p1_dominated_by_p0)
+        lines = ("A1: adversary output laws coincide", "A2: Q1 puts mass where Q0 has none",
+                 "A3: P1 puts mass where P0 has none")
+        return tuple(ln for ok, ln in zip(facts, lines) if not ok)
 
     @property
     def ok(self) -> bool:
@@ -273,7 +283,7 @@ def _weight(delta: float, c2: float) -> WeightParam:
         raise ValidationError("adversary marginals coincide (chi2 = 0); no covert signalling")
     if not np.isfinite(c2):
         raise ValidationError("q1 not dominated by q0 (chi2 infinite); covertness unachievable")
-    return WeightParam(t=float(np.sqrt(2.0 * delta / c2)), delta=float(delta), chi2=c2)
+    return WeightParam(delta=float(delta), chi2=c2)
 
 
 def validate_instance(inst: CovertInstance) -> ValidationReport:
@@ -281,12 +291,8 @@ def validate_instance(inst: CovertInstance) -> ValidationReport:
 
     Returns a report rather than raising, so invalid instances can be described
     to the caller; rate computations reject instances whose report is not ok.
-    Metric positivity always passes: DecodingMetric refuses a nonpositive entry.
     """
-    facts = (inst.wz.rows_differ, inst.wz.row1_dominated, inst.wy.row1_dominated)
-    lines = ("A1: adversary output laws coincide", "A2: Q1 puts mass where Q0 has none",
-             "A3: P1 puts mass where P0 has none")
-    return ValidationReport(*facts, metric_positive=True, failures=tuple(ln for ok, ln in zip(facts, lines) if not ok))
+    return ValidationReport(inst.wz.rows_differ, inst.wz.row1_dominated, inst.wy.row1_dominated)
 
 
 def require_valid(inst: CovertInstance) -> ValidationReport:

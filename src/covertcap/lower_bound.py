@@ -15,8 +15,9 @@ log-domain; no exp of a positive quantity is ever taken unshifted.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,42 +45,44 @@ NEWTON_CAP = 100             # steps beyond this mean the searched slope is not 
 class TiltFunction:
     """Precomputed ingredients of f(s) for one (metric, P0, P1) triple.
 
-    ``log_ratio`` is the metric's rhat per output symbol (DecodingMetric.log_ratio);
-    ``mean_under_p1`` is E_P1[rhat]; ``rmax`` is the largest rhat on the support
-    of P0 and ``limit_mass`` the P0-mass of symbols within ``ARGMAX_TOL`` of it.
-    The shifted log-ratios rhat - rmax and the P0 masses on the support of P0,
-    which every f_s call needs, are derived once here.
+    ``log_ratio`` is the metric's rhat per output symbol (DecodingMetric.log_ratio)
+    and ``mean_under_p1`` is E_P1[rhat].  Derived on first use and kept: ``rmax``,
+    the largest rhat on the support of P0; ``limit_mass``, the P0-mass of symbols
+    within ``ARGMAX_TOL`` of it; and the shifted log-ratios rhat - rmax and the
+    P0 masses on the support of P0, which every f_s call needs.
     """
 
     log_ratio: np.ndarray
     p0: ProbVector
     mean_under_p1: float
-    rmax: float
-    limit_mass: float
-    _shifted: np.ndarray = field(init=False, repr=False, compare=False)
-    _p0_supp: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        supp = self.p0.probs > 0.0
-        object.__setattr__(self, "_shifted", self.log_ratio[supp] - self.rmax)
-        object.__setattr__(self, "_p0_supp", self.p0.probs[supp])
+    @functools.cached_property
+    def _supp(self) -> np.ndarray:
+        return self.p0.probs > 0.0
+
+    @functools.cached_property
+    def rmax(self) -> float:
+        return float(np.max(self.log_ratio[self._supp]))
+
+    @functools.cached_property
+    def limit_mass(self) -> float:
+        near = self._supp & (self.log_ratio >= self.rmax - ARGMAX_TOL)
+        return float(np.sum(self.p0.probs[near]))
+
+    @functools.cached_property
+    def _shifted(self) -> np.ndarray:
+        return self.log_ratio[self._supp] - self.rmax
+
+    @functools.cached_property
+    def _p0_supp(self) -> np.ndarray:
+        return self.p0.probs[self._supp]
 
 
 def tilt_function(q: DecodingMetric, p0: ProbVector, p1: ProbVector) -> TiltFunction:
     """Build the TiltFunction for metric q and receiver laws (p0, p1)."""
     if q.num_outputs != len(p0) or len(p0) != len(p1):
         raise DimensionError("metric and output laws must share one alphabet")
-    rhat = q.log_ratio
-    supp0 = p0.probs > 0.0
-    rmax = float(np.max(rhat[supp0]))
-    near = supp0 & (rhat >= rmax - ARGMAX_TOL)
-    return TiltFunction(
-        log_ratio=rhat,
-        p0=p0,
-        mean_under_p1=float(np.dot(p1.probs, rhat)),
-        rmax=rmax,
-        limit_mass=float(np.sum(p0.probs[near])),
-    )
+    return TiltFunction(log_ratio=q.log_ratio, p0=p0, mean_under_p1=float(np.dot(p1.probs, q.log_ratio)))
 
 
 def f_s(tf: TiltFunction, s: float) -> float:
@@ -111,11 +114,14 @@ def slope_at_infinity(tf: TiltFunction) -> tuple[float, float]:
 class LowerBoundResult:
     """Achievable rate t * sup f, with where and whether the sup is attained."""
 
-    value: float
     s_star: float
     f_at_s_star: float
     attained: bool
     t_delta: float
+
+    @property
+    def value(self) -> float:
+        return self.t_delta * self.f_at_s_star
 
 
 def _slope_curvature(tf: TiltFunction, s: float) -> tuple[float, float]:
@@ -163,13 +169,13 @@ def lower_bound(inst: CovertInstance) -> LowerBoundResult:
     if abs(slope) <= SLOPE_TOL:
         if np.all(tf._shifted >= -ARGMAX_TOL):
             # P1 << P0 makes f = 0 everywhere; only roundoff in its slope could grow it
-            return LowerBoundResult(0.0, 0.0, 0.0, True, wp.t)
+            return LowerBoundResult(0.0, 0.0, True, wp.t)
         # A3 makes the slope at most 0, so the concave f never rises above its limit;
         # a slope that rounds a few ulps above 0 must not be credited s * slope
-        return LowerBoundResult(wp.t * limit, AT_INFINITY, limit, False, wp.t)
+        return LowerBoundResult(AT_INFINITY, limit, False, wp.t)
     if _slope_curvature(tf, 0.0)[0] <= 0.0:
         # slope < 0 and f'(0) <= 0: concavity and f(0) = 0 make 0 the sup
-        return LowerBoundResult(0.0, 0.0, 0.0, True, wp.t)
+        return LowerBoundResult(0.0, 0.0, True, wp.t)
     # double until f' turns nonpositive; the bracket is then [b/2, b], or [0, 1]
     lo, hi = 0.0, 1.0
     while _slope_curvature(tf, hi)[0] > 0.0:
@@ -181,7 +187,7 @@ def lower_bound(inst: CovertInstance) -> LowerBoundResult:
     if f_star <= 0.0:
         # roundoff below f(0) = 0, which concavity makes the sup
         s_star, f_star = 0.0, 0.0
-    return LowerBoundResult(wp.t * f_star, s_star, f_star, True, wp.t)
+    return LowerBoundResult(s_star, f_star, True, wp.t)
 
 
 def key_rate_threshold(lb: LowerBoundResult, t: WeightParam, q0: ProbVector, q1: ProbVector) -> float:

@@ -51,6 +51,7 @@ only through the count of each output symbol.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -235,19 +236,22 @@ def _sample_at_pulses(gen, t, cols, pulses, cum0, cum1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PpmParams:
-    """Chunk schedule (n, l, w, r): l chunks of width w, idle tail of length r."""
+    """Chunk schedule of n symbols in l chunks: width w = n // l, idle tail of length r = n % l."""
 
     n: int
     l: int
-    w: int
-    r: int
 
     def __post_init__(self):
-        n, l, w, r = self.n, self.l, self.w, self.r
-        if min(n, l, w) < 1 or r < 0:
-            raise DomainError(f"need n, l, w >= 1 and r >= 0, got {(n, l, w, r)}")
-        if w != n // l or r != n - w * l:
-            raise DimensionError(f"inconsistent schedule: n={n}, l={l} imply w={n // l}, r={n - (n // l) * l}")
+        if not 1 <= self.l <= self.n:
+            raise DomainError(f"need 1 <= l <= n, got n={self.n}, l={self.l}")
+
+    @property
+    def w(self) -> int:
+        return self.n // self.l
+
+    @property
+    def r(self) -> int:
+        return self.n % self.l
 
 
 def _slack(n: int, delta: float) -> float:
@@ -307,7 +311,7 @@ def ppm_params(n: int, delta: float, q0: ProbVector, q1: ProbVector) -> PpmParam
         raise DomainError("warden marginals must differ and q1 must be dominated by q0")
     l = _chunks(n, delta, c2)
     if 1 <= l <= n:
-        return PpmParams(n=n, l=l, w=n // l, r=n % l)
+        return PpmParams(n, l)
     if _slack(n, delta) <= 0.0:
         why = f"n={n} is too small for delta={delta}: need 2*delta > n^(-1/3), i.e. n >= {_smallest_n(lambda m: _slack(m, delta) > 0.0)}"
     elif l < 1:
@@ -333,25 +337,30 @@ class PpmCodebook:
     """
 
     params: PpmParams
-    num_messages: int
-    num_keys: int
     positions: np.ndarray
     message_ids: np.ndarray
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=np.int64)
         ids = np.asarray(self.message_ids, dtype=np.int64)
-        shape = (self.num_keys, self.num_messages)
-        if pos.ndim != 3 or pos.shape[:2] != shape:
-            raise DimensionError(f"positions must have shape {shape} + (L,), got {pos.shape}")
-        if ids.shape != shape:
-            raise DimensionError(f"message_ids must have shape {shape}, got {ids.shape}")
+        if pos.ndim != 3:
+            raise DimensionError(f"positions must have shape (K, M, L), got {pos.shape}")
+        if ids.shape != pos.shape[:2]:
+            raise DimensionError(f"message_ids must have shape {pos.shape[:2]}, got {ids.shape}")
         if pos.min(initial=0) < 0 or pos.max(initial=0) >= self.params.n or _misplaced(pos):
             raise DomainError(f"positions must increase within [0, {self.params.n})")
         pos.setflags(write=False)
         ids.setflags(write=False)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "message_ids", ids)
+
+    @property
+    def num_keys(self) -> int:
+        return self.positions.shape[0]
+
+    @property
+    def num_messages(self) -> int:
+        return self.positions.shape[1]
 
     @property
     def codewords(self) -> np.ndarray:
@@ -362,10 +371,6 @@ class PpmCodebook:
         words = np.zeros((self.num_keys, self.num_messages, self.params.n), dtype=np.uint8)
         np.put_along_axis(words, self.positions, 1, axis=2)
         return words
-
-    def flat_words(self) -> np.ndarray:
-        """All retained codewords as one (num_keys * num_messages, n) matrix."""
-        return self.codewords.reshape(-1, self.params.n)
 
 
 def _misplaced(pos: np.ndarray) -> bool:
@@ -420,7 +425,7 @@ def generate_codebook(params: PpmParams, num_messages: int, num_keys: int, seed:
         for m in range(num_messages):
             pos[k, m] = _pulse_draw(params, _stream(seed, _TAG_CODEBOOK, c1=k, c2=m))
     ids = np.tile(np.arange(num_messages, dtype=np.int64), (num_keys, 1))
-    return PpmCodebook(params, num_messages, num_keys, pos, ids)
+    return PpmCodebook(params, pos, ids)
 
 
 def q_decode(codebook: PpmCodebook, k: int, y: np.ndarray, metric: DecodingMetric) -> int:
@@ -450,20 +455,34 @@ def q_decode(codebook: PpmCodebook, k: int, y: np.ndarray, metric: DecodingMetri
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Per-pair decoding-error estimates with binomial 95% half-widths.
+    """Per-pair decoding-error counts, with the estimates derived from them.
 
-    ``p_hat[k, j]`` estimates the error of the j-th retained message of
-    sub-code k (public id ``message_ids[k, j]``); ``ci95`` holds the matching
-    per-pair half-widths and ``ci95_halfwidth`` the one at the worst pair.
+    ``errors[k, j]`` counts the failed trials of the j-th retained message of
+    sub-code k (public id ``message_ids[k, j]``); ``p_hat`` is the error rate
+    and ``ci95`` the matching normal-approximation half-width
+    1.96 sqrt(p(1-p)/trials).  ``max_overall`` is the worst pair's p_hat and
+    ``ci95_halfwidth`` the half-width at the first such pair.
     """
 
     trials_per_pair: int
     errors: np.ndarray
-    p_hat: np.ndarray
-    ci95: np.ndarray
     message_ids: np.ndarray
-    max_overall: float
-    ci95_halfwidth: float
+
+    @functools.cached_property
+    def p_hat(self) -> np.ndarray:
+        return self.errors / float(self.trials_per_pair)
+
+    @functools.cached_property
+    def ci95(self) -> np.ndarray:
+        return 1.96 * np.sqrt(self.p_hat * (1.0 - self.p_hat) / self.trials_per_pair)
+
+    @property
+    def max_overall(self) -> float:
+        return float(self.p_hat.max())
+
+    @property
+    def ci95_halfwidth(self) -> float:
+        return float(self.ci95.flat[np.argmax(self.p_hat)])
 
 
 def _pair_errors(codebook, k, j, trials, seed, cum0, cum1, rhat, pulses):
@@ -517,8 +536,7 @@ def estimate_error(
 
     Each pair's trials are read in order from the one stream keyed by
     (seed, tag, pair index), so the report is identical for any ``workers``
-    count and any execution order.  ci95 is the normal-approximation
-    half-width 1.96 sqrt(p(1-p)/trials).  A sub-code with more than
+    count and any execution order.  A sub-code with more than
     _SLOT_SCORING_RATIO pulse columns per pulse of a word is scored at its
     words' slots and builds no (M, |U|) matrix; a narrower one is scored by a
     product with its word matrix, which lives only while its M pairs run
@@ -537,19 +555,7 @@ def estimate_error(
     with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:  # starts no thread unless mapped on
         counts = [sub_code(pool.map if workers > 1 else map, k) for k in range(K)]
 
-    errors = np.array(counts, dtype=np.int64)
-    p_hat = errors / float(trials_per_pair)
-    ci95 = 1.96 * np.sqrt(p_hat * (1.0 - p_hat) / trials_per_pair)
-    worst = np.unravel_index(int(np.argmax(p_hat)), p_hat.shape)
-    return ErrorReport(
-        trials_per_pair=trials_per_pair,
-        errors=errors,
-        p_hat=p_hat,
-        ci95=ci95,
-        message_ids=codebook.message_ids.copy(),
-        max_overall=float(p_hat[worst]),
-        ci95_halfwidth=float(ci95[worst]),
-    )
+    return ErrorReport(trials_per_pair, np.array(counts, dtype=np.int64), codebook.message_ids.copy())
 
 
 def expurgate(report: ErrorReport, codebook: PpmCodebook, fraction: float = 1.0 / 16.0) -> PpmCodebook:
@@ -576,7 +582,7 @@ def expurgate(report: ErrorReport, codebook: PpmCodebook, fraction: float = 1.0 
         order = sorted(range(codebook.num_messages), key=lambda j: (-report.p_hat[k, j], codebook.message_ids[k, j]))
         kept[k] = sorted(order[drop:])
     rows = np.arange(codebook.num_keys)[:, None]
-    return PpmCodebook(codebook.params, keep, codebook.num_keys, codebook.positions[rows, kept], codebook.message_ids[rows, kept])
+    return PpmCodebook(codebook.params, codebook.positions[rows, kept], codebook.message_ids[rows, kept])
 
 
 METHOD_EXACT = "EXACT"

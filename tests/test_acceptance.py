@@ -229,7 +229,7 @@ def test_exhaustive_error_of_a_certain_failure_is_one():
     # with probability exactly 1; summed failure weights gave 1.000000000000001
     inst = micro_instance()
     positions = [[[0, 4], [0, 4], [1, 5]]]
-    book = PpmCodebook(PpmParams(8, 2, 4, 0), 3, 1, positions, np.arange(3)[None])
+    book = PpmCodebook(PpmParams(8, 2), positions, np.arange(3)[None])
     assert _exhaustive_error(inst, book, 0, 0) == _exhaustive_error(inst, book, 0, 1) == 1.0
     assert 0.0 < _exhaustive_error(inst, book, 0, 2) < 1.0
 
@@ -239,7 +239,7 @@ def test_criterion_07_micro_scale_exactness():
     inst = micro_instance()
 
     # n=8: Monte-Carlo error rates vs full enumeration of the 256 outputs
-    book8 = generate_codebook(PpmParams(8, 2, 4, 0), num_messages=3, num_keys=2, seed=7001)
+    book8 = generate_codebook(PpmParams(8, 2), num_messages=3, num_keys=2, seed=7001)
     trials = 2000
     report = estimate_error(inst, book8, trials_per_pair=trials, seed=7002)
     for k in range(2):
@@ -249,7 +249,7 @@ def test_criterion_07_micro_scale_exactness():
             assert abs(report.p_hat[k, j] - exact) <= 3 * ci + 1e-12
 
     # n=6, binary adversary alphabet: sampled divergence vs exact enumeration
-    book6 = generate_codebook(PpmParams(6, 2, 3, 0), num_messages=2, num_keys=2, seed=7003)
+    book6 = generate_codebook(PpmParams(6, 2), num_messages=2, num_keys=2, seed=7003)
     exact = covertness_exact(book6, inst.wz)
     mc = covertness_mc(book6, inst.wz, samples=50_000, seed=7004)
     assert abs(mc.kl_estimate - exact.kl_estimate) <= 3 * mc.stderr
@@ -317,7 +317,7 @@ def test_criterion_09_codeword_structure():
         assert word[tail_start:].sum() == 0
 
     book = generate_codebook(params, num_messages=5, num_keys=2, seed=9002)
-    flat = book.flat_words()
+    flat = book.codewords.reshape(-1, params.n)
     assert np.all(flat.sum(axis=1) == 25)
     assert np.all(flat[:, :tail_start].reshape(-1, 25, 400).sum(axis=2) == 1)
     announce(9, "10^4 sampled words all carry one pulse per 400-wide chunk", t0)

@@ -42,7 +42,6 @@ from covertcap import (
 from covertcap.cli import main
 from covertcap.converse import (
     _TINY,
-    MaximalSetTable,
     _distinct_rows,
     _drop_undominated,
     _lattice_marginals,
@@ -98,7 +97,7 @@ def binary_min_kl(inst: CovertInstance) -> float:
     for x in range(2):
         lo = hi = 0.0
         for y in range(2):
-            targets = np.flatnonzero(table.allowed[x, y])
+            targets = np.flatnonzero(table[x, y])
             if 0 in targets:
                 hi += w[x, y]
                 if 1 not in targets:
@@ -118,20 +117,20 @@ class TestMaximalSets:
         # toward higher indices and input 0 toward lower ones
         table = maximal_sets(example1(3.0).q)
         np.testing.assert_array_equal(
-            table.allowed[1], [[T, T, T], [F, T, T], [F, F, T]]
+            table[1], [[T, T, T], [F, T, T], [F, F, T]]
         )
         np.testing.assert_array_equal(
-            table.allowed[0], [[T, F, F], [T, T, F], [T, T, T]]
+            table[0], [[T, F, F], [T, T, F], [T, T, T]]
         )
 
     def test_erasures_table(self):
         q = erasures_instance(0.5).q
         table = maximal_sets(q)
         np.testing.assert_array_equal(
-            table.allowed[1], [[T, T, F], [T, T, F], [T, T, T]]
+            table[1], [[T, T, F], [T, T, F], [T, T, T]]
         )
         np.testing.assert_array_equal(
-            table.allowed[0], [[T, T, T], [T, T, T], [F, F, T]]
+            table[0], [[T, T, T], [T, T, T], [F, F, T]]
         )
 
     def test_diagonal_always_allowed(self):
@@ -139,7 +138,7 @@ class TestMaximalSets:
         for _ in range(50):
             ny = int(rng.integers(2, 6))
             table = maximal_sets(random_metric(rng, ny))
-            diag = table.allowed[:, np.arange(ny), np.arange(ny)]
+            diag = table[:, np.arange(ny), np.arange(ny)]
             assert diag.all()
 
     def test_matches_ratio_comparison_rule(self):
@@ -155,13 +154,13 @@ class TestMaximalSets:
             if np.any((gaps > 0) & (gaps < 1e-9)):
                 continue  # keep clear of the tie tolerance
             table = maximal_sets(q)
-            np.testing.assert_array_equal(table.allowed[1], rhat[None, :] >= rhat[:, None])
-            np.testing.assert_array_equal(table.allowed[0], rhat[None, :] <= rhat[:, None])
+            np.testing.assert_array_equal(table[1], rhat[None, :] >= rhat[:, None])
+            np.testing.assert_array_equal(table[0], rhat[None, :] <= rhat[:, None])
             done += 1
 
     def test_constant_metric_allows_everything(self):
         table = maximal_sets(DecodingMetric(2.0 * np.ones((2, 4))))
-        assert table.allowed.all()
+        assert table.all()
 
     def test_row_rescaling_leaves_table_unchanged(self):
         rng = np.random.default_rng(42)
@@ -171,7 +170,7 @@ class TestMaximalSets:
             c = rng.uniform(0.2, 5.0, size=2)
             scaled = DecodingMetric(c[:, None] * q.q)
             np.testing.assert_array_equal(
-                maximal_sets(q).allowed, maximal_sets(scaled).allowed
+                maximal_sets(q), maximal_sets(scaled)
             )
 
 
@@ -264,7 +263,7 @@ def inf_buffer(ny: int = 3) -> np.ndarray:
 class TestLinearOracle:
     def test_zero_gradient_takes_smallest_allowed_index(self):
         table = maximal_sets(example1(3.0).q)
-        idx = _lmo_targets(np.zeros((2, 3, 3)), table.allowed, inf_buffer())
+        idx = _lmo_targets(np.zeros((2, 3, 3)), table, inf_buffer())
         np.testing.assert_array_equal(idx, [[0, 0, 0], [0, 1, 2]])
 
     def test_hand_built_gradient(self):
@@ -275,7 +274,7 @@ class TestLinearOracle:
                 [[5.0, 1.0, 2.0], [0.0, 0.0, 9.0], [7.0, 8.0, -1.0]],
             ]
         )
-        np.testing.assert_array_equal(_lmo_targets(grad, table.allowed, inf_buffer()), [[0, 1, 2], [1, 1, 2]])
+        np.testing.assert_array_equal(_lmo_targets(grad, table, inf_buffer()), [[0, 1, 2], [1, 1, 2]])
 
     def test_reused_buffer_matches_a_fresh_mask(self):
         # a solve keeps one masked buffer for its table; each call overwrites only
@@ -285,8 +284,8 @@ class TestLinearOracle:
         masked = inf_buffer(6)
         for _ in range(20):
             grad = rng.normal(size=(2, 6, 6))
-            expected = np.argmin(np.where(table.allowed, grad, np.inf), axis=2)
-            np.testing.assert_array_equal(_lmo_targets(grad, table.allowed, masked), expected)
+            expected = np.argmin(np.where(table, grad, np.inf), axis=2)
+            np.testing.assert_array_equal(_lmo_targets(grad, table, masked), expected)
 
     def test_vertex_minimizes_linear_objective(self):
         rng = np.random.default_rng(44)
@@ -294,11 +293,11 @@ class TestLinearOracle:
             inst = random_instance(rng)
             table = maximal_sets(inst.q)
             grad = rng.normal(size=(2, 3, 3))
-            idx = _lmo_targets(grad, table.allowed, inf_buffer())
-            assert np.all(np.take_along_axis(table.allowed, idx[..., None], axis=2))
+            idx = _lmo_targets(grad, table, inf_buffer())
+            assert np.all(np.take_along_axis(table, idx[..., None], axis=2))
             val = float(np.take_along_axis(grad, idx[..., None], axis=2).sum())
             for _ in range(5):
-                raw = np.where(table.allowed, rng.uniform(0.1, 1.0, size=(2, 3, 3)), 0.0)
+                raw = np.where(table, rng.uniform(0.1, 1.0, size=(2, 3, 3)), 0.0)
                 v = raw / raw.sum(axis=2, keepdims=True)
                 feasible = JointConditional(wy=inst.wy, table=table, v=v)
                 assert val <= float(np.sum(grad * feasible.v)) + 1e-12
@@ -497,6 +496,82 @@ def result_bits(res) -> tuple:
     return (
         res.value.hex(), res.kl_value.hex(), res.fw_gap.hex(), res.converged, res.minimizer.v.tobytes()
     )
+
+
+def hull_min_kl(inst: CovertInstance) -> float:
+    """Exact minimum of D(m1 || m0) over maximal couplings, from a lower convex hull.
+
+    With the outputs sorted by rhat (stable), row y of input 1's argmax table
+    is a suffix from first[y] and row y of input 0's a prefix ending at last[y].
+    By Gale's supply-demand theorem, m1 of the first k sorted outputs is at
+    most H1(k) = W1{y : first[y] < k} and m0 of them at least
+    H0(k) = W0{y : last[y] < k}.  The minimum is sum b1 log(b1 / b0) over
+    consecutive vertices of the lower convex hull of the points (H0(k), H1(k)),
+    b the difference of the two vertices.  A point whose H0 equals the last
+    kept point's is skipped: H1 never falls, so the kept one is the lowest, and
+    every b0 is positive even where rounding leaves H1 short of H0 near 1.
+    """
+    order = np.argsort(inst.q.log_ratio, kind="stable")
+    table = maximal_sets(inst.q)[:, order][:, :, order]
+    ny = order.size
+    idx = np.arange(ny)
+    first = table[1].argmax(axis=1)
+    last = ny - 1 - table[0, :, ::-1].argmax(axis=1)
+    assert np.array_equal(table[1], idx >= first[:, None])
+    assert np.array_equal(table[0], idx <= last[:, None])
+    w = inst.wy.w[:, order]
+    h1 = np.concatenate([[0.0], np.cumsum(np.bincount(first, w[1], ny))])
+    h0 = np.concatenate([[0.0], np.cumsum(np.bincount(last, w[0], ny))])
+    hull = []  # monotone chain, lower half
+    for p in zip(h0.tolist(), h1.tolist()):
+        if hull and p[0] == hull[-1][0]:
+            continue
+        while len(hull) >= 2:
+            (ax, ay), (bx, by) = hull[-2], hull[-1]
+            if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) > 0.0:
+                break
+            hull.pop()
+        hull.append(p)
+    return sum((b1 - a1) * math.log((b1 - a1) / (b0 - a0)) for (a0, a1), (b0, b1) in zip(hull, hull[1:]) if b1 > a1)
+
+
+def unused_output_draw(seed: int) -> CovertInstance:
+    """A random instance at 3 to 8 outputs with one output neither input produces."""
+    rng = np.random.default_rng([77, seed])
+    ny = int(rng.integers(3, 9))
+    return without_output(random_instance(rng, ny=ny), int(rng.integers(ny)))
+
+
+class TestHullReference:
+    """Frank-Wolfe against the converse's exact minimum, hull_min_kl."""
+
+    def test_matches_frank_wolfe_on_full_support(self):
+        # measured: Frank-Wolfe minus hull in [-2.4e-16, 8.8e-15] on these 60
+        for s in range(60):
+            rng = np.random.default_rng([5, s])
+            inst = random_instance(rng, ny=int(rng.integers(2, 11)))
+            assert abs(upper_bound(inst).kl_value - hull_min_kl(inst)) <= 1e-12
+
+    def test_unused_output_never_above_frank_wolfe_or_the_oracle(self):
+        # Frank-Wolfe may stall above the minimum at this budget, never below it
+        for s in range(40):
+            inst = unused_output_draw(s)
+            hull = hull_min_kl(inst)
+            with step_budget(1000):
+                assert hull <= upper_bound(inst).kl_value + 1e-12
+            try:
+                with mock.patch.object(converse_module, "_MAX_POINTS", 3000):
+                    oracle = upper_bound_grid_oracle(inst, 6)
+            except ResourceLimitError:
+                continue  # the lattice is too large to enumerate in a unit test
+            assert hull <= oracle + 1e-12
+
+    def test_rounding_trap(self):
+        # H0 reaches exactly 1 one point before H1, which stands at 1 - 1.1e-16 there;
+        # pinning both last sums to 1 made a vertical segment and returned inf
+        inst = unused_output_draw(74)
+        assert inst.wy.num_outputs == 8
+        assert hull_min_kl(inst) == 0.014074690652489216
 
 
 def tie_points(q: np.ndarray, cell: tuple[int, int]) -> list[float]:
@@ -728,7 +803,7 @@ def bisection_min_kl(inst: CovertInstance, tol: float = 1e-8, max_iters: int = 2
             g1 = w[1][:, None] * (logterm + 1.0)[None, :]
             g0 = -(1.0 - eps) * w[0][:, None] * (m1 / m0t)[None, :]
             grad = np.stack([g0, g1])
-            to_row = cell_base + head_lmo_targets(grad, table.allowed).ravel()
+            to_row = cell_base + head_lmo_targets(grad, table).ravel()
             if float(np.sum(grad * v) - grad.ravel()[to_row].sum()) < tol:
                 break
             away = int(np.argmax(grad.ravel()[active].sum(axis=1)))
@@ -899,13 +974,13 @@ def head_solve(w_bytes: bytes, shape: tuple[int, int], allowed_bytes: bytes, tol
     kl_diag = _marginal_kl(w, diag)  # = D(P1 || P0), always finite under A3
     if kl_iter > kl_diag:
         v, kl_iter = diag, kl_diag
-    return JointConditional(wy=Bdmc(w), table=MaximalSetTable(allowed), v=v), max(kl_iter, 0.0), gap, converged
+    return JointConditional(wy=Bdmc(w), table=allowed, v=v), max(kl_iter, 0.0), gap, converged
 
 
 def head_bits(inst: CovertInstance, tol: float = 1e-8, max_iters: int = 20000) -> tuple:
     """``result_bits`` of upper_bound as the reference Frank-Wolfe computes it."""
     w = inst.wy.w
-    allowed = maximal_sets(inst.q).allowed
+    allowed = maximal_sets(inst.q)
     jc, kl_value, gap, converged = head_solve(w.tobytes(), w.shape, allowed.tobytes(), tol, max_iters)
     t = weight_parameter(inst.delta, inst.q0, inst.q1).t
     return ((t * kl_value).hex(), kl_value.hex(), gap.hex(), converged, jc.v.tobytes())
@@ -1038,7 +1113,7 @@ def full_enumeration_oracle(inst: CovertInstance, grid_g: int, max_points: int) 
     """
     table = maximal_sets(inst.q)
     m0s, m1s = (
-        raw_lattice_marginals(inst.wy.w[x], table.allowed[x], grid_g, max_points) for x in range(2)
+        raw_lattice_marginals(inst.wy.w[x], table[x], grid_g, max_points) for x in range(2)
     )
     log_m0 = np.where(m0s > 0.0, np.log(np.maximum(m0s, _TINY)), -1e18)
     self_term = np.sum(np.where(m1s > 0.0, m1s * np.log(np.maximum(m1s, _TINY)), 0.0), axis=1)
@@ -1125,7 +1200,7 @@ class TestGridOracleDistinctMarginals:
         table = maximal_sets(inst.q)
         try:
             raw = [
-                raw_lattice_marginals(inst.wy.w[x], table.allowed[x], grid_g, max_points=3000)
+                raw_lattice_marginals(inst.wy.w[x], table[x], grid_g, max_points=3000)
                 for x in range(2)
             ]
             expected = full_enumeration_oracle(inst, grid_g, max_points=3000)
@@ -1134,7 +1209,7 @@ class TestGridOracleDistinctMarginals:
                 upper_bound_grid_oracle(inst, grid_g)
             return
         for x in range(2):
-            distinct = _lattice_marginals(inst.wy.w[x], table.allowed[x], grid_g)
+            distinct = _lattice_marginals(inst.wy.w[x], table[x], grid_g)
             assert np.array_equal(distinct, np.unique(raw[x], axis=0))
         log_bound = float(np.max(np.abs(np.log(raw[0][raw[0] > 0.0]))))
         tol = dot_product_tolerance(inst.wy.num_outputs, log_bound, expected)
@@ -1156,7 +1231,7 @@ class TestGridOracleDistinctMarginals:
         table = maximal_sets(inst.q)
         sizes = []
         for x in range(2):
-            m = _lattice_marginals(inst.wy.w[x], table.allowed[x], 24)
+            m = _lattice_marginals(inst.wy.w[x], table[x], 24)
             assert np.unique(m, axis=0).shape == m.shape
             sizes.append(m.shape[0])
         assert sizes == [4993, 1733]  # of 8125 raw points each

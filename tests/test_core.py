@@ -385,7 +385,7 @@ class TestValidateOnce:
 
 class TestTinyUndominatedMass:
     """Row-1 mass in (0, ZERO_TOL] where row 0 is 0 makes chi2(Q1 || Q0) or D(P1 || P0)
-    infinite, so A2 or A3 refuses it: no command prints an infinite bound."""
+    infinite, so A2 or A3 refuses it: no command prints an infinite bound or simulates."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -407,17 +407,22 @@ class TestTinyUndominatedMass:
         loaded = load_channel_spec(str(spec))
         assert (loaded.wz if on_warden else loaded.wy).w[1, c] > 0.0
         failure = A2 if on_warden else A3
+        sim = spec.parent / "sim.json"
+        sim.write_text(json.dumps({"n": 200, "num_messages": 4, "num_keys": 1, "trials_per_pair": 10, "covertness_samples": 200}))
+        out_dir = spec.parent / "out"
         for argv, out_lines, err in (
             (["capacity"], 4, f"failure: {failure}\n"),
             (["bounds"], 0, f"error: {failure}\n"),
             (["bounds", "--grid-check", "4"], 0, f"error: {failure}\n"),
             (["sweep", "--steps", "3"], 0, f"error: {failure}\n"),
+            (["simulate", str(sim), "--out-dir", str(out_dir)], 0, f"error: {failure}\n"),
         ):
             out, errs = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(errs):
                 assert main([argv[0], str(spec), *argv[1:]]) == 2
             assert len(out.getvalue().splitlines()) == out_lines
             assert errs.getvalue() == err
+        assert not out_dir.exists()  # simulate refuses before it writes anything
 
 
 class TestInnocentOnlySet:

@@ -84,7 +84,7 @@ def book(params: PpmParams, words, ids=None) -> PpmCodebook:
     pos = np.nonzero(cw)[2].reshape(cw.shape[:2] + (int(weights.max(initial=0)),))
     if ids is None:
         ids = np.tile(np.arange(cw.shape[1]), (cw.shape[0], 1))
-    return PpmCodebook(params, cw.shape[1], cw.shape[0], pos, np.array(ids))
+    return PpmCodebook(params, pos, np.array(ids))
 
 
 def one_weight_words(rng, shape, n, weight):
@@ -175,13 +175,12 @@ class TestPpmParams:
             ppm_params(1000, 0.1, Q0, Q0)
 
     def test_params_consistency_guard(self):
-        PpmParams(8, 2, 4, 0)  # fine
-        with pytest.raises(DimensionError):
-            PpmParams(8, 2, 3, 2)
+        p = PpmParams(10, 3)  # fine: w and r follow from n and l
+        assert (p.w, p.r) == (3, 1)
         with pytest.raises(DomainError):
-            PpmParams(0, 1, 1, 0)
+            PpmParams(0, 1)
         with pytest.raises(DomainError):
-            PpmParams(8, 2, 4, -1)
+            PpmParams(3, 4)
 
 
 def binary_warden(c2):
@@ -227,7 +226,7 @@ def min_n_for_one_chunk_reference(delta, c2):
 
 class TestCodewordSampling:
     def test_chunk_structure(self):
-        params = PpmParams(10, 3, 3, 1)
+        params = PpmParams(10, 3)
         rng = np.random.default_rng(71)
         for _ in range(100):
             word = sample_codeword(params, rng)
@@ -238,12 +237,12 @@ class TestCodewordSampling:
             assert word[9] == 0
 
     def test_width_one_forces_all_active(self):
-        params = PpmParams(4, 4, 1, 0)
+        params = PpmParams(4, 4)
         word = sample_codeword(params, np.random.default_rng(72))
         np.testing.assert_array_equal(word, [1, 1, 1, 1])
 
     def test_positions_are_uniform(self):
-        params = PpmParams(4, 1, 4, 0)
+        params = PpmParams(4, 1)
         rng = np.random.default_rng(73)
         trials = 4000
         counts = np.zeros(4)
@@ -254,21 +253,21 @@ class TestCodewordSampling:
 
 
 class TestGenerateCodebook:
-    PARAMS = PpmParams(8, 2, 4, 0)
+    PARAMS = PpmParams(8, 2)
 
     def test_shape_ids_and_structure(self):
         cb = generate_codebook(self.PARAMS, num_messages=5, num_keys=3, seed=11)
         assert cb.positions.shape == (3, 5, 2)
         assert cb.codewords.shape == (3, 5, 8)
         np.testing.assert_array_equal(cb.message_ids, np.tile(np.arange(5), (3, 1)))
-        flat = cb.flat_words()
+        flat = cb.codewords.reshape(-1, 8)
         assert flat.shape == (15, 8)
         assert np.all(flat[:, :4].sum(axis=1) == 1)
         assert np.all(flat[:, 4:].sum(axis=1) == 1)
 
     def test_positions_are_the_drawn_words(self):
         # word (k, m) is sample_codeword on the stream keyed (seed, codebook tag, k, m)
-        cb = generate_codebook(PpmParams(10, 3, 3, 1), num_messages=4, num_keys=2, seed=16)
+        cb = generate_codebook(PpmParams(10, 3), num_messages=4, num_keys=2, seed=16)
         for k in range(2):
             for m in range(4):
                 word = sample_codeword(cb.params, _stream(16, _TAG_CODEBOOK, c1=k, c2=m))
@@ -295,7 +294,7 @@ class TestGenerateCodebook:
         # float64 decode matrix, M x min(n, 16 l, M l): 4 sub-codes of 256 words of
         # 512 pulses take 8*256*(4*512 + 8192) = 20,971,520 bytes; at that cap 256
         # messages fit and 257 do not
-        params = PpmParams(1 << 18, 1 << 9, 1 << 9, 0)
+        params = PpmParams(1 << 18, 1 << 9)
         size = 8 * 256 * (4 * 512 + min(params.n, _SLOT_SCORING_RATIO * 512, 256 * 512))
         with mock.patch.object(ppm, "MAX_CODEBOOK_BYTES", size):
             assert generate_codebook(params, num_messages=256, num_keys=4, seed=0).positions.shape == (4, 256, 512)
@@ -335,13 +334,13 @@ class TestGenerateCodebook:
 
     def test_binary_check_makes_no_book_sized_temporaries(self):
         # validating a prebuilt 32 MiB position book keeps its masks to small row blocks
-        params = PpmParams(1 << 20, 1 << 16, 16, 0)
+        params = PpmParams(1 << 20, 1 << 16)
         positions = np.empty((2, 32, params.l), dtype=np.int64)
         positions[:] = np.arange(params.l) * params.w
         ids = np.tile(np.arange(32), (2, 1))
         tracemalloc.start()
         try:
-            PpmCodebook(params, 32, 2, positions, ids)
+            PpmCodebook(params, positions, ids)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -355,7 +354,7 @@ class TestGenerateCodebook:
 
     def test_book_validation(self):
         ids = np.zeros((1, 1))
-        make = lambda positions: PpmCodebook(self.PARAMS, 1, 1, positions, ids)
+        make = lambda positions: PpmCodebook(self.PARAMS, positions, ids)
         for positions in ([[[0, 4]]], [[[3]]], np.zeros((1, 1, 0))):  # L = 0 is an all-idle book
             np.testing.assert_array_equal(make(positions).positions, positions)
         np.testing.assert_array_equal(make([[[3, 7]]]).codewords, [[[0, 0, 0, 1, 0, 0, 0, 1]]])
@@ -367,16 +366,15 @@ class TestGenerateCodebook:
             with pytest.raises(DimensionError):
                 make(shape)
         with pytest.raises(DimensionError):
-            PpmCodebook(self.PARAMS, 1, 1, [[[0]]], np.zeros((1, 2)))
+            PpmCodebook(self.PARAMS, [[[0]]], np.zeros((1, 2)))
 
     def test_oversize_dense_view_refused_before_allocation(self):
         # one word at n = 2^40 is 8 bytes of positions; its dense view would take 1 TiB
-        cb = PpmCodebook(PpmParams(2**40, 1, 2**40, 0), 1, 1, [[[5]]], [[0]])
+        cb = PpmCodebook(PpmParams(2**40, 1), [[[5]]], [[0]])
         tracemalloc.start()
         try:
-            for view in (lambda: cb.codewords, cb.flat_words):
-                with pytest.raises(ResourceLimitError, match="cap"):
-                    view()
+            with pytest.raises(ResourceLimitError, match="cap"):
+                cb.codewords
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -391,7 +389,7 @@ class TestGenerateCodebook:
 
 
 class TestQDecode:
-    PARAMS = PpmParams(4, 2, 2, 0)
+    PARAMS = PpmParams(4, 2)
     METRIC = DecodingMetric(np.array([[0.9, 0.1], [0.2, 0.8]]))
     WORDS = [[[1, 0, 1, 0], [1, 0, 0, 1], [0, 1, 1, 0]]]
 
@@ -470,7 +468,7 @@ def make_instance(wy_rows, q_rows) -> CovertInstance:
 class TestEstimateError:
     def test_noiseless_channel_never_errs(self):
         inst = make_instance([[1.0, 0.0], [0.0, 1.0]], [[0.9, 0.1], [0.1, 0.9]])
-        params = PpmParams(4, 2, 2, 0)
+        params = PpmParams(4, 2)
         cb = book(params, [[[1, 0, 1, 0], [0, 1, 0, 1]], [[1, 0, 0, 1], [0, 1, 1, 0]]])
         rep = estimate_error(inst, cb, trials_per_pair=64, seed=5)
         assert rep.errors.sum() == 0
@@ -480,7 +478,7 @@ class TestEstimateError:
 
     def test_identical_words_always_err(self):
         inst = make_instance([[0.7, 0.3], [0.4, 0.6]], [[0.9, 0.1], [0.1, 0.9]])
-        params = PpmParams(4, 2, 2, 0)
+        params = PpmParams(4, 2)
         cb = book(params, [[[1, 0, 1, 0], [1, 0, 1, 0]]])
         rep = estimate_error(inst, cb, trials_per_pair=32, seed=6)
         assert np.all(rep.p_hat == 1.0)
@@ -488,7 +486,7 @@ class TestEstimateError:
 
     def test_worker_count_does_not_change_counts(self):
         inst = make_instance([[0.7, 0.3], [0.4, 0.6]], [[0.9, 0.1], [0.1, 0.9]])
-        cb = generate_codebook(PpmParams(6, 2, 3, 0), num_messages=3, num_keys=2, seed=7)
+        cb = generate_codebook(PpmParams(6, 2), num_messages=3, num_keys=2, seed=7)
         serial = estimate_error(inst, cb, trials_per_pair=300, seed=8, workers=1)
         threaded = estimate_error(inst, cb, trials_per_pair=300, seed=8, workers=4)
         np.testing.assert_array_equal(serial.errors, threaded.errors)
@@ -500,7 +498,7 @@ class TestEstimateError:
         # U, is built when its pairs run and dropped before the next sub-code's; built
         # for all K = 4 sub-codes up front they peaked above four matrices.  Chunks of
         # 16 symbols keep |U| <= n = 16 l, so all four sub-codes are narrow
-        cb = generate_codebook(PpmParams(4096, 256, 16, 0), num_messages=64, num_keys=4, seed=3)
+        cb = generate_codebook(PpmParams(4096, 256), num_messages=64, num_keys=4, seed=3)
         assert all(_sub_code_pulses(cb.positions[k])[2] is not None for k in range(4))
         largest = max(8 * 64 * _pulse_slots(cb.positions[k])[0].size for k in range(4))
         tracemalloc.start()
@@ -532,7 +530,7 @@ class TestEstimateError:
         # so the counts, are the same for any block size and either scorer
         # (a ratio of 0 sends these narrow sub-codes to the slot scorer)
         inst = make_instance([[0.7, 0.3], [0.4, 0.6]], [[0.9, 0.1], [0.1, 0.9]])
-        cb = generate_codebook(PpmParams(6, 2, 3, 0), num_messages=3, num_keys=2, seed=7)
+        cb = generate_codebook(PpmParams(6, 2), num_messages=3, num_keys=2, seed=7)
         default = estimate_error(inst, cb, trials_per_pair=300, seed=8).errors
         cum0, cum1 = _cumulative(inst.wy.w[0]), _cumulative(inst.wy.w[1])
         rhat = np.append(inst.q.log_ratio, 0.0)
@@ -547,7 +545,7 @@ class TestEstimateError:
 
     def test_seed_sensitivity_and_reproducibility(self):
         inst = make_instance([[0.7, 0.3], [0.4, 0.6]], [[0.9, 0.1], [0.1, 0.9]])
-        cb = generate_codebook(PpmParams(6, 2, 3, 0), num_messages=3, num_keys=2, seed=7)
+        cb = generate_codebook(PpmParams(6, 2), num_messages=3, num_keys=2, seed=7)
         again = estimate_error(inst, cb, trials_per_pair=300, seed=8)
         other = estimate_error(inst, cb, trials_per_pair=300, seed=9)
         np.testing.assert_array_equal(
@@ -557,7 +555,7 @@ class TestEstimateError:
 
     def test_aggregates_are_consistent(self):
         inst = make_instance([[0.7, 0.3], [0.4, 0.6]], [[0.9, 0.1], [0.1, 0.9]])
-        cb = generate_codebook(PpmParams(6, 2, 3, 0), num_messages=4, num_keys=3, seed=10)
+        cb = generate_codebook(PpmParams(6, 2), num_messages=4, num_keys=3, seed=10)
         rep = estimate_error(inst, cb, trials_per_pair=250, seed=11)
         assert rep.max_overall == rep.p_hat.max()
         np.testing.assert_allclose(rep.p_hat, rep.errors / 250.0, atol=0)
@@ -567,7 +565,7 @@ class TestEstimateError:
 
     def test_trials_must_be_positive(self):
         inst = make_instance([[0.7, 0.3], [0.4, 0.6]], [[0.9, 0.1], [0.1, 0.9]])
-        cb = generate_codebook(PpmParams(4, 2, 2, 0), 2, 1, seed=0)
+        cb = generate_codebook(PpmParams(4, 2), 2, 1, seed=0)
         with pytest.raises(DomainError):
             estimate_error(inst, cb, trials_per_pair=0, seed=0)
 
@@ -733,7 +731,7 @@ def dense_pair_errors(cb, k, j, trials, seed, cum0, cum1, rhat):
 
 def dense_covertness_mc(cb, wz, samples, seed):
     """Monte-Carlo D(Qhat || Q0^n) from all n outputs, as before pulse-column scoring."""
-    words = cb.flat_words()
+    words = cb.codewords.reshape(-1, cb.params.n)
     qz0, qz1 = wz.w
     d_full = np.where(qz0 > 0.0, np.log(np.maximum(qz1, 1e-300)) - np.log(np.maximum(qz0, 1e-300)), 0.0)
     gen = _stream(seed, _TAG_COVERT)
@@ -759,11 +757,11 @@ class TestPulseColumnsMatchDense:
     def test_error_counts_and_covertness_equal_dense(self, seed, n, num_keys, num_messages, ny, kind):
         rng = np.random.default_rng(seed)
         if kind == "every_position":  # w = 1: every word is active everywhere, L = n
-            params = PpmParams(n, n, 1, 0)
+            params = PpmParams(n, n)
             words = generate_codebook(params, num_messages, num_keys, seed).codewords
         else:
             l = int(rng.integers(1, n + 1))
-            params = PpmParams(n, l, n // l, n - (n // l) * l)
+            params = PpmParams(n, l)
             weight = {"sparse": min(n, int(rng.integers(0, 3))), "dense": int(rng.integers(0, n + 1)), "all_idle": 0}[kind]
             words = one_weight_words(rng, (num_keys, num_messages), n, weight)
         cb = book(params, words)
@@ -819,7 +817,7 @@ def tie_prone_counts(seed, n, num_keys, num_messages, ny, density, trials):
     for k in range(num_keys):
         j, i = rng.integers(num_messages, size=2)
         words[k, j] = words[k, i]
-    cb = book(PpmParams(n, 1, n, 0), words)
+    cb = book(PpmParams(n, 1), words)
     inst = CovertInstance(
         wy=Bdmc(rng.dirichlet(np.ones(ny), size=2)),
         wz=WZ_BIN,
@@ -935,8 +933,8 @@ class TestIdleColumnsDrawNothing:
         words = one_weight_words(rng, (num_keys, num_messages), n, int(rng.binomial(n, density)))
         wide = np.zeros((num_keys, num_messages, n + extra), dtype=np.uint8)
         wide[:, :, np.sort(rng.choice(n + extra, size=n, replace=False))] = words
-        narrow_cb = book(PpmParams(n, 1, n, 0), words)
-        wide_cb = book(PpmParams(n + extra, 1, n + extra, 0), wide)
+        narrow_cb = book(PpmParams(n, 1), words)
+        wide_cb = book(PpmParams(n + extra, 1), wide)
         inst = CovertInstance(
             wy=Bdmc(rng.dirichlet(np.ones(ny), size=2)),
             wz=Bdmc(rng.dirichlet(np.ones(3), size=2)),
@@ -960,7 +958,7 @@ class TestIdleColumnsDrawNothing:
         n = 10**6
         words = np.zeros((2, 2, n), dtype=np.uint8)
         words[:, :, [10, 500_000, n - 1]] = [[[1, 1, 0], [0, 1, 1]], [[1, 0, 1], [1, 1, 0]]]
-        cb = book(PpmParams(n, 1, n, 0), words)
+        cb = book(PpmParams(n, 1), words)
         tracemalloc.start()
         try:
             report = covertness_mc(cb, WZ_BIN, 1000, seed=4)
@@ -1036,19 +1034,9 @@ class TestSamplingChunkMemory:
 
 
 def report_for(p_hat: np.ndarray, trials: int = 100) -> ErrorReport:
-    p_hat = np.asarray(p_hat, dtype=float)
-    errors = np.round(p_hat * trials).astype(np.int64)
-    ci = 1.96 * np.sqrt(p_hat * (1 - p_hat) / trials)
-    worst = np.unravel_index(int(np.argmax(p_hat)), p_hat.shape)
-    return ErrorReport(
-        trials_per_pair=trials,
-        errors=errors,
-        p_hat=p_hat,
-        ci95=ci,
-        message_ids=np.tile(np.arange(p_hat.shape[1]), (p_hat.shape[0], 1)),
-        max_overall=float(p_hat[worst]),
-        ci95_halfwidth=float(ci[worst]),
-    )
+    """The report of ``trials`` trials per pair whose error counts give these rates."""
+    errors = np.round(np.asarray(p_hat) * trials).astype(np.int64)
+    return ErrorReport(trials, errors, np.tile(np.arange(errors.shape[1]), (errors.shape[0], 1)))
 
 
 def exact_pair_errors(cb, k, inst, block=1 << 14):
@@ -1087,7 +1075,7 @@ def test_error_counts_match_the_exact_error_probabilities(ratio):
 
 
 class TestExpurgate:
-    PARAMS = PpmParams(4, 2, 2, 0)
+    PARAMS = PpmParams(4, 2)
 
     def full_book(self):
         return generate_codebook(self.PARAMS, num_messages=4, num_keys=1, seed=20)
@@ -1154,10 +1142,10 @@ class TestExpurgate:
 
 
 class TestCovertness:
-    PARAMS = PpmParams(4, 2, 2, 0)
+    PARAMS = PpmParams(4, 2)
 
     def test_idle_book_has_zero_divergence(self):
-        two_idle_words = PpmCodebook(self.PARAMS, 2, 1, np.zeros((1, 2, 0)), [[0, 1]])
+        two_idle_words = PpmCodebook(self.PARAMS, np.zeros((1, 2, 0)), [[0, 1]])
         for cb in (book(self.PARAMS, [[[0, 0, 0, 0]]]), two_idle_words):
             rep = covertness_exact(cb, WZ_BIN)
             assert rep.method == METHOD_EXACT
@@ -1182,7 +1170,7 @@ class TestCovertness:
         )
 
     def test_state_cap_suggests_sampling(self):
-        cb = generate_codebook(PpmParams(30, 3, 10, 0), 2, 1, seed=31)
+        cb = generate_codebook(PpmParams(30, 3), 2, 1, seed=31)
         with pytest.raises(ResourceLimitError, match="covertness_mc"):
             covertness_exact(cb, WZ_BIN)
 
@@ -1240,7 +1228,7 @@ class TestCovertness:
     def test_mc_reads_the_warden_log_ratios_of_the_exact_sum(self):
         # Q0 puts 1e-305 on a symbol Q1 gives 0.3: a Q0 clamped at 1e-300 in the
         # Monte-Carlo log ratios once put the estimate 5.4 stderr below the exact value
-        cb = generate_codebook(PpmParams(6, 2, 3, 0), 4, 1, seed=3)
+        cb = generate_codebook(PpmParams(6, 2), 4, 1, seed=3)
         wz = Bdmc(np.array([[0.7, 0.3, 1e-305], [0.4, 0.3, 0.3]]))
         exact = covertness_exact(cb, wz)
         mc = covertness_mc(cb, wz, samples=100_000, seed=5)
@@ -1256,7 +1244,7 @@ def reference_covertness_exact(cb, wz):
     base_logs = np.log(qz0[active])
     d = np.log(qz1[active]) - base_logs
     a = active.size
-    wmat = cb.flat_words().astype(np.float64)
+    wmat = cb.codewords.reshape(-1, n).astype(np.float64)
     log_c = math.log(wmat.shape[0])
     digits_pow = a ** np.arange(n - 1, -1, -1, dtype=np.int64)
     kl = 0.0
@@ -1304,10 +1292,10 @@ class TestCovertnessExactKernel:
         n = int(rng.integers(1, (14 if ny == 2 else 9) + 1))
         if kind == "ppm":
             l = int(rng.integers(1, n + 1))
-            cb = generate_codebook(PpmParams(n, l, n // l, n - (n // l) * l), num_words, 1, seed)
+            cb = generate_codebook(PpmParams(n, l), num_words, 1, seed)
         else:
             density = {"half_dense": 0.5, "sparse": 2.0 / (n + 1), "all_idle": 0.0, "all_active": 1.0}[kind]
-            cb = book(PpmParams(n, n, 1, 0), one_weight_words(rng, (1, num_words), n, int(rng.binomial(n, density))))
+            cb = book(PpmParams(n, n), one_weight_words(rng, (1, num_words), n, int(rng.binomial(n, density))))
         q = rng.dirichlet(np.ones(ny), size=2)
         if tiny_exp:  # one idle-law entry near 10^-tiny_exp sends some ratio blocks to the log-domain path
             q[0, rng.integers(ny)] = 10.0**-tiny_exp
@@ -1321,7 +1309,7 @@ class TestCovertnessExactKernel:
         # word 1 pulses on the first half, word 2 on the second: the ratios of the
         # likely states with the rare symbol on one half underflow in the shifted
         # product and must come from the log-domain path
-        cb = book(PpmParams(12, 12, 1, 0), [[[1] * 6 + [0] * 6, [0] * 6 + [1] * 6]])
+        cb = book(PpmParams(12, 12), [[[1] * 6 + [0] * 6, [0] * 6 + [1] * 6]])
         with mock.patch.object(ppm, "_logsumexp_rows", wraps=ppm._logsumexp_rows) as repair:
             exact = covertness_exact(cb, WZ_EXTREME).kl_estimate
         assert repair.called
@@ -1333,8 +1321,8 @@ class TestCovertnessExactKernel:
     @pytest.mark.parametrize(
         "params, num_messages, num_keys, seed, wz, value",
         [
-            (PpmParams(16, 4, 4, 0), 6, 2, 11, WZ_BIN, "0x1.2c3fe913cb0f4p-2"),
-            (PpmParams(10, 3, 3, 1), 5, 2, 12, Bdmc(np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]])), "0x1.8d4478bae60f6p-2"),
+            (PpmParams(16, 4), 6, 2, 11, WZ_BIN, "0x1.2c3fe913cb0f4p-2"),
+            (PpmParams(10, 3), 5, 2, 12, Bdmc(np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]])), "0x1.8d4478bae60f6p-2"),
         ],
     )
     def test_pinned_values_of_seeded_books(self, params, num_messages, num_keys, seed, wz, value):
@@ -1342,7 +1330,7 @@ class TestCovertnessExactKernel:
         assert covertness_exact(cb, wz).kl_estimate == pytest.approx(float.fromhex(value), rel=1e-12, abs=0.0)
 
     def test_block_size_does_not_change_the_value(self, monkeypatch):
-        cb = generate_codebook(PpmParams(12, 3, 4, 0), 6, 2, seed=13)
+        cb = generate_codebook(PpmParams(12, 3), 6, 2, seed=13)
         for wz in (WZ_BIN, WZ_EXTREME):
             whole = covertness_exact(cb, wz).kl_estimate
             monkeypatch.setattr("covertcap.ppm._PRODUCT_BLOCK", 16)  # 1 x 16 ratio blocks, one-row repairs
@@ -1352,7 +1340,7 @@ class TestCovertnessExactKernel:
     def test_zero_active_probability_stays_finite(self):
         # q1 = 0 on a symbol q0 emits: the log ratio is floored, as in covertness_mc
         wz = Bdmc(np.array([[0.5, 0.3, 0.2], [0.6, 0.4, 0.0]]))
-        cb = book(PpmParams(6, 2, 3, 0), [[[1, 0, 0, 0, 1, 0], [0, 1, 0, 1, 0, 0]]])
+        cb = book(PpmParams(6, 2), [[[1, 0, 0, 0, 1, 0], [0, 1, 0, 1, 0, 0]]])
         exact = covertness_exact(cb, wz)
         mc = covertness_mc(cb, wz, samples=20_000, seed=14)
         assert math.isfinite(exact.kl_estimate)
@@ -1373,7 +1361,7 @@ class TestCovertnessExactKernel:
     @pytest.mark.parametrize("floor", [1.0, 1e-60])
     def test_chunk_kl_matches_the_digit_loop(self, w, floor):
         q0 = ProbVector(np.array([0.5, 0.3 * floor, 0.2]) / (0.7 + 0.3 * floor))
-        rep = ppm_output_kl(PpmParams(2 * w, 2, w, 0), q0, Q1)
+        rep = ppm_output_kl(PpmParams(2 * w, 2), q0, Q1)
         assert rep.samples == math.comb(w + 2, 2)
         assert rep.kl_estimate == pytest.approx(2 * reference_chunk_kl(w, q0, Q1), rel=1e-10, abs=1e-13)
 
@@ -1393,7 +1381,7 @@ class TestPpmOutputKl:
             q[0, rng.integers(ny)] = 10.0**-tiny_exp
         q[0] = np.maximum(q[0], 1e-60)
         q0, q1 = ProbVector(q[0] / q[0].sum()), ProbVector(q[1])
-        rep = ppm_output_kl(PpmParams(w, 1, w, 0), q0, q1)
+        rep = ppm_output_kl(PpmParams(w, 1), q0, q1)
         assert rep.samples == math.comb(w + ny - 1, ny - 1)
         assert rep.kl_estimate == pytest.approx(reference_chunk_kl(w, q0, q1), rel=1e-10, abs=1e-13)
 
@@ -1409,32 +1397,32 @@ class TestPpmOutputKl:
         # d spans about -690.8 (q1 = 0, floored at 1e-300) to +138.2: a ratio
         # shifted by the largest d of the alphabet underflows to 0 on the
         # all-idle type, and 0 * log 0 is nan
-        rep = ppm_output_kl(PpmParams(5, 1, 5, 0), ProbVector([1.0 - 1e-60, 1e-60]), ProbVector([0.0, 1.0]))
+        rep = ppm_output_kl(PpmParams(5, 1), ProbVector([1.0 - 1e-60, 1e-60]), ProbVector([0.0, 1.0]))
         assert math.isfinite(rep.kl_estimate)
         assert rep.kl_estimate == pytest.approx(136.5456676672102, rel=1e-12)
 
     def test_identical_warden_laws_give_zero(self):
-        rep = ppm_output_kl(PpmParams(8, 2, 4, 0), Q0, Q0)
+        rep = ppm_output_kl(PpmParams(8, 2), Q0, Q0)
         assert rep.kl_estimate == 0.0
 
     def test_width_one_chunks_give_l_times_divergence(self):
-        rep = ppm_output_kl(PpmParams(3, 3, 1, 0), Q0, Q1)
+        rep = ppm_output_kl(PpmParams(3, 3), Q0, Q1)
         assert rep.kl_estimate == pytest.approx(3 * kl_divergence(Q1, Q0), abs=1e-12)
 
     def test_divergence_scales_with_chunk_count(self):
-        one = ppm_output_kl(PpmParams(3, 1, 3, 0), Q0, Q1)
-        two = ppm_output_kl(PpmParams(6, 2, 3, 0), Q0, Q1)
+        one = ppm_output_kl(PpmParams(3, 1), Q0, Q1)
+        two = ppm_output_kl(PpmParams(6, 2), Q0, Q1)
         assert two.kl_estimate == pytest.approx(2 * one.kl_estimate, abs=1e-15)
 
     def test_mc_brackets_exact(self):
         # the chunk law is the uniform mixture of the w x w identity book's words
         w = 50
-        exact = ppm_output_kl(PpmParams(w, 1, w, 0), Q0, Q1)
-        mc = covertness_mc(book(PpmParams(w, 1, w, 0), [np.eye(w)]), Bdmc(WZ1), samples=20_000, seed=40)
+        exact = ppm_output_kl(PpmParams(w, 1), Q0, Q1)
+        mc = covertness_mc(book(PpmParams(w, 1), [np.eye(w)]), Bdmc(WZ1), samples=20_000, seed=40)
         assert abs(mc.kl_estimate - exact.kl_estimate) <= 4 * mc.stderr
 
     def test_method_and_caps(self):
-        params = PpmParams(40, 2, 20, 0)  # C(22, 2) = 231 types of 3 symbols
+        params = PpmParams(40, 2)  # C(22, 2) = 231 types of 3 symbols
         with mock.patch.object(ppm, "MAX_EXACT_STATES", 231):
             assert ppm_output_kl(params, Q0, Q1).samples == 231
         with mock.patch.object(ppm, "MAX_EXACT_STATES", 230), pytest.raises(ResourceLimitError, match="covertness_mc"):
@@ -1442,7 +1430,7 @@ class TestPpmOutputKl:
 
     def test_undominated_symbol_is_infinite(self):
         rep = ppm_output_kl(
-            PpmParams(4, 2, 2, 0), ProbVector([1.0, 0.0]), ProbVector([0.5, 0.5])
+            PpmParams(4, 2), ProbVector([1.0, 0.0]), ProbVector([0.5, 0.5])
         )
         assert rep.kl_estimate == math.inf
 
