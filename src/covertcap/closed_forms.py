@@ -27,7 +27,6 @@ from .core import (
     innocent_only_set,
     kl_divergence,
 )
-from .lower_bound import _log_odds_ratio
 
 
 def covert_capacity(inst: CovertInstance) -> float:
@@ -51,6 +50,11 @@ class DichotomyResult:
     capacity: float
     case: DichotomyCase
     relabeled: bool
+
+
+def _log_odds_ratio(qq: np.ndarray) -> float:
+    # log(q00*q11 / (q01*q10)); the sign decides which input a metric favours
+    return math.log(qq[0, 0]) + math.log(qq[1, 1]) - math.log(qq[0, 1]) - math.log(qq[1, 0])
 
 
 def binary_dichotomy(inst: CovertInstance) -> DichotomyResult:

@@ -37,12 +37,10 @@ from .core import (
     DecodingMetric,
     DimensionError,
     DomainError,
-    ProbVector,
     ResourceLimitError,
     _kl,
     _type_blocks,
     _valid_weight,
-    kl_divergence,
     require_valid,
 )
 from .lower_bound import _newton_max
@@ -99,39 +97,8 @@ class JointConditional:
         object.__setattr__(self, "v", v)
 
 
-def verify_maximal(jc: JointConditional, table: np.ndarray, wy: Bdmc) -> bool:
-    """Check a coupling against an externally supplied argmax table and channel.
-
-    True iff the implied joint W(y|x) * v[x, y](yhat) is zero outside
-    the argmax table ``table`` and its Y-marginal equals ``wy`` within 1e-10.
-    The table argument matters: a coupling built against a permissive table
-    can place mass a stricter metric forbids.
-    """
-    v = jc.v
-    if v.shape != (2, wy.num_outputs, wy.num_outputs):
-        return False
-    joint = jc.wy.w[:, :, None] * v
-    if np.any(joint[~table] != 0.0):
-        return False
-    y_marginal = jc.wy.w * v.sum(axis=2)
-    return bool(np.all(np.abs(y_marginal - wy.w) <= 1e-10))
-
-
-def diagonal_coupling(wy: Bdmc, table: np.ndarray) -> JointConditional:
-    """The identity coupling yhat = y; always feasible."""
-    ny = wy.num_outputs
-    v = np.zeros((2, ny, ny))
-    v[:, np.arange(ny), np.arange(ny)] = 1.0
-    return JointConditional(wy=wy, table=table, v=v)
-
-
-def objective_kl(jc: JointConditional) -> float:
-    """D(m1 || m0) between the coupling's surrogate marginals; +inf if undominated."""
-    return _marginal_kl(jc.wy.w, jc.v)
-
-
 def _marginal_kl(w: np.ndarray, v: np.ndarray) -> float:
-    # objective_kl on the channel rows and coupling array themselves
+    # D(m1 || m0) between the surrogate marginals m_x = sum_y w[x, y] v[x, y]; +inf if undominated
     m0, m1 = np.einsum("xy,xyz->xz", w, v)
     return _kl(m1, m0)
 

@@ -38,7 +38,7 @@ SLOPE_TOL = 1e-12            # |slope at infinity| below this is treated as zero
 ARGMAX_TOL = 1e-9            # rhat values this close to the max share the limit mass
 BRACKET_CAP = float(2**40)   # doubling beyond this means the slope test lied
 STEP_TOL = 1e-10             # Newton stops once a step moves s by no more than this
-NEWTON_CAP = 100             # steps beyond this mean the searched slope is not decreasing
+NEWTON_CAP = 100             # Newton gives up after this many steps with none of at most its tol
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ def _newton_max(slope_curvature, lo: float, hi: float, tol: float) -> float:
         if abs(nxt - s) <= tol:
             return nxt
         s = nxt
-    raise ResourceLimitError(f"Newton exceeded {NEWTON_CAP} steps in [{lo!r}, {hi!r}], contradicting concavity")
+    raise ResourceLimitError(f"Newton exceeded {NEWTON_CAP} steps in [{lo!r}, {hi!r}] without a step of at most {tol!r}")
 
 
 def lower_bound(inst: CovertInstance) -> LowerBoundResult:
@@ -197,57 +197,3 @@ def key_rate_threshold(lb: LowerBoundResult, t: WeightParam, q0: ProbVector, q1:
     receiver's decoded payload, so no pre-shared key is required.
     """
     return max(0.0, t.t * kl_divergence(q1, q0) - lb.value)
-
-
-def _log_odds_ratio(qq: np.ndarray) -> float:
-    # log(q00*q11 / (q01*q10)); the sign decides which input a metric favours
-    return math.log(qq[0, 0]) + math.log(qq[1, 1]) - math.log(qq[0, 1]) - math.log(qq[1, 0])
-
-
-def binary_f_derivative(inst: CovertInstance, s: float) -> float:
-    """Exact df/ds for a binary output alphabet.
-
-    Equals log(rho) * (g(s) - P1(0)) with rho = q00*q11 / (q01*q10) and g(s)
-    the tilted idle probability of symbol 0; agrees with the generic f_s by
-    direct differentiation.
-    """
-    if inst.wy.num_outputs != 2:
-        raise DimensionError("binary_f_derivative needs exactly two output symbols")
-    if s < 0.0:
-        raise DomainError(f"tilt argument must be >= 0, got {s!r}")
-    pp0 = inst.p0.probs
-    pp1 = inst.p1.probs
-    log_rho = _log_odds_ratio(inst.q.q)
-    # g(s) = tilted P0 mass on symbol 0, written as a logistic so large
-    # s*log_rho cannot overflow
-    if pp0[0] <= 0.0:
-        g = 0.0
-    elif pp0[1] <= 0.0:
-        g = 1.0
-    else:
-        a = math.log(pp0[1] / pp0[0]) + s * log_rho
-        g = 1.0 / (1.0 + math.exp(a)) if a <= 0.0 else math.exp(-a) / (1.0 + math.exp(-a))
-    return log_rho * (g - pp1[0])
-
-
-def binary_s0(inst: CovertInstance) -> float:
-    """Stationary point of f for a binary alphabet (the maximizing s).
-
-    Requires q00*q11 > q01*q10 and the orientation P0(0)+P1(1) >= P0(1)+P1(0)
-    (relabel the two outputs first if needed); both are checked, not fixed up,
-    so the returned root is always >= 0.  Returns +inf when P0(1)*P1(0) = 0
-    (the maximizer escapes to infinity).
-    """
-    if inst.wy.num_outputs != 2:
-        raise DimensionError("binary_s0 needs exactly two output symbols")
-    pp0 = inst.p0.probs
-    pp1 = inst.p1.probs
-    if pp0[0] + pp1[1] < pp0[1] + pp1[0]:
-        raise DomainError("binary_s0 needs the orientation P0(0)+P1(1) >= P0(1)+P1(0)")
-    log_rho = _log_odds_ratio(inst.q.q)
-    if log_rho <= 0.0:
-        raise DomainError("binary_s0 needs q00*q11 > q01*q10")
-    if pp0[1] * pp1[0] <= 0.0:
-        return math.inf
-    num = math.log(pp0[0]) + math.log(pp1[1]) - math.log(pp0[1]) - math.log(pp1[0])
-    return num / log_rho

@@ -34,8 +34,8 @@ index.
 
 The decoder's metric score and the warden's mixture likelihood are one
 operation, a sum of a table at each word's pulse slots, and one scorer does it
-for decode trials, covertness samples and q_decode: _slot_scores, which gives
-a block's scores as an (M, t) matrix.  A trial is decoded correctly when every
+for decode trials and covertness samples: _slot_scores, which gives a block's
+scores as an (M, t) matrix.  A trial is decoded correctly when every
 rival's score is below its own word's by more than TIE_TOL.  A narrow sub-code,
 one with at most _SLOT_SCORING_RATIO pulse columns per pulse of a word, is
 decoded instead by one small matrix product of its words with the outputs' log
@@ -70,8 +70,6 @@ from .core import (
     _type_blocks,
     chi2_divergence,
 )
-
-TIE = -1  # decoder verdict when the top metric score is shared
 
 # purpose tags keep the keyed streams of different jobs disjoint
 _TAG_CODEBOOK = 1
@@ -393,19 +391,12 @@ def _pulse_draw(params: PpmParams, rng: np.random.Generator) -> np.ndarray:
     return np.arange(params.l) * params.w + rng.integers(0, params.w, size=params.l)
 
 
-def sample_codeword(params: PpmParams, rng: np.random.Generator) -> np.ndarray:
-    """One chunk-structured word: a uniform active position per chunk, idle tail."""
-    word = np.zeros(params.n, dtype=np.uint8)
-    word[_pulse_draw(params, rng)] = 1
-    return word
-
-
 def generate_codebook(params: PpmParams, num_messages: int, num_keys: int, seed: int) -> PpmCodebook:
     """Independent uniform chunk positions for every (key, message) pair.
 
     Word (m, k) is a pure function of (seed, m, k): regeneration is
     bit-identical no matter the order pairs are visited in.  Its positions are
-    the draws of sample_codeword on the same stream.  Raises
+    one _pulse_draw on the stream keyed (seed, codebook tag, k, m).  Raises
     ResourceLimitError, before allocating, when the largest arrays built from
     the book would take more than MAX_CODEBOOK_BYTES: its positions, and the
     word matrix of one sub-code narrow enough for estimate_error to decode by
@@ -426,31 +417,6 @@ def generate_codebook(params: PpmParams, num_messages: int, num_keys: int, seed:
             pos[k, m] = _pulse_draw(params, _stream(seed, _TAG_CODEBOOK, c1=k, c2=m))
     ids = np.tile(np.arange(num_messages, dtype=np.int64), (num_keys, 1))
     return PpmCodebook(params, pos, ids)
-
-
-def q_decode(codebook: PpmCodebook, k: int, y: np.ndarray, metric: DecodingMetric) -> int:
-    """Decode one output block within sub-code k; returns a message id or TIE.
-
-    The winning word maximizes sum_i log q(x_i, y_i); because all words share
-    the term sum_i log q(0, y_i), only the active positions' log-ratios are
-    scored, by _slot_scores.  A top score shared within TIE_TOL is a TIE
-    (counted as an error by callers).  A sub-code index outside [0, K) and
-    symbols outside the metric's alphabet raise DomainError.
-    """
-    if not 0 <= k < codebook.num_keys:
-        raise DomainError(f"sub-code index must lie in [0, {codebook.num_keys}), got {k!r}")
-    y = np.asarray(y)
-    if y.shape != (codebook.params.n,):
-        raise DimensionError(f"output block must have length {codebook.params.n}")
-    if y.min(initial=0) < 0 or y.max(initial=0) >= metric.num_outputs:
-        raise DomainError(f"output symbols must lie in [0, {metric.num_outputs})")
-    cols, slots = _pulse_slots(codebook.positions[k])
-    scores = _slot_scores(metric.log_ratio, y[None, cols], slots)[:, 0]
-    top = float(scores.max())
-    winners = np.flatnonzero(scores >= top - TIE_TOL)
-    if winners.size > 1:
-        return TIE
-    return int(codebook.message_ids[k, winners[0]])
 
 
 @dataclass(frozen=True)
@@ -762,6 +728,8 @@ def ppm_output_kl(params: PpmParams, q0: ProbVector, q1: ProbVector) -> Covertne
     ``samples`` is the number of types; above MAX_EXACT_STATES of them this raises
     ResourceLimitError.  covertness_mc on the w x w identity book samples it.
     """
+    if len(q0) != len(q1):
+        raise DimensionError("warden laws must share one alphabet")
     w, l = params.w, params.l
     if np.any((q1.probs > 0.0) & (q0.probs <= 0.0)):
         return CovertnessReport(METHOD_EXACT, float("inf"), None, 0)

@@ -1,0 +1,143 @@
+"""Reference implementations the tests check the library against.
+
+Each is a direct, unoptimized form of something the library computes another
+way: a one-block decoder for the slot scorer, a one-word draw for the
+codebook streams, the binary-alphabet tilt derivative and its root for the
+lower bound, and the coupling checks for the converse.  The library itself
+never calls them.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from covertcap import (
+    Bdmc,
+    CovertInstance,
+    DecodingMetric,
+    DimensionError,
+    DomainError,
+    JointConditional,
+    PpmCodebook,
+    PpmParams,
+)
+from covertcap.closed_forms import _log_odds_ratio
+from covertcap.converse import _marginal_kl
+from covertcap.core import TIE_TOL
+from covertcap.ppm import _pulse_draw, _pulse_slots, _slot_scores
+
+TIE = -1  # decoder verdict when the top metric score is shared
+
+
+def sample_codeword(params: PpmParams, rng: np.random.Generator) -> np.ndarray:
+    """One chunk-structured word: a uniform active position per chunk, idle tail."""
+    word = np.zeros(params.n, dtype=np.uint8)
+    word[_pulse_draw(params, rng)] = 1
+    return word
+
+
+def q_decode(codebook: PpmCodebook, k: int, y: np.ndarray, metric: DecodingMetric) -> int:
+    """Decode one output block within sub-code k; returns a message id or TIE.
+
+    The winning word maximizes sum_i log q(x_i, y_i); because all words share
+    the term sum_i log q(0, y_i), only the active positions' log-ratios are
+    scored, by _slot_scores.  A top score shared within TIE_TOL is a TIE
+    (counted as an error by callers).  A sub-code index outside [0, K) and
+    symbols outside the metric's alphabet raise DomainError.
+    """
+    if not 0 <= k < codebook.num_keys:
+        raise DomainError(f"sub-code index must lie in [0, {codebook.num_keys}), got {k!r}")
+    y = np.asarray(y)
+    if y.shape != (codebook.params.n,):
+        raise DimensionError(f"output block must have length {codebook.params.n}")
+    if y.min(initial=0) < 0 or y.max(initial=0) >= metric.num_outputs:
+        raise DomainError(f"output symbols must lie in [0, {metric.num_outputs})")
+    cols, slots = _pulse_slots(codebook.positions[k])
+    scores = _slot_scores(metric.log_ratio, y[None, cols], slots)[:, 0]
+    top = float(scores.max())
+    winners = np.flatnonzero(scores >= top - TIE_TOL)
+    if winners.size > 1:
+        return TIE
+    return int(codebook.message_ids[k, winners[0]])
+
+
+def binary_f_derivative(inst: CovertInstance, s: float) -> float:
+    """Exact df/ds for a binary output alphabet.
+
+    Equals log(rho) * (g(s) - P1(0)) with rho = q00*q11 / (q01*q10) and g(s)
+    the tilted idle probability of symbol 0; agrees with the generic f_s by
+    direct differentiation.
+    """
+    if inst.wy.num_outputs != 2:
+        raise DimensionError("binary_f_derivative needs exactly two output symbols")
+    if s < 0.0:
+        raise DomainError(f"tilt argument must be >= 0, got {s!r}")
+    pp0 = inst.p0.probs
+    pp1 = inst.p1.probs
+    log_rho = _log_odds_ratio(inst.q.q)
+    # g(s) = tilted P0 mass on symbol 0, written as a logistic so large
+    # s*log_rho cannot overflow
+    if pp0[0] <= 0.0:
+        g = 0.0
+    elif pp0[1] <= 0.0:
+        g = 1.0
+    else:
+        a = math.log(pp0[1] / pp0[0]) + s * log_rho
+        g = 1.0 / (1.0 + math.exp(a)) if a <= 0.0 else math.exp(-a) / (1.0 + math.exp(-a))
+    return log_rho * (g - pp1[0])
+
+
+def binary_s0(inst: CovertInstance) -> float:
+    """Stationary point of f for a binary alphabet (the maximizing s).
+
+    Requires q00*q11 > q01*q10 and the orientation P0(0)+P1(1) >= P0(1)+P1(0)
+    (relabel the two outputs first if needed); both are checked, not fixed up,
+    so the returned root is always >= 0.  Returns +inf when P0(1)*P1(0) = 0
+    (the maximizer escapes to infinity).
+    """
+    if inst.wy.num_outputs != 2:
+        raise DimensionError("binary_s0 needs exactly two output symbols")
+    pp0 = inst.p0.probs
+    pp1 = inst.p1.probs
+    if pp0[0] + pp1[1] < pp0[1] + pp1[0]:
+        raise DomainError("binary_s0 needs the orientation P0(0)+P1(1) >= P0(1)+P1(0)")
+    log_rho = _log_odds_ratio(inst.q.q)
+    if log_rho <= 0.0:
+        raise DomainError("binary_s0 needs q00*q11 > q01*q10")
+    if pp0[1] * pp1[0] <= 0.0:
+        return math.inf
+    num = math.log(pp0[0]) + math.log(pp1[1]) - math.log(pp0[1]) - math.log(pp1[0])
+    return num / log_rho
+
+
+def verify_maximal(jc: JointConditional, table: np.ndarray, wy: Bdmc) -> bool:
+    """Check a coupling against an externally supplied argmax table and channel.
+
+    True iff the implied joint W(y|x) * v[x, y](yhat) is zero outside
+    the argmax table ``table`` and its Y-marginal equals ``wy`` within 1e-10.
+    The table argument matters: a coupling built against a permissive table
+    can place mass a stricter metric forbids.
+    """
+    v = jc.v
+    if v.shape != (2, wy.num_outputs, wy.num_outputs):
+        return False
+    joint = jc.wy.w[:, :, None] * v
+    if np.any(joint[~table] != 0.0):
+        return False
+    y_marginal = jc.wy.w * v.sum(axis=2)
+    return bool(np.all(np.abs(y_marginal - wy.w) <= 1e-10))
+
+
+def diagonal_coupling(wy: Bdmc, table: np.ndarray) -> JointConditional:
+    """The identity coupling yhat = y; always feasible."""
+    ny = wy.num_outputs
+    v = np.zeros((2, ny, ny))
+    v[:, np.arange(ny), np.arange(ny)] = 1.0
+    return JointConditional(wy=wy, table=table, v=v)
+
+
+def objective_kl(jc: JointConditional) -> float:
+    """D(m1 || m0) between the coupling's surrogate marginals; +inf if undominated."""
+    return _marginal_kl(jc.wy.w, jc.v)

@@ -21,7 +21,6 @@ from covertcap import (
     PpmParams,
     ProbVector,
     binary_dichotomy,
-    binary_f_derivative,
     covert_capacity,
     covertness_exact,
     covertness_mc,
@@ -32,7 +31,6 @@ from covertcap import (
     generate_codebook,
     lower_bound,
     ppm_params,
-    sample_codeword,
     sample_s_statistic,
     tilt_function,
     upper_bound,
@@ -51,6 +49,7 @@ from conftest import (
     random_instance,
     random_warden,
 )
+from oracles import binary_f_derivative, sample_codeword
 
 # C at the matched sweep point; every figure criterion is phrased around it
 C_STAR = (2 / 7) * 0.4 * math.log(3)

@@ -29,14 +29,11 @@ from covertcap import (
     JointConditional,
     ResourceLimitError,
     ValidationError,
-    diagonal_coupling,
     erasures_only_metric,
     kl_divergence,
     maximal_sets,
-    objective_kl,
     upper_bound,
     upper_bound_grid_oracle,
-    verify_maximal,
     weight_parameter,
 )
 from covertcap.cli import main
@@ -61,6 +58,7 @@ from conftest import (
     random_metric,
     random_warden,
 )
+from oracles import diagonal_coupling, objective_kl, verify_maximal
 
 T, F = True, False
 lower_bound_module = importlib.import_module("covertcap.lower_bound")

@@ -23,8 +23,6 @@ from covertcap import (
     ProbVector,
     ValidationError,
     WeightParam,
-    binary_f_derivative,
-    binary_s0,
     erasures_only_capacity,
     erasures_only_metric,
     f_s,
@@ -46,6 +44,7 @@ from conftest import (
     random_instance,
     random_warden,
 )
+from oracles import binary_f_derivative, binary_s0
 
 # the package re-exports the function lower_bound under the module's name
 lower_bound_module = importlib.import_module("covertcap.lower_bound")

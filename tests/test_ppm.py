@@ -16,7 +16,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covertcap import (
-    TIE,
     Bdmc,
     CovertInstance,
     DecodingMetric,
@@ -39,8 +38,6 @@ from covertcap import (
     ppm_output_kl,
     ppm_params,
     prescribed_log_sizes,
-    q_decode,
-    sample_codeword,
     sample_s_statistic,
 )
 from covertcap import ppm
@@ -65,6 +62,7 @@ from covertcap.ppm import (
 )
 
 from conftest import WZ1, example1
+from oracles import TIE, q_decode, sample_codeword
 
 Q0 = ProbVector(WZ1[0])
 Q1 = ProbVector(WZ1[1])
@@ -1433,6 +1431,14 @@ class TestPpmOutputKl:
             PpmParams(4, 2), ProbVector([1.0, 0.0]), ProbVector([0.5, 0.5])
         )
         assert rep.kl_estimate == math.inf
+
+    @pytest.mark.parametrize(
+        "q0, q1", [([0.5, 0.5], [0.2, 0.3, 0.5]), ([0.2, 0.3, 0.5], [0.5, 0.5])], ids=["shorter_q0", "shorter_q1"]
+    )
+    def test_laws_of_different_lengths_are_refused(self, q0, q1):
+        # the same error kl_divergence, chi2_divergence and ppm_params raise, not numpy's broadcast failure
+        with pytest.raises(DimensionError, match="one alphabet"):
+            ppm_output_kl(PpmParams(4, 2), ProbVector(q0), ProbVector(q1))
 
 
 class TestSStatistic:
