@@ -144,21 +144,40 @@ def _line_search(m1, d1, m0t, d0, eps: float, gmax: float, slope0: float) -> flo
 
     so one pass over the outputs the step moves ((1-eps) d0 is 0 only where d0
     is) gives both, in scalar Python: ``np.log`` and ``np.sum`` round otherwise.
+    Each moved output adds the same floats, in the same order, as the full
+    formula would, by one of three forms.  Where d1 is 0, a1 is the clamped m1
+    at every gamma and d1 (log rho + 1) is exactly 0.0, so no log is taken;
+    where d0 is 0, a0 is m0t, so rho is a1 / m0t.
     """
     if slope0 >= 0.0:
         return 0.0
-    terms = [t for t in zip(m1.tolist(), d1.tolist(), m0t.tolist(), ((1.0 - eps) * d0).tolist()) if t[1] or t[3]]
+    terms = [
+        (p1 if e1 or p1 >= _TINY else _TINY, e1, p0, e0)
+        for p1, e1, p0, e0 in zip(m1.tolist(), d1.tolist(), m0t.tolist(), ((1.0 - eps) * d0).tolist())
+        if e1 or e0
+    ]
+    log = math.log
 
     def falling(g: float) -> tuple[float, float]:
         # (-phi'(g), -phi''(g)): the slope and curvature of the concave -phi
         slope = curv = 0.0
         for p1, e1, p0, e0 in terms:
+            if not e1:  # e1 (log rho + 1) is exactly 0.0, and u = -rho e0
+                t = p1 / (p0 + g * e0) * e0
+                slope += t
+                curv -= t * t / p1
+                continue
             a1 = p1 + g * e1
             a1 = _TINY if _TINY > a1 else a1  # max(a1, _TINY) without the call
-            rho = a1 / (p0 + g * e0)
-            u = e1 - rho * e0
-            slope += rho * e0 - e1 * (math.log(rho) + 1.0)
-            curv -= u * u / a1
+            if e0:
+                rho = a1 / (p0 + g * e0)
+                t = rho * e0
+                u = e1 - t
+                slope += t - e1 * (log(rho) + 1.0)
+                curv -= u * u / a1
+            else:  # rho e0 is a signed zero, and u = e1
+                slope -= e1 * (log(a1 / p0) + 1.0)
+                curv -= e1 * e1 / a1
         return slope, curv
 
     if falling(gmax)[0] >= 0.0:
@@ -175,12 +194,17 @@ def upper_bound(inst: CovertInstance, tol: float = 1e-8) -> UpperBoundResult:
     or after _MAX_ITERS steps.  Each step moves mass from the worst vertex of
     the current convex decomposition onto the linear-oracle vertex, which
     avoids the zig-zag stall of plain conditional gradients when the optimum
-    sits on a face.  The decomposition is kept as arrays: row i of ``active``
-    holds the flat indices into the gradient of one one-hot vertex, in the
-    order the vertices entered, and ``wts[i]`` its weight; the away vertex is
-    the first row with the largest gradient sum; the oracle vertex's sum minus
-    it is the step's slope at 0.  Each step overwrites the gradient, the oracle's masked
-    copy and the direction, made once per solve.  The reported kl_value is the
+    sits on a face.  The decomposition is kept in row buffers: row i < count
+    of ``active`` holds the flat indices into the gradient of one one-hot
+    vertex, in the order the vertices entered, and ``wts[i]`` its weight; the
+    away vertex is the first row with the largest gradient sum; the oracle
+    vertex's sum minus it is the step's slope at 0.  A dict from a row's bytes
+    to its index finds the oracle vertex among the active ones; a new vertex is
+    written after the last row (the buffers double when full), and a dropped
+    one is closed up by shifting the later rows down, which keeps the order
+    and renumbers the dict from there.  Each step overwrites the gradient, its
+    intermediate vectors, the oracle's masked copy and the direction, made once
+    per solve.  The reported kl_value is the
     raw (unsmoothed) objective at the final iterate (``_drop_undominated``
     first if it is infinite), or at the diagonal coupling if that is better,
     clamped at 0: where the minimum is 0 the raw objective is float dust of
@@ -214,32 +238,43 @@ def _solve(
     uniform = 1.0 / ny
     cell_base = np.arange(2 * ny) * ny  # flat index of v[x, y, 0], cells in (x, y) order
 
-    # current point and its convex decomposition over one-hot vertices
+    # current point and its convex decomposition over one-hot vertices (rows
+    # below ``count`` of the buffers), and each active row's index by its bytes
     diag_row = cell_base + np.tile(np.arange(ny), 2)
     diag = np.broadcast_to(np.eye(ny), (2, ny, ny))
     v = diag.copy()
-    active = diag_row[None, :]
-    wts = np.ones(1)
-    vertex = np.dtype((np.void, active.itemsize * 2 * ny))  # an active row as one comparable item
+    active = np.empty((64, 2 * ny), dtype=diag_row.dtype)
+    wts = np.empty(64)
+    active[0], wts[0], count = diag_row, 1.0, 1
+    rows = {diag_row.tobytes(): 0}
     grad, direction, masked = np.empty((2, ny, ny)), np.zeros((2, ny, ny)), np.full((2, ny, ny), np.inf)
     flat_direction = direction.reshape(-1)
+    m0t, logterm, log_m0t, ratio = (np.empty(ny) for _ in range(4))
+    grad_v = np.empty((2, ny, ny))
 
     gap = math.inf
     converged = True
     for eps in _EPS_SCHEDULE:
+        keep, spread = 1.0 - eps, eps * uniform
+        scale0 = -keep * w[0][:, None]
         for _ in range(_MAX_ITERS):
             m0, m1 = np.einsum("xy,xyz->xz", w, v)
-            m0t = (1.0 - eps) * m0 + eps * uniform
-            logterm = np.log(np.maximum(m1, _TINY)) - np.log(m0t)
-            np.multiply(-(1.0 - eps) * w[0][:, None], m1 / m0t, out=grad[0])
-            np.multiply(w[1][:, None], logterm + 1.0, out=grad[1])
+            np.multiply(m0, keep, out=m0t)
+            m0t += spread
+            np.maximum(m1, _TINY, out=logterm)
+            np.log(logterm, out=logterm)
+            logterm -= np.log(m0t, out=log_m0t)
+            np.divide(m1, m0t, out=ratio)
+            np.multiply(scale0, ratio, out=grad[0])
+            logterm += 1.0
+            np.multiply(w[1][:, None], logterm, out=grad[1])
             to_row = cell_base + _lmo_targets(grad, allowed, masked).ravel()
             to_sum = grad.take(to_row).sum()
-            gap = float((grad * v).sum() - to_sum)
+            gap = float(np.multiply(grad, v, out=grad_v).sum() - to_sum)
             if gap < tol:
                 break
             # away vertex: the active one the gradient most wants to leave
-            away_sums = grad.take(active).sum(axis=1)
+            away_sums = grad.take(active[:count]).sum(axis=1)
             away = int(away_sums.argmax())
             gmax = float(wts[away])
             direction.fill(0.0)
@@ -251,16 +286,26 @@ def _solve(
                 converged = False
                 break
             v += gamma * direction
-            hit = (active.view(vertex) == to_row.view(vertex)).nonzero()[0]
-            if hit.size:
-                wts[hit[0]] += gamma
+            key = to_row.tobytes()
+            hit = rows.get(key)
+            if hit is not None:
+                wts[hit] += gamma
             else:
-                active = np.vstack([active, to_row])
-                wts = np.append(wts, gamma)
+                if count == wts.size:
+                    active = np.concatenate([active, np.empty_like(active)])
+                    wts = np.concatenate([wts, np.empty_like(wts)])
+                active[count], wts[count] = to_row, gamma
+                rows[key] = count
+                count += 1
             left = gmax - gamma
             if left <= 1e-15:
-                active = np.delete(active, away, axis=0)
-                wts = np.delete(wts, away)
+                # drop the away row, shifting the later rows down: the order is the argmax's tie-break
+                del rows[active[away].tobytes()]
+                count -= 1
+                active[away:count] = active[away + 1 : count + 1]
+                wts[away:count] = wts[away + 1 : count + 1]
+                for i in range(away, count):
+                    rows[active[i].tobytes()] = i
                 np.maximum(v, 0.0, out=v)  # scrub the dropped vertex's float dust
             else:
                 wts[away] = left

