@@ -212,6 +212,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(f"schedule: n={params.n} l={params.l} w={params.w} r={params.r}")
     print(f"max error: {_fmt(report.max_overall)} (ci95 {_fmt(report.ci95_halfwidth)})")
     print(f"covertness [{cov.method}]: {_fmt(cov.kl_estimate)} nats over {cov.samples} samples")
+    spread = 2.0 * (cov.stderr or 0.0)  # 0 for an exact figure
+    verdict = "within" if cov.kl_estimate + spread <= inst.delta else "over" if cov.kl_estimate - spread > inst.delta else "undecided"
+    print(f"covertness vs delta = {_fmt(inst.delta)}: {verdict} (estimate +- 2 stderr)")
     print(f"wrote {errors_path}")
     print(f"wrote {cov_path}")
     return 0

@@ -15,10 +15,10 @@ reads the one stream keyed by (seed, tag); every Monte-Carlo loop takes its
 block sizes from one rule, _blocks, so a block's memory does not grow with n.
 A block of about _PULSE_BLOCK uniforms is drawn a few rows at a time, about
 _SAMPLE_CHUNK uniforms per draw, and each chunk is sampled straight into the
-block's uint8 outputs (_sample_at_pulses): the uniforms take 512 KiB (or one
-row, where a row holds more) and the outputs 1 MiB, not the 8 MiB of a whole
-block of float64 uniforms.  The stream is read in the same row order whatever
-the chunk size.
+block's uint8 outputs (_sample_at_pulses): the uniforms, 32-bit halves of
+PCG64 outputs, take 256 KiB (or one row, where a row holds more) and the
+outputs 1 MiB.  The stream is read in the same row order whatever the chunk
+size.
 
 A book stores each word as its pulse positions, all words of one weight L,
 not as n bytes, and every array built from it spans only its pulse columns,
@@ -27,10 +27,10 @@ trials and covertness samples draw uniforms, and so channel outputs, only
 there.  Neither the metric score nor the warden's mixture likelihood depends
 on an output where every word is idle, and with l ~ sqrt(n) pulses per word
 those columns are a shrinking share of the block: idle columns cost no draws.
-Every sampler inverts a channel row's cumulative law by counting the
-thresholds at or below each uniform (_sample_symbols), which for these
-few-output alphabets is faster than a binary search and returns the same
-index.
+Every sampler inverts a channel row's cumulative law by counting the integer
+thresholds floor(cum_k 2^32) at or below each uniform (_sample_symbols), which
+for these few-output alphabets is faster than a binary search and returns the
+same index, with each symbol's probability within 2^-32 of its mass.
 
 The decoder's metric score and the warden's mixture likelihood are one
 operation, a sum of a table at each word's pulse slots, and one scorer does it
@@ -96,12 +96,12 @@ MAX_CODEBOOK_BYTES = 2**30
 # of a 64-word sub-code at n = 10^4, and 3.2x at 18 trials at n = 10^7
 _SLOT_GATHER = 1 << 15
 # uniforms per block of any Monte-Carlo loop, sampled into 1 MiB of uint8 outputs;
-# no float64 array of the block's uniforms is built, so sampling takes 1.5 MiB
+# only a draw's uint32 uniforms are built beside them, so sampling takes 1.25 MiB
 # (scoring may still build floats of up to 8 MiB: covertness_mc's scores of a
 # book of many words, or a narrow sub-code's looked-up outputs)
 _PULSE_BLOCK = 1 << 20
 # uniforms per draw of _sample_at_pulses, a few rows of a block at a time: one
-# draw's float64 uniforms take 512 KiB, or one row where a row holds more
+# draw's uint32 uniforms take 256 KiB, or one row where a row holds more
 _SAMPLE_CHUNK = 1 << 16
 # most decode trials per block of _pair_errors; the count does not depend on it
 _TRIAL_BLOCK = 1024
@@ -130,30 +130,33 @@ def _blocks(total: int, width: int, most: int | None = None):
     return ((start, min(step, total - start)) for start in range(0, total, step))
 
 
-def _sample_symbols(cum: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Inverse-CDF samples of the law with cumsum ``cum`` at uniforms ``u``, written into ``out`` if given.
+def _sample_symbols(thresholds: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse-CDF samples at uint32 uniforms ``u`` of the law with ``thresholds`` (_thresholds), written into ``out`` if given.
 
-    Counts the thresholds cum[:-1] at or below each u (sequential-search
-    inversion; Devroye 1986, section III.2).  cum is a cumsum with cum[-1]
-    pinned to 1 > u, so the thresholds at or below u form a prefix and the
-    count is searchsorted(cum, u, side="right").  Its cost is linear in the
-    alphabet, but for the few outputs of the channels here it beats a binary
-    search (they tie near 128 outputs), helped by an index of the narrowest
-    unsigned type that holds cum.size (uint8 below 256 outputs).
+    Counts the thresholds at or below each u (sequential-search inversion;
+    Devroye 1986, section III.2).  They are nondecreasing, so those at or
+    below u form a prefix and the count is searchsorted(thresholds, u,
+    side="right").  Its cost is linear in the alphabet, but for the few
+    outputs of the channels here it beats a binary search (they tie near 128
+    outputs), helped by an index of the narrowest unsigned type that holds
+    the count (uint8 below 256 outputs).
     """
     if out is None:
-        out = np.empty(u.shape, dtype=np.min_scalar_type(cum.size))
-    np.greater_equal(u, cum[0], out=out)  # the first count is written, not added to zeros (cum[0] = 1 at one output)
-    for c in cum[1:-1]:
+        out = np.empty(u.shape, dtype=np.min_scalar_type(thresholds.size))
+    first = thresholds[0] if thresholds.size else np.uint64(2**32)  # no threshold: above every u
+    np.greater_equal(u, first, out=out)  # the first count is written, not added to zeros
+    for c in thresholds[1:]:
         out += u >= c
     return out
 
 
-def _cumulative(p: np.ndarray) -> np.ndarray:
-    # the cumulative law of each row of p (a law, or a channel's two rows), ending at exactly 1
-    cum = np.cumsum(p, axis=-1)
-    cum[..., -1] = 1.0
-    return cum
+def _thresholds(p: np.ndarray) -> np.ndarray:
+    """The uint32 thresholds floor(cum_k 2^32) of the law ``p`` for cum_k < 1 before its last
+    symbol of positive mass: a prefix, none clamped to 2^32 - 1, so each symbol is drawn
+    with probability within 2^-32 of its mass and a zero-mass one never, even where cum
+    falls short of 1 by rounding before trailing zeros."""
+    cum = np.cumsum(p[: np.flatnonzero(p).max(initial=0)])
+    return (cum[cum < 1.0] * 2.0**32).astype(np.uint32)  # the scaling is exact, so the cast floors
 
 
 def _states_exceed(a: int, n: int, cap: int) -> bool:
@@ -208,27 +211,29 @@ def _slot_scores(table: np.ndarray, y: np.ndarray, slots: np.ndarray) -> np.ndar
     return scores
 
 
-def _sample_at_pulses(gen, t, cols, pulses, cum0, cum1) -> np.ndarray:
+def _sample_at_pulses(gen, t, cols, pulses, thr0, thr1) -> np.ndarray:
     """Outputs at columns ``cols`` of t channel blocks, one uniform per entry.
 
-    The stream advances by t*|cols| uniforms, row by row, so idle columns
-    draw nothing.  They are drawn a few rows at a time, about _SAMPLE_CHUNK
-    per draw and at least one row, and each chunk is sampled straight into
-    the (t, |cols|) outputs: every entry is inverse-CDF sampled from cum0,
-    then the chunk's pulse entries are sampled again from cum1 and overwrite
-    theirs.  ``pulses`` holds the pulse entries' column indices: one index or
-    1-d array for the same columns in every row, or a (t, L) array of each
-    row's own.  The outputs are the same for any chunk size.
+    A row of |cols| entries reads ceil(|cols|/2) PCG64 outputs and takes the
+    first |cols| of their 32-bit halves, low half first on any host, so idle
+    columns draw nothing.  Rows are drawn a few at a time, about _SAMPLE_CHUNK
+    uniforms per draw and at least one row, and each chunk is sampled straight
+    into the (t, |cols|) outputs: every entry is inverse-CDF sampled at
+    thresholds thr0, then the chunk's pulse entries are sampled again at thr1
+    and overwrite theirs.  ``pulses`` holds the pulse entries' column indices:
+    one index or 1-d array for the same columns in every row, or a (t, L)
+    array of each row's own.  The outputs, and where the stream is left, are
+    the same for any chunk size.
     """
-    y = np.empty((t, cols.size), dtype=np.min_scalar_type(cum0.size))
+    y = np.empty((t, cols.size), dtype=np.min_scalar_type(max(thr0.size, thr1.size)))
     step = max(1, _SAMPLE_CHUNK // max(1, cols.size))
     shared = np.ndim(pulses) < 2
     for lo in range(0, t, step):
         hi = min(lo + step, t)
-        u = gen.random((hi - lo, cols.size))
+        u = gen.bit_generator.random_raw((hi - lo, (cols.size + 1) // 2)).astype("<u8", copy=False).view("<u4")[:, : cols.size]
         at = (slice(None), pulses) if shared else (np.arange(hi - lo)[:, None], pulses[lo:hi])
-        _sample_symbols(cum0, u, y[lo:hi])
-        y[lo:hi][at] = _sample_symbols(cum1, u[at])
+        _sample_symbols(thr0, u, y[lo:hi])
+        y[lo:hi][at] = _sample_symbols(thr1, u[at])
     return y
 
 
@@ -451,7 +456,7 @@ class ErrorReport:
         return float(self.ci95.flat[np.argmax(self.p_hat)])
 
 
-def _pair_errors(codebook, k, j, trials, seed, cum0, cum1, rhat, pulses):
+def _pair_errors(codebook, k, j, trials, seed, thr0, thr1, rhat, pulses):
     """Error count for pair (k, j) over its keyed stream; chunking is stream-neutral.
 
     ``pulses`` is ``_sub_code_pulses`` of sub-code k, and ``rhat`` the
@@ -483,7 +488,7 @@ def _pair_errors(codebook, k, j, trials, seed, cum0, cum1, rhat, pulses):
     gen = _stream(seed, _TAG_ERROR, c1=pair)
     failures = 0
     for _, t in _blocks(trials, cols.size, _TRIAL_BLOCK):
-        y = _sample_at_pulses(gen, t, cols, slots[j], cum0, cum1)
+        y = _sample_at_pulses(gen, t, cols, slots[j], thr0, thr1)
         scores = _slot_scores(rhat, y, slots) if words is None else words @ np.take(rhat, y).T
         own = scores[j] - TIE_TOL
         scores[j] = -np.inf
@@ -510,12 +515,12 @@ def estimate_error(
     """
     if trials_per_pair < 1:
         raise DomainError("trials_per_pair must be >= 1")
-    cum0, cum1 = _cumulative(inst.wy.w)
+    thr0, thr1 = map(_thresholds, inst.wy.w)
     K, M = codebook.num_keys, codebook.num_messages
 
     def sub_code(mapper, k):
         pulses = _sub_code_pulses(codebook.positions[k])
-        run = lambda j: _pair_errors(codebook, k, j, trials_per_pair, seed, cum0, cum1, inst.q.log_ratio, pulses)
+        run = lambda j: _pair_errors(codebook, k, j, trials_per_pair, seed, thr0, thr1, inst.q.log_ratio, pulses)
         return list(mapper(run, range(M)))
 
     with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:  # starts no thread unless mapped on
@@ -703,12 +708,12 @@ def covertness_mc(codebook: PpmCodebook, wz: Bdmc, samples: int, seed: int) -> C
     active, _, d = _warden_deltas(wz)
     d_full = np.zeros(wz.num_outputs)  # log Q1/Q0 on supp(Q0), 0 elsewhere
     d_full[active] = d
-    cum0, cum1 = _cumulative(wz.w)
+    thr0, thr1 = map(_thresholds, wz.w)
     gen = _stream(seed, _TAG_COVERT)
     vals = np.empty(samples)
     for done, t in _blocks(samples, cols.size):
         picked = slots[gen.integers(0, len(slots), size=t)]
-        z = _sample_at_pulses(gen, t, cols, picked, cum0, cum1)
+        z = _sample_at_pulses(gen, t, cols, picked, thr0, thr1)
         for lo, r in _blocks(t, len(slots)):  # unnamed, a chunk's scores are freed before the next is built
             vals[done + lo : done + lo + r] = _logsumexp_rows(_slot_scores(d_full, z[lo : lo + r], slots).T) - math.log(len(slots))
     est = float(vals.mean())
@@ -802,11 +807,11 @@ def sample_s_statistic(
     bound_low = math.log(w) - float(np.logaddexp(0.0, log_w1 + b))
 
     gen = _stream(seed, _TAG_SSTAT)
-    cum0, cum1 = _cumulative(np.stack([p0.probs, p1.probs]))
+    thr0, thr1 = _thresholds(p0.probs), _thresholds(p1.probs)
     cols = np.arange(w)
     vals = np.empty(samples)
     for done, t in _blocks(samples, w, max(1, _SAMPLE_CHUNK // w)):  # rows are read and scored apart: same bits
-        r_all = rhat[_sample_at_pulses(gen, t, cols, 0, cum0, cum1)]
+        r_all = rhat[_sample_at_pulses(gen, t, cols, 0, thr0, thr1)]
         vals[done : done + t] = math.log(w) - _logsumexp_rows(s * (r_all - r_all[:, :1]))
     return SStatReport(
         mean=float(vals.mean()),

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from covertcap import upper_bound_grid_oracle, weight_parameter
+from covertcap import CovertnessReport, upper_bound_grid_oracle, weight_parameter
 from covertcap.cli import main
 
 from conftest import example1, random_instance
@@ -213,6 +213,11 @@ class TestSimulate:
         assert main(["simulate", spec, config, "--out-dir", str(out_dir)]) == 0
         stdout = capsys.readouterr().out
         assert "schedule: n=12 l=2 w=6 r=0" in stdout
+        covertness = stdout.splitlines()[2:4]
+        assert covertness == [
+            "covertness [EXACT]: 0.12340283 nats over 4096 samples",
+            "covertness vs delta = 0.3: within (estimate +- 2 stderr)",
+        ]
 
         err_lines = (out_dir / "errors.csv").read_text().splitlines()
         assert err_lines[0] == "key,message,trials,errors,p_hat,ci95"
@@ -270,6 +275,24 @@ class TestSimulate:
         assert len(err_lines) == 1 + 2 * 2  # one of three messages dropped per key
         kept = {line.split(",")[1] for line in err_lines[1:]}
         assert kept <= {"0", "1", "2"}
+
+    @pytest.mark.parametrize(
+        "estimate, stderr, verdict",
+        [
+            (0.3, None, "within"),  # exact, on the budget
+            (0.3000001, None, "over"),
+            (math.inf, None, "over"),
+            (0.1, 0.05, "within"),  # 0.2 <= 0.3
+            (0.25, 0.05, "undecided"),  # 0.15 <= 0.3 < 0.35
+            (0.45, 0.05, "over"),  # 0.35 > 0.3
+        ],
+    )
+    def test_covertness_is_judged_against_delta(self, sim_files, tmp_path, capsys, monkeypatch, estimate, stderr, verdict):
+        # within when estimate + 2 stderr <= delta, over when estimate - 2 stderr > delta
+        spec, config = sim_files
+        monkeypatch.setattr("covertcap.cli.covertness_exact", lambda *args, **kw: CovertnessReport("EXACT", estimate, stderr, 1))
+        assert main(["simulate", spec, config, "--out-dir", str(tmp_path / "out")]) == 0
+        assert f"covertness vs delta = 0.3: {verdict} (estimate +- 2 stderr)" in capsys.readouterr().out.splitlines()
 
     def test_missing_config_key_exits_1(self, sim_files, tmp_path, capsys):
         spec, _ = sim_files
@@ -348,11 +371,12 @@ class TestSimulate:
         assert not (tmp_path / "huge").exists()
 
 
-# Recorded when the keyed streams moved from Philox to PCG64 seeded by
-# SeedSequence(seed, spawn_key=(tag, c1, c2)) (a declared stream change); a new
-# digest means the random streams moved again, which must be declared as a
-# stream change.  The exact case's covertness.csv kept its digest: its new
-# book differs from the old one only by a relabelling of columns.
+# Recorded when the channel samples moved to 32-bit uniforms, two per PCG64
+# output (a declared stream change; the streams are PCG64 seeded by
+# SeedSequence(seed, spawn_key=(tag, c1, c2))); a new digest means the random
+# streams moved again, which must be declared as a stream change.  The exact
+# case's covertness.csv kept its digest: it expurgates nothing, so its book
+# does not depend on the decode trials.
 PINNED_MC_CONFIG = {
     "n": 2000,
     "num_messages": 16,
@@ -390,26 +414,26 @@ BENCH_EXACT_CONFIG = {
         (
             EXAMPLE_SPEC,
             PINNED_MC_CONFIG,
-            "d067e60bcd18f1bf587ed5ca3904d68f6a80e8de6474678f3718596a0634d8bd",
-            "8d30bd5224c1ea0926386989befa6638677322eea458a2369d609e10db8ab00a",
+            "779ba59d7bb34de49164d97a979d195dc0f16fd59e202a6b5ceb019adad61274",
+            "8c814d36596eabd0a1588682d1693b09faa66241de8f5881648472c2b503d85f",
         ),
         (
             SIM_SPEC,
             SIM_CONFIG,
-            "4feed064ac31033819baee419f73267a7a1d701fd6ed2cc912e31fa425d2134e",
+            "af82d1bde185dd7289037647eaf2d0853d4a67aa0e9ce0c74ebba79bed0a3973",
             "5260b34d6bf44500c0b75d305d2d825812a8e282d8de8f250235a8483ee40d55",
         ),
         (
             EXAMPLE_SPEC,
             BENCH_DENSE_CONFIG,
-            "f708eaf508538206032dfe5487dbd48279a957dd3cb4b0ab4a050cc51784deda",
-            "0c9d7422c2b4f43239b7b321dd7c8836206f8bb70a74ae9a3bb1b47b4374cc7a",
+            "7d4ad49bfcccc4169ad68b74d80a4c03fe39761d98c91221a5a59ce915824cfb",
+            "73d2bf46c190fa4e5ebe04039b9ecb1116c7eae2c8a776816709cdb9e1959dbd",
         ),
         (
             SIM_SPEC,
             BENCH_EXACT_CONFIG,
-            "89ee201052043e98d040231c945aaca59fec1fb326f1667c9c735474be142579",
-            "cd41c9b954edc09ebbe1adfc958297363e5cb1404824c684386b42307c4f987d",
+            "88f5e0b873f1cb7d074ef9a32c9c6406d61695c615fb186f3fd725f60a2874b8",
+            "65258ef74633ef5ce9cef4100f50c94f9fc625946f5b78e653f892a54cdd6520",
         ),
     ],
     ids=["monte_carlo", "exact", "simulate_dense", "simulate_exact"],

@@ -5,9 +5,11 @@ product laws whose divergences factor by hand, and channels where the decoder
 provably never errs (or always does).
 """
 
+import itertools
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -48,7 +50,6 @@ from covertcap.ppm import (
     _TAG_COVERT,
     _TAG_ERROR,
     MAX_CODEBOOK_BYTES,
-    _cumulative,
     _pair_errors,
     _PULSE_BLOCK,
     _pulse_slots,
@@ -58,6 +59,7 @@ from covertcap.ppm import (
     _states_exceed,
     _stream,
     _sub_code_pulses,
+    _thresholds,
     _word_matrix,
 )
 
@@ -530,13 +532,13 @@ class TestEstimateError:
         inst = make_instance([[0.7, 0.3], [0.4, 0.6]], [[0.9, 0.1], [0.1, 0.9]])
         cb = generate_codebook(PpmParams(6, 2), num_messages=3, num_keys=2, seed=7)
         default = estimate_error(inst, cb, trials_per_pair=300, seed=8).errors
-        cum0, cum1 = _cumulative(inst.wy.w[0]), _cumulative(inst.wy.w[1])
+        thr0, thr1 = _thresholds(inst.wy.w[0]), _thresholds(inst.wy.w[1])
         rhat = np.append(inst.q.log_ratio, 0.0)
         for ratio in (_SLOT_SCORING_RATIO, 0):
             for block in (1, 7, 64, 299, 300):
                 with mock.patch.object(ppm, "_SLOT_SCORING_RATIO", ratio), mock.patch.object(ppm, "_TRIAL_BLOCK", block):
                     counts = [
-                        [_pair_errors(cb, k, j, 300, 8, cum0, cum1, rhat, _sub_code_pulses(cb.positions[k])) for j in range(3)]
+                        [_pair_errors(cb, k, j, 300, 8, thr0, thr1, rhat, _sub_code_pulses(cb.positions[k])) for j in range(3)]
                         for k in range(2)
                     ]
                 np.testing.assert_array_equal(counts, default)
@@ -568,48 +570,117 @@ class TestEstimateError:
             estimate_error(inst, cb, trials_per_pair=0, seed=0)
 
 
+def threshold_oracle(p) -> np.ndarray:
+    """floor(cum_k 2^32) in Python integers, for the running sums cum_k < 1 before the last symbol of positive mass."""
+    last = max((i for i, x in enumerate(p) if x > 0.0), default=0)
+    return np.array([math.floor(c * 2**32) for c in itertools.accumulate(p[:last]) if c < 1.0], dtype=np.uint32)
+
+
+def draw_probabilities(p) -> list[Fraction]:
+    """Each symbol's exact probability under _sample_symbols at a uniform u in [0, 2^32)."""
+    edges = [0, *map(int, _thresholds(np.asarray(p))), 2**32]
+    probs = [Fraction(hi - lo, 2**32) for lo, hi in zip(edges, edges[1:])]
+    return probs + [Fraction(0)] * (len(p) - len(probs))
+
+
+def random_law(rng, ny, zero_share, scale):
+    """A law on ny symbols with about ``zero_share`` zero entries, its sum scaled by ``scale`` (one symbol if all are zero)."""
+    p = rng.random(ny) * (rng.random(ny) >= zero_share)
+    return p / p.sum() * scale if p.sum() > 0 else np.eye(ny)[int(rng.integers(ny))]
+
+
+LAWS = dict(
+    seed=st.integers(0, 2**32 - 1),
+    ny=st.integers(1, 300),
+    zero_share=st.sampled_from([0.0, 0.3, 0.9]),
+    scale=st.sampled_from([1.0, 0.999, 1.001, 1.5]),
+)
+
+
 class TestSampleSymbols:
-    """Counting thresholds at or below u is the binary search searchsorted(side="right")."""
+    """Samples at 32-bit uniforms count the thresholds floor(cum_k 2^32) at or below u: searchsorted(T, u, "right")."""
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        ny=st.integers(1, 300),
-        zero_share=st.sampled_from([0.0, 0.3, 0.9]),
-        scale=st.sampled_from([1.0, 0.999, 1.001, 1.5]),
-    )
+    @given(**LAWS)
     @example(seed=0, ny=1, zero_share=0.0, scale=1.0)
     @example(seed=1, ny=255, zero_share=0.3, scale=1.0)
     @example(seed=2, ny=256, zero_share=0.3, scale=1.0)
     @example(seed=3, ny=257, zero_share=0.3, scale=1.5)
     def test_equals_searchsorted(self, seed, ny, zero_share, scale):
         # zero entries repeat cum values; scale != 1 leaves the cumsum short of
-        # 1.0 or reaching it (and beyond) before the pinned last entry
+        # 1.0 or reaching it (and beyond) before the last entry
         rng = np.random.default_rng(seed)
-        p = rng.random(ny) * (rng.random(ny) >= zero_share)
-        p = p / p.sum() * scale if p.sum() > 0 else np.eye(ny)[0]
-        cum = _cumulative(p)
-        edges = np.concatenate([[0.0], cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0), rng.random(500)])
-        u = edges[(edges >= 0.0) & (edges < 1.0)]
-        y = _sample_symbols(cum, u)
-        np.testing.assert_array_equal(y, np.searchsorted(cum, u, side="right"))
-        assert np.iinfo(y.dtype).max >= cum.size - 1
+        p = random_law(rng, ny, zero_share, scale)
+        thr = _thresholds(p)
+        np.testing.assert_array_equal(thr, threshold_oracle(p))
+        near = thr.astype(np.int64)[:, None] + np.array([-1, 0, 1])
+        edges = np.concatenate([[0, 2**32 - 1], near.ravel(), rng.integers(0, 2**32, size=500)])
+        u = edges[(edges >= 0) & (edges < 2**32)].astype(np.uint32)
+        y = _sample_symbols(thr, u)
+        np.testing.assert_array_equal(y, np.searchsorted(thr, u, side="right"))
+        assert np.iinfo(y.dtype).max >= thr.size
         blocks = u[: 2 * (u.size // 2)].reshape(2, -1)
-        np.testing.assert_array_equal(_sample_symbols(cum, blocks), np.searchsorted(cum, blocks, side="right"))
+        np.testing.assert_array_equal(_sample_symbols(thr, blocks), np.searchsorted(thr, blocks, side="right"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(**LAWS)
+    @example(seed=0, ny=2, zero_share=0.9, scale=1.0)
+    @example(seed=4, ny=40, zero_share=0.9, scale=0.999)
+    def test_each_probability_is_within_2_pow_minus_32_of_its_mass(self, seed, ny, zero_share, scale):
+        # the mass is the cumulative law's step, cum capped at 1 and set to 1 from the
+        # last symbol of positive mass on; a symbol of zero mass is never drawn
+        p = random_law(np.random.default_rng(seed), ny, zero_share, scale)
+        last = int(np.flatnonzero(p).max())
+        cum = [min(Fraction(c), Fraction(1)) if k < last else Fraction(1) for k, c in enumerate(np.cumsum(p))]
+        mass = [hi - lo for lo, hi in zip([Fraction(0), *cum], cum)]
+        probs = draw_probabilities(p)
+        assert sum(probs) == 1
+        assert all(abs(q - m) < Fraction(1, 2**32) for q, m in zip(probs, mass))
+        assert all(q == 0 for q, x in zip(probs, p) if x == 0.0)
+
+    @pytest.mark.parametrize(
+        "p, probs",
+        [
+            ([1.0, 0.0], [1, 0]),  # no threshold: clamped to 2^32 - 1, it would draw symbol 1 at u = 2^32 - 1
+            ([0.0, 1.0], [0, 1]),
+            ([0.5, 0.5, 0.0, 0.0], [Fraction(1, 2), Fraction(1, 2), 0, 0]),
+            ([0.25, 0.0, 0.75], [Fraction(1, 4), 0, Fraction(3, 4)]),
+        ],
+    )
+    def test_exact_laws(self, p, probs):
+        assert draw_probabilities(p) == probs
+        top = _sample_symbols(_thresholds(np.array(p)), np.array([0, 2**32 - 1], dtype=np.uint32))
+        assert p[top[0]] > 0.0 and p[top[1]] > 0.0
+
+    def test_a_cumsum_short_of_one_gives_the_trailing_zero_nothing(self):
+        # ten 0.1s sum to 1 - 2^-53: a threshold at that sum would be floor((1 - 2^-53) 2^32)
+        # = 2^32 - 1, and u = 2^32 - 1 would draw the zero-mass symbol after them
+        p = np.array([0.1] * 10 + [0.0])
+        assert np.cumsum(p)[9] < 1.0
+        assert _sample_symbols(_thresholds(p), np.array([2**32 - 1], dtype=np.uint32))[0] == 9
+        assert draw_probabilities(p)[10] == 0
 
 
-def one_shot_sample(gen, t, cols, pulses, cum0, cum1):
+def u32_uniforms(gen, rows, width) -> np.ndarray:
+    """(rows, width) uniforms as the simulator draws them: each row the first ``width``
+    32-bit halves, low half first, of ceil(width / 2) PCG64 outputs."""
+    words = gen.bit_generator.random_raw(rows * ((width + 1) // 2))
+    halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=-1).reshape(rows, -1)
+    return halves[:, :width].astype(np.uint32)
+
+
+def one_shot_sample(gen, t, cols, pulses, thr0, thr1):
     """Outputs of one (t, |cols|) draw of uniforms and two inverse-CDF passes, as before draws were chunked."""
-    u = gen.random((t, cols.size))
-    y = np.searchsorted(cum0, u, side="right")
+    u = u32_uniforms(gen, t, cols.size)
+    y = np.searchsorted(thr0, u, side="right")
     at = (slice(None), pulses) if np.ndim(pulses) < 2 else (np.arange(t)[:, None], pulses)
-    y[at] = np.searchsorted(cum1, u[at], side="right")
+    y[at] = np.searchsorted(thr1, u[at], side="right")
     return y
 
 
 def sampler_case(rng, t, width, ny, kind):
-    """(cols, pulses, cum0, cum1) for t rows on ``width`` columns: pulses shared by every row, per row, or one column."""
-    cum0, cum1 = (_cumulative(p) for p in rng.dirichlet(np.ones(ny), size=2))
+    """(cols, pulses, thr0, thr1) for t rows on ``width`` columns: pulses shared by every row, per row, or one column."""
+    thr0, thr1 = (_thresholds(p) for p in rng.dirichlet(np.ones(ny), size=2))
     cols = np.sort(rng.choice(3 * width + 1, size=width, replace=False))
     weight = int(rng.integers(0, width + 1))
     pulses = {
@@ -617,18 +688,19 @@ def sampler_case(rng, t, width, ny, kind):
         "per_row": lambda: np.array([np.sort(rng.choice(width, size=weight, replace=False)) for _ in range(t)]).reshape(t, weight),
         "single": lambda: int(rng.integers(0, width)),
     }[kind]()
-    return cols, pulses, cum0, cum1
+    return cols, pulses, thr0, thr1
 
 
 class TestChunkedSampling:
     """Drawing a block a few rows at a time gives the one-shot draw's outputs and leaves the stream where it did."""
 
-    def check(self, seed, t, cols, pulses, cum0, cum1):
+    def check(self, seed, t, cols, pulses, thr0, thr1):
         chunked, one_shot = _stream(seed, _TAG_ERROR), _stream(seed, _TAG_ERROR)
-        y = _sample_at_pulses(chunked, t, cols, pulses, cum0, cum1)
+        y = _sample_at_pulses(chunked, t, cols, pulses, thr0, thr1)
         assert y.dtype == np.uint8 and y.shape == (t, cols.size)
-        np.testing.assert_array_equal(y, one_shot_sample(one_shot, t, cols, pulses, cum0, cum1))
-        assert chunked.random() == one_shot.random()  # both read t * |cols| uniforms
+        np.testing.assert_array_equal(y, one_shot_sample(one_shot, t, cols, pulses, thr0, thr1))
+        # both read t * ceil(|cols| / 2) outputs
+        assert chunked.bit_generator.random_raw() == one_shot.bit_generator.random_raw()
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -640,22 +712,25 @@ class TestChunkedSampling:
         chunk=st.one_of(st.just(ppm._SAMPLE_CHUNK), st.integers(1, 100)),
     )
     @example(seed=0, t=7, width=5, ny=3, kind="per_row", chunk=1)  # a draw of less than one row
+    @example(seed=1, t=9, width=1, ny=2, kind="single", chunk=4)  # one half of each output unused
+    @example(seed=2, t=11, width=7, ny=3, kind="shared", chunk=10)  # odd rows of one and several per draw
     def test_any_chunk_size_equals_one_draw(self, seed, t, width, ny, kind, chunk):
         case = sampler_case(np.random.default_rng(seed), t, width, ny, kind)
         with mock.patch.object(ppm, "_SAMPLE_CHUNK", chunk):
             self.check(seed, t, *case)
 
-    @pytest.mark.parametrize("t, width", [(300, 500), (3, 70_000)])  # 131 rows per draw; one row per draw
+    # 131 rows per draw; one row per draw; each with an even and an odd width
+    @pytest.mark.parametrize("t, width", [(300, 500), (300, 501), (3, 70_000), (3, 70_001)])
     @pytest.mark.parametrize("kind", ["shared", "per_row"])
     def test_blocks_of_several_chunks(self, t, width, kind):
         assert t * width > 2 * ppm._SAMPLE_CHUNK
         self.check(9, t, *sampler_case(np.random.default_rng(t), t, width, 3, kind))
 
     def test_empty_columns_draw_nothing(self):
-        cum = _cumulative(np.array([0.5, 0.5]))
+        thr = _thresholds(np.array([0.5, 0.5]))
         gen = _stream(1, _TAG_ERROR)
-        assert _sample_at_pulses(gen, 5, np.arange(0), np.arange(0), cum, cum).shape == (5, 0)
-        assert gen.random() == _stream(1, _TAG_ERROR).random()
+        assert _sample_at_pulses(gen, 5, np.arange(0), np.arange(0), thr, thr).shape == (5, 0)
+        assert gen.bit_generator.random_raw() == _stream(1, _TAG_ERROR).bit_generator.random_raw()
 
 
 def stream_draws(key, count=8):
@@ -705,23 +780,23 @@ class TestStreamKeying:
         np.testing.assert_array_equal(stream_draws((2**64 + 7, 3, 0, 0)), stream_draws((7, 3, 0, 0)))
 
 
-def dense_sample(cum0, cum1, pulses, u):
-    return np.where(pulses, np.searchsorted(cum1, u, side="right"), np.searchsorted(cum0, u, side="right"))
+def dense_sample(thr0, thr1, pulses, u):
+    return np.where(pulses, np.searchsorted(thr1, u, side="right"), np.searchsorted(thr0, u, side="right"))
 
 
 def dense_uniforms(gen, t, n, cols):
-    """(t, n) uniforms drawn at ``cols`` only, as the simulator draws them; idle columns hold 0.5."""
-    u = np.full((t, n), 0.5)
-    u[:, cols] = gen.random((t, cols.size))
+    """(t, n) uniforms drawn at ``cols`` only, as the simulator draws them; idle columns hold 2^31."""
+    u = np.full((t, n), 2**31, dtype=np.uint32)
+    u[:, cols] = u32_uniforms(gen, t, cols.size)
     return u
 
 
-def dense_pair_errors(cb, k, j, trials, seed, cum0, cum1, rhat):
+def dense_pair_errors(cb, k, j, trials, seed, thr0, thr1, rhat):
     """Error count of pair (k, j) from all n outputs, as before pulse-column scoring."""
     words = cb.codewords[k].astype(np.float64)
     gen = _stream(seed, _TAG_ERROR, c1=k * cb.num_messages + j)
     u = dense_uniforms(gen, trials, cb.params.n, np.flatnonzero(cb.codewords[k].any(axis=0)))
-    scores = rhat[dense_sample(cum0, cum1, cb.codewords[k, j] == 1, u)] @ words.T
+    scores = rhat[dense_sample(thr0, thr1, cb.codewords[k, j] == 1, u)] @ words.T
     top = scores.max(axis=1)
     ok = ((scores >= top[:, None] - TIE_TOL).sum(axis=1) == 1) & (scores[:, j] >= top - TIE_TOL)
     return int(trials - ok.sum())
@@ -735,7 +810,7 @@ def dense_covertness_mc(cb, wz, samples, seed):
     gen = _stream(seed, _TAG_COVERT)
     choice = gen.integers(0, words.shape[0], size=samples)
     u = dense_uniforms(gen, samples, cb.params.n, np.flatnonzero(words.any(axis=0)))
-    scores = d_full[dense_sample(_cumulative(qz0), _cumulative(qz1), words[choice] == 1, u)] @ words.T.astype(np.float64)
+    scores = d_full[dense_sample(_thresholds(qz0), _thresholds(qz1), words[choice] == 1, u)] @ words.T.astype(np.float64)
     top = scores.max(axis=1)
     return float(np.mean(top + np.log(np.exp(scores - top[:, None]).sum(axis=1)) - math.log(words.shape[0])))
 
@@ -770,9 +845,9 @@ class TestPulseColumnsMatchDense:
             delta=0.1,
         )
         trials = int(rng.integers(1, 200))
-        cum0, cum1, rhat = _cumulative(inst.wy.w[0]), _cumulative(inst.wy.w[1]), inst.q.log_ratio
+        thr0, thr1, rhat = _thresholds(inst.wy.w[0]), _thresholds(inst.wy.w[1]), inst.q.log_ratio
         dense = [
-            [dense_pair_errors(cb, k, j, trials, seed, cum0, cum1, rhat) for j in range(num_messages)]
+            [dense_pair_errors(cb, k, j, trials, seed, thr0, thr1, rhat) for j in range(num_messages)]
             for k in range(num_keys)
         ]
         assert estimate_error(inst, cb, trials, seed).errors.tolist() == dense
@@ -781,7 +856,7 @@ class TestPulseColumnsMatchDense:
         assert mc == pytest.approx(dense_covertness_mc(cb, inst.wz, samples, seed), rel=1e-12, abs=0.0)
 
 
-def row_major_pair_errors(cb, k, j, trials, seed, cum0, cum1, rhat, chunk=1024):
+def row_major_pair_errors(cb, k, j, trials, seed, thr0, thr1, rhat, chunk=1024):
     """Error count of pair (k, j) from trial-major (t, M) scores, as before word-major scoring."""
     cols, slots = _pulse_slots(cb.positions[k])
     words = _word_matrix(slots, cols.size)
@@ -792,7 +867,7 @@ def row_major_pair_errors(cb, k, j, trials, seed, cum0, cum1, rhat, chunk=1024):
     done = 0
     while done < trials:
         t = min(chunk, trials - done)
-        y = _sample_at_pulses(gen, t, cols, pulses, cum0, cum1)
+        y = _sample_at_pulses(gen, t, cols, pulses, thr0, thr1)
         scores = rhat[y] @ words.T
         top = scores.max(axis=1)
         at_top = (scores >= top[:, None] - TIE_TOL).sum(axis=1)
@@ -822,9 +897,9 @@ def tie_prone_counts(seed, n, num_keys, num_messages, ny, density, trials):
         q=DecodingMetric(rng.choice([1.0, 3.0, 9.0], size=(2, ny))),
         delta=0.1,
     )
-    cum0, cum1, rhat = _cumulative(inst.wy.w[0]), _cumulative(inst.wy.w[1]), inst.q.log_ratio
+    thr0, thr1, rhat = _thresholds(inst.wy.w[0]), _thresholds(inst.wy.w[1]), inst.q.log_ratio
     reference = [
-        [row_major_pair_errors(cb, k, j, trials, seed, cum0, cum1, rhat) for j in range(num_messages)]
+        [row_major_pair_errors(cb, k, j, trials, seed, thr0, thr1, rhat) for j in range(num_messages)]
         for k in range(num_keys)
     ]
     return estimate_error(inst, cb, trials, seed).errors.tolist(), reference
@@ -877,12 +952,12 @@ class TestSlotScoring:
         cb = generate_codebook(ppm_params(10**4, 0.1, Q0, Q1), num_messages=64, num_keys=1, seed=2)
         cols, slots, words = pulses = _sub_code_pulses(cb.positions[0])
         assert words is None and 64 * 1024 > ppm._SLOT_GATHER
-        cum0, cum1 = _cumulative(inst.wy.w[0]), _cumulative(inst.wy.w[1])
+        thr0, thr1 = _thresholds(inst.wy.w[0]), _thresholds(inst.wy.w[1])
         rhat = np.append(inst.q.log_ratio, 0.0)
         narrow = (cols, slots, _word_matrix(slots, cols.size))
         for j in (0, 63):
-            slot = _pair_errors(cb, 0, j, 1500, 4, cum0, cum1, rhat, pulses)
-            assert slot == _pair_errors(cb, 0, j, 1500, 4, cum0, cum1, rhat, narrow)
+            slot = _pair_errors(cb, 0, j, 1500, 4, thr0, thr1, rhat, pulses)
+            assert slot == _pair_errors(cb, 0, j, 1500, 4, thr0, thr1, rhat, narrow)
 
 
 class TestSlotScores:
@@ -1008,7 +1083,7 @@ class TestSamplingChunkMemory:
     def test_covertness_mc_on_the_dense_benchmark_book(self):
         # the simulate_dense book (n = 10^4, 2 x 60 kept words) draws blocks of 402
         # samples on 2606 pulse columns: their uint8 outputs and the scorer's
-        # transposed copy take 1 MiB each, one draw's uniforms 512 KiB; the block's
+        # transposed copy take 1 MiB each, one draw's uniforms 256 KiB; the block's
         # float64 uniforms alone took 8 MiB (traced peak 10.1 MiB)
         cb = simulated_book(example1(), 10**4, 64, 2, 25, 1 / 16, seed=1)
         assert traced_peak(lambda: covertness_mc(cb, Bdmc(WZ1), 500, seed=1)) < 4 * 2**20
@@ -1489,17 +1564,19 @@ class TestSStatistic:
         )
         assert abs(rep.mean - 0.4 * math.log(3)) < 0.05
 
-    # recorded when a block was scored as one piece; rows are scored apart, so
-    # row chunks move no bit: (w, s, samples, seed) -> (mean, stderr, min, max)
+    # recorded from one piece: every row's 32-bit uniforms drawn at once
+    # (u32_uniforms), sampled by searchsorted and scored as one block; rows are
+    # drawn and scored apart, so row chunks move no bit:
+    # (w, s, samples, seed) -> (mean, stderr, min, max)
     SCORED_WHOLE = {
         (400, 0.7, 20_000, 1): (
-            "0x1.962b6fd409d59p-2", "0x1.1c87b82ff12f6p-8", "-0x1.97e102222fd88p-1", "0x1.02d6018bc1cd4p+0"
+            "0x1.98bd888d752a3p-2", "0x1.1d2c75e09825ep-8", "-0x1.94fce4b652f48p-1", "0x1.fde79f39cccf8p-1"
         ),
         (3, 1.3, 5000, 7): (
-            "0x1.f30ca76356c15p-3", "0x1.82720ed5c976ep-7", "-0x1.3d58605eabacep+1", "0x1.fac73e758bfa3p-1"
+            "0x1.094c1e1dd72d3p-2", "0x1.7bf2b41b6545fp-7", "-0x1.3d58605eabacep+1", "0x1.fac73e758bfa3p-1"
         ),
         (70_000, 0.5, 40, 3): (
-            "0x1.2adfcf453cba2p-2", "0x1.1b6372b83f53dp-4", "-0x1.bf5e419ce7160p-2", "0x1.553b91269b600p-1"
+            "0x1.38cfa81febfd6p-2", "0x1.28b9e0b12ecfdp-4", "-0x1.c28d5177c9920p-2", "0x1.55151764bed80p-1"
         ),
     }
 
@@ -1512,7 +1589,7 @@ class TestSStatistic:
         assert got == self.SCORED_WHOLE[key]
 
     def test_memory_is_one_sampling_chunk(self):
-        # a whole block of looked-up floats took 32 MiB here; sampling takes 1.5 MiB
+        # a whole block of looked-up floats took 32 MiB here; sampling takes 1.25 MiB
         # and each of the four float temporaries of a row chunk 512 KiB
         inst = example1()
         tracemalloc.start()
