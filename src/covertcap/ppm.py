@@ -5,12 +5,17 @@ r = n - w*l symbols always idle); each chunk carries exactly one active symbol
 whose position is the payload.  With l ~ t*sqrt(n) active symbols the code
 meets the adversary's divergence budget while carrying Theta(sqrt(n)) nats.
 
-Randomness comes from keyed streams: _stream seeds PCG64 with
-SeedSequence(seed, spawn_key=(purpose tag, c1, c2)).  A codeword reads the
-stream at (c1, c2) = (key k, message m), and a pair's decode trials are read
-in order from the one stream at c1 = pair index, so any codeword or pair
-count regenerates bit-identically whatever the iteration order or thread
-schedule.  Each Monte-Carlo estimator (covertness_mc, sample_s_statistic)
+Randomness comes from keyed streams, one per sub-code and job: _stream seeds
+PCG64 with SeedSequence(seed, spawn_key=(purpose tag, c1, c2)).  Sub-code k's
+words are one draw of its (M, l) chunk offsets from the stream at (c1, c2) =
+(k, 0), so a book's first m messages do not depend on M.  Its decode trials
+take their seeds from one SeedSequence keyed (error tag, k, M): four words
+of its state per pair, which PCG64 reads as it would from its own
+SeedSequence (_pair_seeds, _seeded_stream), and each pair's trials are read
+in order from its stream.  So any book or report regenerates bit-identically
+whatever the iteration order or thread schedule, and the re-estimate of an
+expurgated book (fewer messages per sub-code) reads none of the streams of
+the first pass.  Each Monte-Carlo estimator (covertness_mc, sample_s_statistic)
 reads the one stream keyed by (seed, tag); every Monte-Carlo loop takes its
 block sizes from one rule, _blocks, so a block's memory does not grow with n.
 A block of about _PULSE_BLOCK uniforms is drawn a few rows at a time, about
@@ -121,6 +126,38 @@ def _stream(seed: int, tag: int, c1: int = 0, c2: int = 0) -> np.random.Generato
     the seed is padded to the pool size before the spawn key is mixed in, so the
     fields never run into each other as in one flat list of 32-bit words."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed & _MASK64, spawn_key=(tag, c1, c2))))
+
+
+def _pair_seeds(seed: int, k: int, num_messages: int) -> np.ndarray:
+    """(num_messages, 4) uint64 seed words of sub-code k's decode-trial streams, one row per
+    pair, all from one SeedSequence(seed mod 2^64, spawn_key=(error tag, k, num_messages)).
+    Its first row is the one PCG64 reads from that SeedSequence, so pair 0's stream is
+    _stream(seed, _TAG_ERROR, k, num_messages)."""
+    state = np.random.SeedSequence(seed & _MASK64, spawn_key=(_TAG_ERROR, k, num_messages)).generate_state(4 * num_messages, np.uint64)
+    return state.reshape(num_messages, 4)
+
+
+def _seeded_stream(words: np.ndarray) -> np.random.Generator:
+    """PCG64 generator seeded by the four uint64 ``words`` (a row of _pair_seeds), as PCG64
+    seeds itself from a SeedSequence whose generate_state(4, uint64) gives those words:
+    about 1 us, against about 14 us for a keyed SeedSequence."""
+    return np.random.Generator(np.random.PCG64(_seed_words()(words)))
+
+
+@functools.cache
+def _seed_words() -> type:
+    """A numpy ISeedSequence that hands PCG64 fixed seed words.  Built on first use: importing
+    numpy.random, which ``import covertcap`` otherwise leaves alone, costs 9-17 ms."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for its four uint64 words, no other call is made
+
+    return SeedWords
 
 
 def _blocks(total: int, width: int, most: int | None = None):
@@ -391,21 +428,17 @@ def _misplaced(pos: np.ndarray) -> bool:
     return False
 
 
-def _pulse_draw(params: PpmParams, rng: np.random.Generator) -> np.ndarray:
-    """A chunk-structured word's l increasing pulse positions: one uniform position per chunk of w."""
-    return np.arange(params.l) * params.w + rng.integers(0, params.w, size=params.l)
-
-
 def generate_codebook(params: PpmParams, num_messages: int, num_keys: int, seed: int) -> PpmCodebook:
     """Independent uniform chunk positions for every (key, message) pair.
 
-    Word (m, k) is a pure function of (seed, m, k): regeneration is
-    bit-identical no matter the order pairs are visited in.  Its positions are
-    one _pulse_draw on the stream keyed (seed, codebook tag, k, m).  Raises
-    ResourceLimitError, before allocating, when the largest arrays built from
-    the book would take more than MAX_CODEBOOK_BYTES: its positions, and the
-    word matrix of one sub-code narrow enough for estimate_error to decode by
-    a product, M x |U| floats with |U| at most min(n, 16 l, M l).
+    Sub-code k is one stream's draw: its (M, l) chunk offsets are one
+    ``integers`` call on the stream keyed (seed, codebook tag, k), row-major,
+    so word (k, m) is a pure function of (seed, k, m) for any M > m: a book's
+    first m messages do not depend on M, nor on the order sub-codes are visited
+    in.  Raises ResourceLimitError, before allocating, when the largest arrays
+    built from the book would take more than MAX_CODEBOOK_BYTES: its positions,
+    and the word matrix of one sub-code narrow enough for estimate_error to
+    decode by a product, M x |U| floats with |U| at most min(n, 16 l, M l).
     """
     if num_messages < 1 or num_keys < 1:
         raise DomainError("need at least one message and one key")
@@ -417,9 +450,9 @@ def generate_codebook(params: PpmParams, num_messages: int, num_keys: int, seed:
             f"needs {size} bytes of positions and decode matrix, above the cap {MAX_CODEBOOK_BYTES}"
         )
     pos = np.empty((num_keys, num_messages, params.l), dtype=np.int64)
+    starts = np.arange(params.l) * params.w
     for k in range(num_keys):
-        for m in range(num_messages):
-            pos[k, m] = _pulse_draw(params, _stream(seed, _TAG_CODEBOOK, c1=k, c2=m))
+        np.add(starts, _stream(seed, _TAG_CODEBOOK, c1=k).integers(0, params.w, size=(num_messages, params.l)), out=pos[k])
     ids = np.tile(np.arange(num_messages, dtype=np.int64), (num_keys, 1))
     return PpmCodebook(params, pos, ids)
 
@@ -456,10 +489,11 @@ class ErrorReport:
         return float(self.ci95.flat[np.argmax(self.p_hat)])
 
 
-def _pair_errors(codebook, k, j, trials, seed, thr0, thr1, rhat, pulses):
-    """Error count for pair (k, j) over its keyed stream; chunking is stream-neutral.
+def _pair_errors(gen, j, trials, thr0, thr1, rhat, pulses):
+    """Error count of word j of a sub-code over ``trials`` trials read in order from ``gen``,
+    the pair's own stream (_seeded_stream of its _pair_seeds row); chunking is stream-neutral.
 
-    ``pulses`` is ``_sub_code_pulses`` of sub-code k, and ``rhat`` the
+    ``pulses`` is ``_sub_code_pulses`` of the sub-code, and ``rhat`` the
     metric's log ratios.  Every trial draws uniforms, samples and scores only
     at the sub-code's pulse columns U: a column where all its words are idle
     adds the same log q(0, y) to every score, so it cannot change the verdict.
@@ -484,8 +518,6 @@ def _pair_errors(codebook, k, j, trials, seed, thr0, thr1, rhat, pulses):
     rival is within TIE_TOL of it.  Exact ties therefore count as errors.
     """
     cols, slots, words = pulses
-    pair = k * codebook.num_messages + j
-    gen = _stream(seed, _TAG_ERROR, c1=pair)
     failures = 0
     for _, t in _blocks(trials, cols.size, _TRIAL_BLOCK):
         y = _sample_at_pulses(gen, t, cols, slots[j], thr0, thr1)
@@ -505,13 +537,17 @@ def estimate_error(
 ) -> ErrorReport:
     """Monte-Carlo decoding-error probability for every (key, message) pair.
 
-    Each pair's trials are read in order from the one stream keyed by
-    (seed, tag, pair index), so the report is identical for any ``workers``
-    count and any execution order.  A sub-code with more than
-    _SLOT_SCORING_RATIO pulse columns per pulse of a word is scored at its
-    words' slots and builds no (M, |U|) matrix; a narrower one is scored by a
-    product with its word matrix, which lives only while its M pairs run
-    (_pair_errors).
+    Pair (k, j)'s trials are read in order from its own stream, seeded by
+    row j of _pair_seeds(seed, k, M): one SeedSequence per sub-code, keyed by
+    (seed, error tag, k, M), gives the seeds of its M pairs, and a pair's
+    generator is made only while it runs.  So the report is identical for any
+    ``workers`` count and any execution order, and re-estimating an
+    expurgated book, whose sub-codes hold fewer messages, reads no stream of
+    the first pass.  ``workers`` threads map over one sub-code's pairs at a
+    time.  A sub-code with more than _SLOT_SCORING_RATIO pulse columns per
+    pulse of a word is scored at its words' slots and builds no (M, |U|)
+    matrix; a narrower one is scored by a product with its word matrix, which
+    lives only while its M pairs run (_pair_errors).
     """
     if trials_per_pair < 1:
         raise DomainError("trials_per_pair must be >= 1")
@@ -520,7 +556,8 @@ def estimate_error(
 
     def sub_code(mapper, k):
         pulses = _sub_code_pulses(codebook.positions[k])
-        run = lambda j: _pair_errors(codebook, k, j, trials_per_pair, seed, thr0, thr1, inst.q.log_ratio, pulses)
+        seeds = _pair_seeds(seed, k, M)
+        run = lambda j: _pair_errors(_seeded_stream(seeds[j]), j, trials_per_pair, thr0, thr1, inst.q.log_ratio, pulses)
         return list(mapper(run, range(M)))
 
     with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:  # starts no thread unless mapped on

@@ -1,10 +1,10 @@
 """Reference implementations the tests check the library against.
 
 Each is a direct, unoptimized form of something the library computes another
-way: a one-block decoder for the slot scorer, a one-word draw for the
-codebook streams, the binary-alphabet tilt derivative and its root for the
-lower bound, and the coupling checks for the converse.  The library itself
-never calls them.
+way: a one-block decoder for the slot scorer, a sub-code's draw for the
+codebook streams, PCG64's seeding for the decode-trial streams, the
+binary-alphabet tilt derivative and its root for the lower bound, and the
+coupling checks for the converse.  The library itself never calls them.
 """
 
 from __future__ import annotations
@@ -26,16 +26,35 @@ from covertcap import (
 from covertcap.closed_forms import _log_odds_ratio
 from covertcap.converse import _marginal_kl
 from covertcap.core import TIE_TOL
-from covertcap.ppm import _pulse_draw, _pulse_slots, _slot_scores
+from covertcap.ppm import _pulse_slots, _slot_scores
 
 TIE = -1  # decoder verdict when the top metric score is shared
 
 
-def sample_codeword(params: PpmParams, rng: np.random.Generator) -> np.ndarray:
-    """One chunk-structured word: a uniform active position per chunk, idle tail."""
-    word = np.zeros(params.n, dtype=np.uint8)
-    word[_pulse_draw(params, rng)] = 1
-    return word
+def sample_codeword(params: PpmParams, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
+    """One chunk-structured word: a uniform active position per chunk, idle tail.  With
+    ``count``, the (count, n) words of a sub-code as generate_codebook draws them: all
+    count * l chunk offsets from one call, word by word."""
+    offsets = rng.integers(0, params.w, size=(1 if count is None else count, params.l))
+    words = np.zeros((len(offsets), params.n), dtype=np.uint8)
+    for word, row in zip(words, offsets):
+        for chunk, offset in enumerate(row):
+            word[chunk * params.w + offset] = 1
+    return words[0] if count is None else words
+
+
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def pcg64_seeded_state(words) -> dict:
+    """The state of a PCG64 seeded by four uint64 ``words``, as numpy's PCG64 seeds itself from
+    a SeedSequence's generate_state(4, uint64): words 0-1 the 128-bit initial state, 2-3 the
+    stream, and two LCG steps around adding the state (O'Neill 2014, pcg_setseq_128_srandom_r)."""
+    mask = (1 << 128) - 1
+    w0, w1, w2, w3 = map(int, words)
+    inc = ((w2 << 64 | w3) << 1 | 1) & mask
+    state = (inc + (w0 << 64 | w1)) & mask  # the first step from state 0 gives inc
+    return {"state": (state * PCG64_MULTIPLIER + inc) & mask, "inc": inc}
 
 
 def q_decode(codebook: PpmCodebook, k: int, y: np.ndarray, metric: DecodingMetric) -> int:

@@ -51,10 +51,12 @@ from covertcap.ppm import (
     _TAG_ERROR,
     MAX_CODEBOOK_BYTES,
     _pair_errors,
+    _pair_seeds,
     _PULSE_BLOCK,
     _pulse_slots,
     _sample_at_pulses,
     _sample_symbols,
+    _seeded_stream,
     _slot_scores,
     _states_exceed,
     _stream,
@@ -64,7 +66,7 @@ from covertcap.ppm import (
 )
 
 from conftest import WZ1, example1
-from oracles import TIE, q_decode, sample_codeword
+from oracles import TIE, pcg64_seeded_state, q_decode, sample_codeword
 
 Q0 = ProbVector(WZ1[0])
 Q1 = ProbVector(WZ1[1])
@@ -266,23 +268,25 @@ class TestGenerateCodebook:
         assert np.all(flat[:, 4:].sum(axis=1) == 1)
 
     def test_positions_are_the_drawn_words(self):
-        # word (k, m) is sample_codeword on the stream keyed (seed, codebook tag, k, m)
+        # sub-code k is sample_codeword's M words on the one stream keyed (seed, codebook tag, k)
         cb = generate_codebook(PpmParams(10, 3), num_messages=4, num_keys=2, seed=16)
         for k in range(2):
-            for m in range(4):
-                word = sample_codeword(cb.params, _stream(16, _TAG_CODEBOOK, c1=k, c2=m))
-                np.testing.assert_array_equal(cb.positions[k, m], np.flatnonzero(word))
+            words = sample_codeword(cb.params, _stream(16, _TAG_CODEBOOK, c1=k), count=4)
+            np.testing.assert_array_equal(cb.codewords[k], words)
 
     def test_regeneration_is_bit_identical(self):
         a = generate_codebook(self.PARAMS, 6, 4, seed=12)
         b = generate_codebook(self.PARAMS, 6, 4, seed=12)
         np.testing.assert_array_equal(a.positions, b.positions)
 
-    def test_each_pair_owns_a_substream(self):
-        # the (k, m) word does not depend on how many other pairs exist
-        small = generate_codebook(self.PARAMS, 3, 2, seed=13)
-        big = generate_codebook(self.PARAMS, 7, 5, seed=13)
-        np.testing.assert_array_equal(small.positions[1, 2], big.positions[1, 2])
+    def test_first_messages_do_not_depend_on_the_book_size(self):
+        # a book's first m messages of its first keys are the same words whatever M
+        # and K are, so they do not depend on the order the sub-codes are drawn in;
+        # at l = 2, an odd l = 3 (offsets are drawn as 32-bit halves) and w = 1 (no draw)
+        for params in (self.PARAMS, PpmParams(11, 3), PpmParams(5, 5)):
+            big = generate_codebook(params, 7, 5, seed=13)
+            for m, keys in ((1, 1), (3, 2), (6, 5)):
+                np.testing.assert_array_equal(generate_codebook(params, m, keys, seed=13).positions, big.positions[:keys, :m])
 
     def test_seeds_decorrelate(self):
         a = generate_codebook(self.PARAMS, 6, 4, seed=14)
@@ -465,6 +469,16 @@ def make_instance(wy_rows, q_rows) -> CovertInstance:
     )
 
 
+def pair_stream(seed, k, j, num_messages):
+    """The stream estimate_error reads pair (k, j)'s trials from, in a book of ``num_messages`` words per sub-code."""
+    return _seeded_stream(_pair_seeds(seed, k, num_messages)[j])
+
+
+def pair_errors(cb, k, j, trials, seed, thr0, thr1, rhat, pulses):
+    """_pair_errors of pair (k, j) of ``cb`` on the stream estimate_error gives it."""
+    return _pair_errors(pair_stream(seed, k, j, cb.num_messages), j, trials, thr0, thr1, rhat, pulses)
+
+
 class TestEstimateError:
     def test_noiseless_channel_never_errs(self):
         inst = make_instance([[1.0, 0.0], [0.0, 1.0]], [[0.9, 0.1], [0.1, 0.9]])
@@ -538,7 +552,7 @@ class TestEstimateError:
             for block in (1, 7, 64, 299, 300):
                 with mock.patch.object(ppm, "_SLOT_SCORING_RATIO", ratio), mock.patch.object(ppm, "_TRIAL_BLOCK", block):
                     counts = [
-                        [_pair_errors(cb, k, j, 300, 8, thr0, thr1, rhat, _sub_code_pulses(cb.positions[k])) for j in range(3)]
+                        [pair_errors(cb, k, j, 300, 8, thr0, thr1, rhat, _sub_code_pulses(cb.positions[k])) for j in range(3)]
                         for k in range(2)
                     ]
                 np.testing.assert_array_equal(counts, default)
@@ -780,6 +794,64 @@ class TestStreamKeying:
         np.testing.assert_array_equal(stream_draws((2**64 + 7, 3, 0, 0)), stream_draws((7, 3, 0, 0)))
 
 
+class TestPairStreams:
+    """Sub-code k's M pair streams are seeded by the state of one SeedSequence keyed (seed, error tag, k, M)."""
+
+    CASES = [(0, 0, 1), (7, 3, 5), (2**64 - 1, 1, 64)]
+
+    def test_each_pair_is_a_pcg64_seeded_by_its_four_words(self):
+        for seed, k, m in self.CASES:
+            seeds = _pair_seeds(seed, k, m)
+            state = np.random.SeedSequence(seed, spawn_key=(_TAG_ERROR, k, m)).generate_state(4 * m, np.uint64)
+            np.testing.assert_array_equal(seeds, state.reshape(m, 4))
+            for j in range(m):
+                assert pair_stream(seed, k, j, m).bit_generator.state["state"] == pcg64_seeded_state(seeds[j])
+
+    def test_the_seeding_reference_is_how_pcg64_seeds_from_a_seed_sequence(self):
+        for entropy in (0, 1, 2**64 - 1, [3, 4, 5]):
+            seq = np.random.SeedSequence(entropy)
+            assert np.random.PCG64(seq).state["state"] == pcg64_seeded_state(seq.generate_state(4, np.uint64))
+
+    def test_pair_zero_reads_the_keyed_stream(self):
+        # a SeedSequence's state words are a prefix of any longer request
+        for seed, k, m in self.CASES:
+            np.testing.assert_array_equal(
+                pair_stream(seed, k, 0, m).bit_generator.random_raw(4), _stream(seed, _TAG_ERROR, k, m).bit_generator.random_raw(4)
+            )
+
+    def test_streams_differ_across_pairs_sub_codes_and_sizes(self):
+        firsts = [
+            tuple(pair_stream(seed, k, j, m).bit_generator.random_raw(2))
+            for seed in (0, 1)
+            for k in range(3)
+            for m in range(1, 6)
+            for j in range(m)
+        ]
+        assert len(set(firsts)) == len(firsts) == 2 * 3 * 15
+
+    def test_the_re_estimate_after_expurgation_replays_no_first_pass_stream(self):
+        # as simulate runs them: when a pair's stream was keyed by k * M + j alone, every
+        # pair of the expurgated book (M' = 12 of 16) read a first-pass stream, and some
+        # their own word's first-pass trials, the randomness that kept that word
+        inst = make_instance([[0.7, 0.3], [0.4, 0.6]], [[0.9, 0.1], [0.1, 0.9]])
+        cb = generate_codebook(PpmParams(20, 4), num_messages=16, num_keys=4, seed=1)
+        starts = []
+
+        def recording(gen, *args):
+            state = gen.bit_generator.state["state"]
+            starts[-1].add((state["state"], state["inc"]))
+            return sample(gen, *args)
+
+        sample = ppm._sample_at_pulses
+        with mock.patch.object(ppm, "_sample_at_pulses", recording):
+            starts.append(set())
+            report = estimate_error(inst, cb, trials_per_pair=50, seed=1)
+            starts.append(set())
+            estimate_error(inst, expurgate(report, cb, 1 / 4), trials_per_pair=50, seed=1)
+        assert (len(starts[0]), len(starts[1])) == (64, 48)
+        assert not starts[0] & starts[1]
+
+
 def dense_sample(thr0, thr1, pulses, u):
     return np.where(pulses, np.searchsorted(thr1, u, side="right"), np.searchsorted(thr0, u, side="right"))
 
@@ -794,7 +866,7 @@ def dense_uniforms(gen, t, n, cols):
 def dense_pair_errors(cb, k, j, trials, seed, thr0, thr1, rhat):
     """Error count of pair (k, j) from all n outputs, as before pulse-column scoring."""
     words = cb.codewords[k].astype(np.float64)
-    gen = _stream(seed, _TAG_ERROR, c1=k * cb.num_messages + j)
+    gen = pair_stream(seed, k, j, cb.num_messages)
     u = dense_uniforms(gen, trials, cb.params.n, np.flatnonzero(cb.codewords[k].any(axis=0)))
     scores = rhat[dense_sample(thr0, thr1, cb.codewords[k, j] == 1, u)] @ words.T
     top = scores.max(axis=1)
@@ -861,7 +933,7 @@ def row_major_pair_errors(cb, k, j, trials, seed, thr0, thr1, rhat, chunk=1024):
     cols, slots = _pulse_slots(cb.positions[k])
     words = _word_matrix(slots, cols.size)
     pulses = np.flatnonzero(words[j])
-    gen = _stream(seed, _TAG_ERROR, c1=k * cb.num_messages + j)
+    gen = pair_stream(seed, k, j, cb.num_messages)
     chunk = min(chunk, max(1, _PULSE_BLOCK // max(1, cols.size)))
     failures = 0
     done = 0
@@ -956,8 +1028,8 @@ class TestSlotScoring:
         rhat = np.append(inst.q.log_ratio, 0.0)
         narrow = (cols, slots, _word_matrix(slots, cols.size))
         for j in (0, 63):
-            slot = _pair_errors(cb, 0, j, 1500, 4, thr0, thr1, rhat, pulses)
-            assert slot == _pair_errors(cb, 0, j, 1500, 4, thr0, thr1, rhat, narrow)
+            slot = pair_errors(cb, 0, j, 1500, 4, thr0, thr1, rhat, pulses)
+            assert slot == pair_errors(cb, 0, j, 1500, 4, thr0, thr1, rhat, narrow)
 
 
 class TestSlotScores:
@@ -1305,7 +1377,7 @@ class TestCovertness:
         wz = Bdmc(np.array([[0.7, 0.3, 1e-305], [0.4, 0.3, 0.3]]))
         exact = covertness_exact(cb, wz)
         mc = covertness_mc(cb, wz, samples=100_000, seed=5)
-        assert exact.kl_estimate == pytest.approx(419.8552, abs=1e-4)
+        assert exact.kl_estimate == pytest.approx(419.6159, abs=1e-4)
         assert abs(mc.kl_estimate - exact.kl_estimate) <= 4 * mc.stderr
 
 
@@ -1389,13 +1461,14 @@ class TestCovertnessExactKernel:
         assert math.isfinite(exact)
         assert exact == pytest.approx(reference_covertness_exact(cb, WZ_EXTREME), rel=1e-10, abs=1e-13)
 
-    # books drawn from PCG64 streams keyed by SeedSequence(seed, spawn_key=(tag, c1, c2));
-    # re-recorded when the keyed streams moved from Philox (a declared stream change)
+    # books drawn from PCG64 streams keyed by SeedSequence(seed, spawn_key=(tag, k, 0)), one
+    # per sub-code; re-recorded when the streams were keyed per sub-code, not per word
+    # (a declared stream change)
     @pytest.mark.parametrize(
         "params, num_messages, num_keys, seed, wz, value",
         [
-            (PpmParams(16, 4), 6, 2, 11, WZ_BIN, "0x1.2c3fe913cb0f4p-2"),
-            (PpmParams(10, 3), 5, 2, 12, Bdmc(np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]])), "0x1.8d4478bae60f6p-2"),
+            (PpmParams(16, 4), 6, 2, 11, WZ_BIN, "0x1.20bd6f0c2138ap-2"),
+            (PpmParams(10, 3), 5, 2, 12, Bdmc(np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]])), "0x1.6646dafa03390p-2"),
         ],
     )
     def test_pinned_values_of_seeded_books(self, params, num_messages, num_keys, seed, wz, value):
