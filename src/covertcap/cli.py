@@ -16,7 +16,6 @@ limits, solver caps among them.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -33,6 +32,7 @@ from .core import (
     DomainError,
     ResourceLimitError,
     ValidationError,
+    _read_json_object,
     load_channel_spec,
     require_valid,
     validate_instance,
@@ -149,18 +149,11 @@ def _write_csv(path: str, header: str, rows: list[str]) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    for name, value in (("--workers", args.workers), ("--covertness-cap", args.covertness_cap)):
-        if value < 1:
-            raise DomainError(f"{name} must be at least 1, got {value}")
+    if args.workers < 1:
+        raise DomainError(f"--workers must be at least 1, got {args.workers}")
     inst = load_channel_spec(args.spec_file)
     require_valid(inst)
-    with open(args.sim_config, "r", encoding="utf-8") as fh:
-        try:
-            config = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ChannelSpecError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
-    if not isinstance(config, dict):
-        raise ChannelSpecError("simulation config must be a JSON object")
+    config = _read_json_object(args.sim_config, "simulation config")
 
     n = _require_key(config, "n", int)
     num_messages = _require_key(config, "num_messages", int)
@@ -175,8 +168,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ChannelSpecError(f"'seed' must be an integer in [0, 2^64), got {seed!r}")
 
     params = ppm_params(n, inst.delta, inst.q0, inst.q1)
-    cap = args.covertness_cap
-    exact = not _states_exceed(inst.wz.num_outputs, params.n, cap)
+    exact = not _states_exceed(inst.wz.num_outputs, params.n, MAX_EXACT_STATES)
     if not exact:
         _check_samples(cov_samples)  # before the book is built and the decode trials run
     book = generate_codebook(params, num_messages, num_keys, seed)
@@ -186,7 +178,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         report = estimate_error(inst, book, trials, seed, workers=args.workers)
 
     if exact:
-        cov = covertness_exact(book, inst.wz, max_states=cap)
+        cov = covertness_exact(book, inst.wz)
     else:
         cov = covertness_mc(book, inst.wz, cov_samples, seed)
 
@@ -195,7 +187,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for k in range(book.num_keys):
         for j in range(book.num_messages):
             err_rows.append(
-                f"{k},{int(report.message_ids[k, j])},{report.trials_per_pair},"
+                f"{k},{int(book.message_ids[k, j])},{report.trials_per_pair},"
                 f"{int(report.errors[k, j])},{_fmt(report.p_hat[k, j])},{_fmt(report.ci95[k, j])}"
             )
     errors_path = os.path.join(args.out_dir, "errors.csv")
@@ -274,10 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers", type=int, default=1,
         help="thread count for error trials, at least 1; results do not depend on it",
-    )
-    p.add_argument(
-        "--covertness-cap", type=int, default=MAX_EXACT_STATES, metavar="STATES",
-        help="largest |Z|^n enumerated exactly before falling back to Monte Carlo, at least 1",
     )
     p.set_defaults(func=cmd_simulate)
     return parser

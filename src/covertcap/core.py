@@ -5,7 +5,8 @@ receiver sees the channel ``wy`` and decodes with a fixed metric ``q`` that may
 be mismatched to ``wy``; an adversary observes the channel ``wz`` and must be
 kept nearly blind, which pins the fraction of 1-inputs to ``t / sqrt(n)``.
 This module holds the value types shared by every other module, the two
-divergences everything is built from, and the JSON reader for channel specs.
+divergences everything is built from, and the JSON reader for channel specs
+and simulation configs.
 
 All divergences use natural logarithms; every rate downstream is in nats per
 sqrt(n).
@@ -16,7 +17,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import IO, Any
+from typing import Any
 
 import numpy as np
 
@@ -43,7 +44,7 @@ class ResourceLimitError(RuntimeError):
 
 
 class ChannelSpecError(ValueError):
-    """A channel-spec file is malformed (syntax, schema, or entries)."""
+    """A channel-spec or simulation-config file is malformed (syntax, schema, or entries)."""
 
     def __init__(self, message: str, lineno: int | None = None, colno: int | None = None):
         if lineno is not None:
@@ -343,8 +344,25 @@ def _type_blocks(a: int, w: int, most: int):
             pending.append((np.column_stack([np.repeat(head, k.size, axis=0), k]), rem[0] - k))
 
 
-def _reject_nan(token: str) -> float:
-    raise ChannelSpecError(f"non-finite constant {token!r} is not allowed in a channel spec")
+def _read_json_object(path: str, what: str) -> dict:
+    """The JSON object in the file at ``path``, a ``what`` (named in the errors).
+
+    Raises ChannelSpecError on a syntax error (with its line and column), on
+    a non-finite constant (NaN, Infinity), and on a top level that is not an
+    object.
+    """
+
+    def reject(token: str) -> float:
+        raise ChannelSpecError(f"non-finite constant {token!r} is not allowed in a {what}")
+
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh, parse_constant=reject)
+        except json.JSONDecodeError as exc:
+            raise ChannelSpecError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
+    if not isinstance(data, dict):
+        raise ChannelSpecError(f"{what} must be a JSON object")
+    return data
 
 
 def _as_rows(obj: Any, key: str, renormalize: bool) -> np.ndarray:
@@ -370,27 +388,15 @@ def _as_rows(obj: Any, key: str, renormalize: bool) -> np.ndarray:
     return arr
 
 
-def load_channel_spec(source: str | IO[str]) -> CovertInstance:
-    """Read a channel-spec JSON object into a CovertInstance.
+def load_channel_spec(path: str) -> CovertInstance:
+    """Read the channel-spec JSON object in the file at ``path`` into a CovertInstance.
 
     The object must carry "wy" and "wz" (2-row stochastic matrices), "q"
     (2-row positive matrix), and "delta" (positive number).  NaN and negative
     entries are rejected; rows off the simplex by more than ``SPEC_ROW_TOL``
-    are rejected, smaller drift is renormalized.  Accepts a path or an open
-    text stream.
+    are rejected, smaller drift is renormalized.
     """
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source.read()
-    try:
-        data = json.loads(text, parse_constant=_reject_nan)
-    except json.JSONDecodeError as exc:
-        raise ChannelSpecError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
-
-    if not isinstance(data, dict):
-        raise ChannelSpecError("channel spec must be a JSON object")
+    data = _read_json_object(path, "channel spec")
     missing = [k for k in ("wy", "wz", "q", "delta") if k not in data]
     if missing:
         raise ChannelSpecError(f"channel spec is missing keys: {', '.join(missing)}")

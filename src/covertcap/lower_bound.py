@@ -116,12 +116,16 @@ class LowerBoundResult:
 
     s_star: float
     f_at_s_star: float
-    attained: bool
     t_delta: float
 
     @property
     def value(self) -> float:
         return self.t_delta * self.f_at_s_star
+
+    @property
+    def attained(self) -> bool:
+        """Whether the sup is a max at a finite s_star, not the limit s -> inf."""
+        return self.s_star != AT_INFINITY
 
 
 def _slope_curvature(tf: TiltFunction, s: float) -> tuple[float, float]:
@@ -169,13 +173,13 @@ def lower_bound(inst: CovertInstance) -> LowerBoundResult:
     if abs(slope) <= SLOPE_TOL:
         if np.all(tf._shifted >= -ARGMAX_TOL):
             # P1 << P0 makes f = 0 everywhere; only roundoff in its slope could grow it
-            return LowerBoundResult(0.0, 0.0, True, wp.t)
+            return LowerBoundResult(0.0, 0.0, wp.t)
         # A3 makes the slope at most 0, so the concave f never rises above its limit;
         # a slope that rounds a few ulps above 0 must not be credited s * slope
-        return LowerBoundResult(AT_INFINITY, limit, False, wp.t)
+        return LowerBoundResult(AT_INFINITY, limit, wp.t)
     if _slope_curvature(tf, 0.0)[0] <= 0.0:
         # slope < 0 and f'(0) <= 0: concavity and f(0) = 0 make 0 the sup
-        return LowerBoundResult(0.0, 0.0, True, wp.t)
+        return LowerBoundResult(0.0, 0.0, wp.t)
     # double until f' turns nonpositive; the bracket is then [b/2, b], or [0, 1]
     lo, hi = 0.0, 1.0
     while _slope_curvature(tf, hi)[0] > 0.0:
@@ -187,7 +191,7 @@ def lower_bound(inst: CovertInstance) -> LowerBoundResult:
     if f_star <= 0.0:
         # roundoff below f(0) = 0, which concavity makes the sup
         s_star, f_star = 0.0, 0.0
-    return LowerBoundResult(s_star, f_star, True, wp.t)
+    return LowerBoundResult(s_star, f_star, wp.t)
 
 
 def key_rate_threshold(lb: LowerBoundResult, t: WeightParam, q0: ProbVector, q1: ProbVector) -> float:

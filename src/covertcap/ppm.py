@@ -110,8 +110,8 @@ _PULSE_BLOCK = 1 << 20
 _SAMPLE_CHUNK = 1 << 16
 # most decode trials per block of _pair_errors; the count does not depend on it
 _TRIAL_BLOCK = 1024
-# largest count an exact covertness sum enumerates: output states of
-# covertness_exact (the CLI's --covertness-cap default) or chunk types of ppm_output_kl
+# largest count an exact covertness sum enumerates: output states of covertness_exact,
+# which simulate runs up to this count and covertness_mc above it, or chunk types of ppm_output_kl
 MAX_EXACT_STATES = 2**24
 
 
@@ -462,15 +462,14 @@ class ErrorReport:
     """Per-pair decoding-error counts, with the estimates derived from them.
 
     ``errors[k, j]`` counts the failed trials of the j-th retained message of
-    sub-code k (public id ``message_ids[k, j]``); ``p_hat`` is the error rate
-    and ``ci95`` the matching normal-approximation half-width
-    1.96 sqrt(p(1-p)/trials).  ``max_overall`` is the worst pair's p_hat and
+    sub-code k (public id ``message_ids[k, j]`` of the book it was estimated
+    on); ``p_hat`` is the error rate and ``ci95`` the matching
+    normal-approximation half-width 1.96 sqrt(p(1-p)/trials).  ``max_overall`` is the worst pair's p_hat and
     ``ci95_halfwidth`` the half-width at the first such pair.
     """
 
     trials_per_pair: int
     errors: np.ndarray
-    message_ids: np.ndarray
 
     @functools.cached_property
     def p_hat(self) -> np.ndarray:
@@ -563,10 +562,10 @@ def estimate_error(
     with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:  # starts no thread unless mapped on
         counts = [sub_code(pool.map if workers > 1 else map, k) for k in range(K)]
 
-    return ErrorReport(trials_per_pair, np.array(counts, dtype=np.int64), codebook.message_ids.copy())
+    return ErrorReport(trials_per_pair, np.array(counts, dtype=np.int64))
 
 
-def expurgate(report: ErrorReport, codebook: PpmCodebook, fraction: float = 1.0 / 16.0) -> PpmCodebook:
+def expurgate(report: ErrorReport, codebook: PpmCodebook, fraction: float) -> PpmCodebook:
     """Drop the ceil(fraction * |M|) worst messages of every sub-code.
 
     Worst means highest estimated error; exact ties are broken toward the
@@ -575,7 +574,7 @@ def expurgate(report: ErrorReport, codebook: PpmCodebook, fraction: float = 1.0 
     """
     if not (0.0 <= fraction < 1.0):
         raise DomainError(f"fraction must lie in [0, 1), got {fraction!r}")
-    if report.p_hat.shape != (codebook.num_keys, codebook.num_messages):
+    if report.errors.shape != (codebook.num_keys, codebook.num_messages):
         raise DimensionError("error report does not match the codebook's shape")
     drop = math.ceil(fraction * codebook.num_messages)
     keep = codebook.num_messages - drop
@@ -584,11 +583,9 @@ def expurgate(report: ErrorReport, codebook: PpmCodebook, fraction: float = 1.0 
     if drop == 0:
         return codebook
 
-    kept = np.empty((codebook.num_keys, keep), dtype=np.int64)
-    for k in range(codebook.num_keys):
-        # sort worst-first: high p_hat, then low id; drop the head
-        order = sorted(range(codebook.num_messages), key=lambda j: (-report.p_hat[k, j], codebook.message_ids[k, j]))
-        kept[k] = sorted(order[drop:])
+    # each sub-code's words worst first: high p_hat, then low id; drop the head
+    order = np.lexsort((codebook.message_ids, -report.p_hat), axis=-1)
+    kept = np.sort(order[:, drop:], axis=-1)
     rows = np.arange(codebook.num_keys)[:, None]
     return PpmCodebook(codebook.params, codebook.positions[rows, kept], codebook.message_ids[rows, kept])
 
@@ -690,12 +687,12 @@ def _mixture_kl(positions: np.ndarray, base_logs: np.ndarray, d: np.ndarray) -> 
     return kl
 
 
-def covertness_exact(codebook: PpmCodebook, wz: Bdmc, max_states: int = MAX_EXACT_STATES) -> CovertnessReport:
+def covertness_exact(codebook: PpmCodebook, wz: Bdmc) -> CovertnessReport:
     """Exact D(Qhat || Q0^n) of the code's output mixture by full enumeration.
 
     Qhat is the uniform mixture over all retained (key, message) words pushed
     through the adversary channel.  Raises ResourceLimitError when |Z|^n
-    exceeds ``max_states``; below the cap, only supp(Q0)^n counts (the rest
+    exceeds MAX_EXACT_STATES; below the cap, only supp(Q0)^n counts (the rest
     carries no Qhat mass, or makes the divergence infinite, which is detected
     up front), and ``samples`` reports those a^n states.  Returns +inf when an
     active word can emit a symbol Q0 never emits.  The sum runs over the pulse
@@ -704,9 +701,9 @@ def covertness_exact(codebook: PpmCodebook, wz: Bdmc, max_states: int = MAX_EXAC
     (see _mixture_kl).
     """
     n = codebook.params.n
-    if _states_exceed(wz.num_outputs, n, max_states):
+    if _states_exceed(wz.num_outputs, n, MAX_EXACT_STATES):
         raise ResourceLimitError(
-            f"exact covertness needs {wz.num_outputs}^{n} states, above the cap {max_states}; use covertness_mc"
+            f"exact covertness needs {wz.num_outputs}^{n} states, above the cap {MAX_EXACT_STATES}; use covertness_mc"
         )
     if np.any((wz.w[1] > 0.0) & (wz.w[0] <= 0.0)) and codebook.positions.size > 0:
         return CovertnessReport(METHOD_EXACT, float("inf"), None, 0)

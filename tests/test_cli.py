@@ -253,19 +253,20 @@ class TestSimulate:
             )
         assert blobs[0] == blobs[1] == blobs[2]
 
-    def test_low_cap_falls_back_to_monte_carlo(self, sim_files, tmp_path, capsys):
-        spec, config = sim_files
-        out_dir = tmp_path / "mc"
-        assert main(
-            ["simulate", spec, config, "--out-dir", str(out_dir), "--covertness-cap", "100"]
-        ) == 0
+    @pytest.mark.parametrize("n, method", [(24, "EXACT"), (25, "MONTE_CARLO")])
+    def test_covertness_method_follows_the_state_count(self, sim_files, tmp_path, capsys, n, method):
+        # exact while |Z|^n = 2^n is at most MAX_EXACT_STATES = 2^24, Monte Carlo above it
+        spec, _ = sim_files
+        config = write_json(tmp_path, "config_n.json", dict(SIM_CONFIG, n=n))
+        out_dir = tmp_path / "out"
+        assert main(["simulate", spec, config, "--out-dir", str(out_dir)]) == 0
         capsys.readouterr()
-        method, estimate, stderr, samples = (
-            (out_dir / "covertness.csv").read_text().splitlines()[1].split(",")
-        )
-        assert method == "MONTE_CARLO"
-        assert float(stderr) > 0.0
-        assert int(samples) == 200
+        got, estimate, stderr, samples = (out_dir / "covertness.csv").read_text().splitlines()[1].split(",")
+        assert got == method
+        if method == "EXACT":
+            assert (stderr, int(samples)) == ("", 2**24)
+        else:
+            assert float(stderr) > 0.0 and int(samples) == 200
 
     def test_expurgation_shrinks_the_book(self, sim_files, tmp_path, capsys):
         spec, _ = sim_files
@@ -324,21 +325,21 @@ class TestSimulate:
     )
     def test_out_of_range_config_exits_1_before_the_book(self, sim_files, tmp_path, capsys, monkeypatch, key, value):
         # refused before any work: a fraction outside [0, 1) has no meaning, and a
-        # seed outside [0, 2^64) would name the same streams as one inside it
+        # seed outside [0, 2^64) would name the same streams as one inside it; a
+        # non-finite constant is refused as the file is read, as in a channel spec
         spec, _ = sim_files
         config = write_json(tmp_path, "bad.json", dict(SIM_CONFIG, **{key: value}))
         monkeypatch.setattr("covertcap.cli.generate_codebook", lambda *args: pytest.fail("book built"))
         assert main(["simulate", spec, config, "--out-dir", str(tmp_path / "out")]) == 1
-        assert repr(key) in capsys.readouterr().err
+        assert (repr(key) if math.isfinite(value) else "non-finite constant") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--workers", "0"), ("--workers", "-3"), ("--covertness-cap", "0"), ("--covertness-cap", "-5")],
+        [("--workers", "0"), ("--workers", "-3")],
     )
     def test_nonpositive_flag_exits_2_before_the_book(self, sim_files, tmp_path, capsys, monkeypatch, flag, value):
-        # no worker count below one, and no cap below one state, has a meaning: they
-        # once ran serially and forced Monte Carlo without a word
+        # no worker count below one has a meaning: it once ran serially without a word
         spec, config = sim_files
         monkeypatch.setattr("covertcap.cli.generate_codebook", lambda *args: pytest.fail("book built"))
         assert main(["simulate", spec, config, "--out-dir", str(tmp_path / "out"), flag, value]) == 2
@@ -346,11 +347,11 @@ class TestSimulate:
         assert not (tmp_path / "out").exists()
 
     def test_oversize_covertness_samples_exit_3_before_the_book(self, sim_files, tmp_path, capsys, monkeypatch):
-        # 2^12 output states above a cap of 1 take the Monte-Carlo path, which refuses 10^15 samples
+        # 2^25 output states, above MAX_EXACT_STATES, take the Monte-Carlo path, which refuses 10^15 samples
         spec, _ = sim_files
-        config = write_json(tmp_path, "huge.json", dict(SIM_CONFIG, covertness_samples=10**15))
+        config = write_json(tmp_path, "huge.json", dict(SIM_CONFIG, n=25, covertness_samples=10**15))
         monkeypatch.setattr("covertcap.cli.generate_codebook", lambda *args: pytest.fail("book built"))
-        assert main(["simulate", spec, config, "--out-dir", str(tmp_path / "out"), "--covertness-cap", "1"]) == 3
+        assert main(["simulate", spec, config, "--out-dir", str(tmp_path / "out")]) == 3
         assert "cap" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 

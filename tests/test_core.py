@@ -460,53 +460,54 @@ def spec_payload(**overrides):
     return body
 
 
+def spec_file(tmp_path, text):
+    """The path of a file under ``tmp_path`` holding ``text``."""
+    path = tmp_path / "spec.json"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
 WY1_LIST = [[0.6, 0.2, 0.2], [0.2, 0.2, 0.6]]
 WZ1_LIST = [[0.8, 0.1, 0.1], [0.2, 0.3, 0.5]]
 
 
 class TestLoadChannelSpec:
     def test_round_trip_from_path(self, tmp_path):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec_payload()), encoding="utf-8")
-        inst = load_channel_spec(str(path))
+        inst = load_channel_spec(spec_file(tmp_path, json.dumps(spec_payload())))
         assert inst.delta == 0.1
         np.testing.assert_allclose(inst.wy.w, WY1_LIST)
         np.testing.assert_allclose(inst.q.q, [[3.0, 1.0, 1.0], [1.0, 1.0, 3.0]])
 
-    def test_reads_open_stream(self):
-        inst = load_channel_spec(io.StringIO(json.dumps(spec_payload())))
-        assert inst.wz.num_outputs == 3
-
-    def test_syntax_error_reports_position(self):
+    def test_syntax_error_reports_position(self, tmp_path):
         with pytest.raises(ChannelSpecError) as err:
-            load_channel_spec(io.StringIO('{"wy": [[0.5,'))
+            load_channel_spec(spec_file(tmp_path, '{"wy": [[0.5,'))
         assert err.value.lineno == 1
         assert err.value.colno is not None
 
-    def test_rejects_nan_constant(self):
+    def test_rejects_nan_constant(self, tmp_path):
         with pytest.raises(ChannelSpecError, match="NaN"):
-            load_channel_spec(io.StringIO('{"wy": [[NaN, 1.0], [0.5, 0.5]]}'))
+            load_channel_spec(spec_file(tmp_path, '{"wy": [[NaN, 1.0], [0.5, 0.5]]}'))
 
-    def test_missing_keys_named(self):
+    def test_missing_keys_named(self, tmp_path):
         with pytest.raises(ChannelSpecError, match="delta"):
-            load_channel_spec(io.StringIO('{"wy": [[0.5, 0.5], [0.4, 0.6]]}'))
+            load_channel_spec(spec_file(tmp_path, '{"wy": [[0.5, 0.5], [0.4, 0.6]]}'))
 
-    def test_small_row_drift_renormalized(self):
+    def test_small_row_drift_renormalized(self, tmp_path):
         body = spec_payload(wy=[[0.6 + 4e-10, 0.2, 0.2], [0.2, 0.2, 0.6]])
-        inst = load_channel_spec(io.StringIO(json.dumps(body)))
+        inst = load_channel_spec(spec_file(tmp_path, json.dumps(body)))
         assert inst.wy.w[0].sum() == pytest.approx(1.0, abs=1e-15)
 
-    def test_large_row_drift_rejected(self):
+    def test_large_row_drift_rejected(self, tmp_path):
         body = spec_payload(wy=[[0.7, 0.2, 0.2], [0.2, 0.2, 0.6]])
         with pytest.raises(ChannelSpecError, match="simplex"):
-            load_channel_spec(io.StringIO(json.dumps(body)))
+            load_channel_spec(spec_file(tmp_path, json.dumps(body)))
 
-    def test_nonpositive_metric_rejected(self):
+    def test_nonpositive_metric_rejected(self, tmp_path):
         body = spec_payload(q=[[0.0, 1.0, 1.0], [1.0, 1.0, 3.0]])
         with pytest.raises(ChannelSpecError, match="positive"):
-            load_channel_spec(io.StringIO(json.dumps(body)))
+            load_channel_spec(spec_file(tmp_path, json.dumps(body)))
 
-    def test_negative_entry_rejected(self):
+    def test_negative_entry_rejected(self, tmp_path):
         body = spec_payload(wz=[[0.9, 0.2, -0.1], [0.2, 0.3, 0.5]])
         with pytest.raises(ChannelSpecError, match="negative"):
-            load_channel_spec(io.StringIO(json.dumps(body)))
+            load_channel_spec(spec_file(tmp_path, json.dumps(body)))

@@ -487,14 +487,14 @@ class TestKeyRateThreshold:
         t = weight_parameter(inst.delta, inst.q0, inst.q1)
         res = lower_bound(inst)
         rich = WeightParam(delta=t.delta, chi2=t.chi2)
-        fake = type(res)(s_star=1.0, f_at_s_star=10.0 / t.t, attained=True, t_delta=t.t)
+        fake = type(res)(s_star=1.0, f_at_s_star=10.0 / t.t, t_delta=t.t)
         assert key_rate_threshold(fake, rich, inst.q0, inst.q1) == 0.0
 
     def test_zero_lower_bound_needs_full_rate(self):
         inst = example1(3.0)
         t = weight_parameter(inst.delta, inst.q0, inst.q1)
         res = lower_bound(inst)
-        fake = type(res)(s_star=0.0, f_at_s_star=0.0, attained=True, t_delta=t.t)
+        fake = type(res)(s_star=0.0, f_at_s_star=0.0, t_delta=t.t)
         assert key_rate_threshold(fake, t, inst.q0, inst.q1) == pytest.approx(
             t.t * kl_divergence(inst.q1, inst.q0), abs=1e-12
         )

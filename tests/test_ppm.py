@@ -1181,7 +1181,7 @@ class TestSamplingChunkMemory:
 def report_for(p_hat: np.ndarray, trials: int = 100) -> ErrorReport:
     """The report of ``trials`` trials per pair whose error counts give these rates."""
     errors = np.round(np.asarray(p_hat) * trials).astype(np.int64)
-    return ErrorReport(trials, errors, np.tile(np.arange(errors.shape[1]), (errors.shape[0], 1)))
+    return ErrorReport(trials, errors)
 
 
 def exact_pair_errors(cb, k, inst, block=1 << 14):
@@ -1246,6 +1246,23 @@ class TestExpurgate:
             fraction=0.25,
         )
         np.testing.assert_array_equal(new.message_ids, [[1, 2, 3], [0, 1, 2]])
+
+    def test_one_sort_keeps_what_a_sort_per_sub_code_kept(self):
+        # the reference is the rule expurgate ran before its one lexsort: a Python sort
+        # of each sub-code's words by (-p_hat, id), then a sort of the kept indices;
+        # few trials and permuted ids make ties on p_hat that only the ids break
+        rng = np.random.default_rng(40)
+        for _ in range(2000):
+            K, M, trials = (int(v) for v in rng.integers(1, [5, 9, 5]))
+            fraction = rng.uniform(0.0, (M - 1) / M)
+            ids = np.array([rng.choice(3 * M, M, replace=False) for _ in range(K)])
+            cb = PpmCodebook(PpmParams(16, 2), np.tile(np.arange(M)[:, None], (K, 1, 1)), ids)
+            rep = ErrorReport(trials, rng.integers(0, trials + 1, (K, M)))
+            drop = math.ceil(fraction * M)
+            kept = [sorted(sorted(range(M), key=lambda j: (-rep.p_hat[k, j], ids[k, j]))[drop:]) for k in range(K)]
+            new = expurgate(rep, cb, fraction)
+            np.testing.assert_array_equal(new.positions[..., 0], kept)
+            np.testing.assert_array_equal(new.message_ids, np.take_along_axis(ids, np.array(kept), axis=1))
 
     def test_zero_fraction_is_identity(self):
         cb = self.full_book()
