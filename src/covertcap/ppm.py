@@ -15,9 +15,9 @@ SeedSequence (_pair_seeds, _seeded_stream), and each pair's trials are read
 in order from its stream.  So any book or report regenerates bit-identically
 whatever the iteration order or thread schedule, and the re-estimate of an
 expurgated book (fewer messages per sub-code) reads none of the streams of
-the first pass.  Each Monte-Carlo estimator (covertness_mc, sample_s_statistic)
-reads the one stream keyed by (seed, tag); every Monte-Carlo loop takes its
-block sizes from one rule, _blocks, so a block's memory does not grow with n.
+the first pass.  covertness_mc reads the one stream keyed by (seed, its tag);
+every Monte-Carlo loop takes its block sizes from one rule, _blocks, so a
+block's memory does not grow with n.
 A block of about _PULSE_BLOCK uniforms is drawn a few rows at a time, about
 _SAMPLE_CHUNK uniforms per draw, and each chunk is sampled straight into the
 block's uint8 outputs (_sample_at_pulses): the uniforms, 32-bit halves of
@@ -51,7 +51,7 @@ covertness_exact keeps only the pulse columns, splits them into two halves,
 and gets the mixture's likelihood ratio on every output state from one matrix
 product of the two halves' score tables (_mixture_kl).  ppm_output_kl sums
 the one-pulse chunk law over types, not states: its ratio depends on a chunk
-only through the count of each output symbol.
+only through the count of each output symbol, as chunk_statistic_mean's does.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ from .core import (
 _TAG_CODEBOOK = 1
 _TAG_ERROR = 2
 _TAG_COVERT = 3
-_TAG_SSTAT = 4
 
 _MASK64 = (1 << 64) - 1
 
@@ -111,7 +110,7 @@ _SAMPLE_CHUNK = 1 << 16
 # most decode trials per block of _pair_errors; the count does not depend on it
 _TRIAL_BLOCK = 1024
 # largest count an exact covertness sum enumerates: output states of covertness_exact,
-# which simulate runs up to this count and covertness_mc above it, or chunk types of ppm_output_kl
+# which simulate runs up to this count and covertness_mc above it, or chunk types (_chunk_types)
 MAX_EXACT_STATES = 2**24
 
 
@@ -258,9 +257,10 @@ def _sample_at_pulses(gen, t, cols, pulses, thr0, thr1) -> np.ndarray:
     into the (t, |cols|) outputs: every entry is inverse-CDF sampled at
     thresholds thr0, then the chunk's pulse entries are sampled again at thr1
     and overwrite theirs.  ``pulses`` holds the pulse entries' column indices:
-    one index or 1-d array for the same columns in every row, or a (t, L)
-    array of each row's own.  The outputs, and where the stream is left, are
-    the same for any chunk size.
+    for the same columns in every row, a 1-d array (a word of the decode
+    trials) or one index, or a (t, L) array of each row's own
+    (covertness_mc).  The outputs, and where the stream is left, are the same
+    for any chunk size.
     """
     y = np.empty((t, cols.size), dtype=np.min_scalar_type(max(thr0.size, thr1.size)))
     step = max(1, _SAMPLE_CHUNK // max(1, cols.size))
@@ -755,6 +755,20 @@ def covertness_mc(codebook: PpmCodebook, wz: Bdmc, samples: int, seed: int) -> C
     return CovertnessReport(METHOD_MC, est, stderr, samples)
 
 
+def _chunk_types(log_p: np.ndarray, w: int, hint: str = ""):
+    """(number of types, their blocks) of w draws from the law with log-probs ``log_p``: (counts,
+    log multinomial mass) pairs in blocks of _type_blocks, at most _PRODUCT_BLOCK rows each.  Refuses
+    more than MAX_EXACT_STATES types before it enumerates any; ``hint`` ends the message."""
+    a = log_p.size
+    types = math.comb(w + a - 1, a - 1)
+    if types > MAX_EXACT_STATES:
+        raise ResourceLimitError(
+            f"exact chunk law needs C({w + a - 1}, {a - 1}) = {types} types, above the cap {MAX_EXACT_STATES}{hint}"
+        )
+    log_fact = np.fromiter(map(math.lgamma, range(1, w + 2)), dtype=np.float64, count=w + 1)
+    return types, ((c, log_fact[w] - log_fact[c].sum(axis=1) + c @ log_p) for c in _type_blocks(a, w, _PRODUCT_BLOCK))
+
+
 def ppm_output_kl(params: PpmParams, q0: ProbVector, q1: ProbVector) -> CovertnessReport:
     """Exact divergence of the ensemble-average PPM output law from Q0^n.
 
@@ -773,88 +787,36 @@ def ppm_output_kl(params: PpmParams, q0: ProbVector, q1: ProbVector) -> Covertne
     if np.any((q1.probs > 0.0) & (q0.probs <= 0.0)):
         return CovertnessReport(METHOD_EXACT, float("inf"), None, 0)
     _, base_logs, d = _warden_deltas(Bdmc(np.stack([q0.probs, q1.probs])))
-    a = d.size
-    types = math.comb(w + a - 1, a - 1)
-    if types > MAX_EXACT_STATES:
-        raise ResourceLimitError(
-            f"exact chunk law needs C({w + a - 1}, {a - 1}) = {types} types, above the cap "
-            f"{MAX_EXACT_STATES}; covertness_mc on the {w} x {w} identity book estimates it"
-        )
-    log_fact = np.fromiter(map(math.lgamma, range(1, w + 2)), dtype=np.float64, count=w + 1)
+    types, blocks = _chunk_types(base_logs, w, f"; covertness_mc on the {w} x {w} identity book estimates it")
     kl = 0.0
-    for counts in _type_blocks(a, w, _PRODUCT_BLOCK):
-        log_mass = log_fact[w] - log_fact[counts].sum(axis=1) + counts @ base_logs
+    for counts, log_mass in blocks:
         top = np.where(counts > 0, d, -np.inf).max(axis=1)  # absent d above it are clamped: no inf * 0
         log_r = top + np.log((counts * np.exp(np.minimum(d - top[:, None], 0.0))).sum(axis=1) / w)
         kl += float(np.sum(np.exp(log_mass + log_r) * log_r))
     return CovertnessReport(METHOD_EXACT, max(kl, 0.0) * l, None, types)
 
 
-@dataclass(frozen=True)
-class SStatReport:
-    """Sampled chunk statistic with its analytic support bounds."""
-
-    mean: float
-    stderr: float
-    sample_min: float
-    sample_max: float
-    bound_low: float
-    bound_high: float
-
-
-def sample_s_statistic(
-    q: DecodingMetric,
-    p0: ProbVector,
-    p1: ProbVector,
-    w: int,
-    s: float,
-    samples: int,
-    seed: int,
-) -> SStatReport:
-    """Draw the per-chunk decoding exponent S and report mean, spread, and bounds.
-
-    One chunk has its active output Y1 ~ p1 and w-1 idle outputs ~ p0;
-    S = -log[(1/w) sum_j exp(s (rhat(Yj) - rhat(Y1)))] with the j=1 term equal
-    to 1.  Every sample lies in the closed interval [bound_low, bound_high]
-    determined by the extreme metric ratios over the supports of p1 and p0;
-    the mean approaches the tilt value f(s) as w grows.  Chunks are drawn by
-    _sample_at_pulses, active output in column 0, and sampled and scored in
-    blocks of about _SAMPLE_CHUNK outputs, so no float array of more is built.
-    """
-    if w < 2:
-        raise DomainError(f"w must be at least 2, got {w!r}")
-    if s < 0.0:
-        raise DomainError(f"s must be nonnegative, got {s!r}")
-    if samples < 2:
-        raise DomainError("need at least 2 samples for a standard error")
-    _check_samples(samples)
+def chunk_statistic_mean(q: DecodingMetric, p0: ProbVector, p1: ProbVector, w: int, s: float) -> float:
+    """Exact mean of the per-chunk decoding exponent S_w = log w - log(1 + sum_a N_a e^{s (r_a - r_y)}),
+    r = q.log_ratio, of an active output y ~ p1 beside w-1 idle outputs ~ p0 of type N: a sum over y
+    and N (_chunk_types).  It approaches the tilt value f(s) as w grows."""
+    if w < 1 or not s >= 0.0:
+        raise DomainError(f"need w >= 1 and s >= 0, got w={w!r}, s={s!r}")
     if q.num_outputs != len(p0) or len(p0) != len(p1):
         raise DimensionError("metric and output laws must share one alphabet")
-    rhat = q.log_ratio
-    supp0, supp1 = p0.support(), p1.support()
-    # Sharp support interval: the j=1 term of the average is always exp(0)=1,
-    # the other w-1 exponents range over s*(rhat(idle) - rhat(active)).
-    a = s * (float(rhat[supp1].max()) - float(rhat[supp0].min()))
-    b = s * (float(rhat[supp0].max()) - float(rhat[supp1].min()))
-    log_w1 = math.log(w - 1)
-    bound_high = math.log(w) - float(np.logaddexp(0.0, log_w1 - a))
-    bound_low = math.log(w) - float(np.logaddexp(0.0, log_w1 + b))
-
-    gen = _stream(seed, _TAG_SSTAT)
-    thr0, thr1 = _thresholds(p0.probs), _thresholds(p1.probs)
-    cols = np.arange(w)
-    vals = np.empty(samples)
-    for done, t in _blocks(samples, w, max(1, _SAMPLE_CHUNK // w)):  # rows are read and scored apart: same bits
-        r_all = rhat[_sample_at_pulses(gen, t, cols, 0, thr0, thr1)]
-        vals[done : done + t] = math.log(w) - _logsumexp_rows(s * (r_all - r_all[:, :1]))
-    return SStatReport(
-        mean=float(vals.mean()),
-        stderr=float(vals.std(ddof=1) / math.sqrt(samples)),
-        sample_min=float(vals.min()),
-        sample_max=float(vals.max()),
-        bound_low=bound_low,
-        bound_high=bound_high,
-    )
+    sr, supp0, supp1 = s * q.log_ratio, p0.support(), p1.support()
+    _, blocks = _chunk_types(np.log(p0.probs[supp0]), w - 1)
+    mean = 0.0
+    for counts, log_mass in blocks:
+        # 1 + sum_a N_a e^{sr_a - sr_y} = 1 + e^x A with x = top - sr_y, A = sum_a N_a e^{sr_a - top} and top
+        # the largest sr_a present, else the least sr_y: A >= 1 or x <= 0, so e^{-max(x, 0)} (1 + e^x A) is in [1, w]
+        top = np.where(counts > 0, sr[supp0], sr[supp1].min()).max(axis=1)
+        big_a = (counts * np.exp(np.minimum(sr[supp0] - top[:, None], 0.0))).sum(axis=1)  # absent sr_a clamped: no inf * 0
+        mass = np.exp(log_mass)
+        for p, x in zip(p1.probs[supp1], top - sr[supp1, None]):
+            m = np.maximum(x, 0.0)
+            mean += p * float(mass @ (-m - np.log((np.exp(-m) + np.exp(x - m) * big_a) / w)))
+    return mean
 
 
 def prescribed_log_sizes(rate: float, t: float, kl_warden: float, n: int, eta1: float = 0.05, eta2: float = 0.05) -> tuple[float, float]:

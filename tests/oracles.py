@@ -2,13 +2,15 @@
 
 Each is a direct, unoptimized form of something the library computes another
 way: a one-block decoder for the slot scorer, a sub-code's draw for the
-codebook streams, PCG64's seeding for the decode-trial streams, the
+codebook streams, PCG64's seeding for the decode-trial streams, the mean
+chunk statistic by stars and bars for its sum over _type_blocks, the
 binary-alphabet tilt derivative and its root for the lower bound, and the
 coupling checks for the converse.  The library itself never calls them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -80,6 +82,26 @@ def q_decode(codebook: PpmCodebook, k: int, y: np.ndarray, metric: DecodingMetri
     if winners.size > 1:
         return TIE
     return int(codebook.message_ids[k, winners[0]])
+
+
+def exact_chunk_statistic_mean(q, p0, p1, w, s):
+    """E[S_w] as a sum over the active output y and the type N of the w-1 idle outputs.
+
+    E[S_w] = sum_y p1(y) sum_N Mult(w-1; p0)(N) [log w - log(1 + sum_a N_a e^{s (r_a - r_y)})]
+    with r = log q(1, .) - log q(0, .); the types are enumerated by stars and bars.
+    """
+    r = np.log(q.q[1]) - np.log(q.q[0])
+    supp = np.flatnonzero(p0.probs > 0.0)
+    a, m = supp.size, w - 1
+    bars = np.array(list(itertools.combinations(range(m + a - 1), a - 1)), dtype=np.int64).reshape(-1, a - 1)
+    ends = np.full((bars.shape[0], 1), -1), np.full((bars.shape[0], 1), m + a - 1)
+    counts = np.diff(np.hstack([ends[0], bars, ends[1]]), axis=1) - 1
+    log_fact = np.array([math.lgamma(k + 1) for k in range(m + 1)])
+    mass = np.exp(log_fact[m] - log_fact[counts].sum(axis=1) + counts @ np.log(p0.probs[supp]))
+    return sum(
+        p1.probs[y] * float(mass @ (math.log(w) - np.log1p(counts @ np.exp(s * (r[supp] - r[y])))))
+        for y in np.flatnonzero(p1.probs > 0.0)
+    )
 
 
 def binary_f_derivative(inst: CovertInstance, s: float) -> float:

@@ -19,7 +19,6 @@ PACKAGE = ROOT / "src" / "covertcap"
 PENDING = {
     "binary_dichotomy",  # ROADMAP item 10: a caller in `capacity`, or item 4's "bounds meet" verdict
     "key_rate_threshold",  # ROADMAP item 8
-    "ppm_output_kl",  # ROADMAP item 8
     "prescribed_log_sizes",  # ROADMAP item 8
 }
 

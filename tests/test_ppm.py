@@ -31,6 +31,7 @@ from covertcap import (
     ProbVector,
     ResourceLimitError,
     chi2_divergence,
+    chunk_statistic_mean,
     covertness_exact,
     covertness_mc,
     estimate_error,
@@ -40,7 +41,6 @@ from covertcap import (
     ppm_output_kl,
     ppm_params,
     prescribed_log_sizes,
-    sample_s_statistic,
 )
 from covertcap import ppm
 from covertcap.core import TIE_TOL, _type_blocks
@@ -66,7 +66,7 @@ from covertcap.ppm import (
 )
 
 from conftest import WZ1, example1
-from oracles import TIE, pcg64_seeded_state, q_decode, sample_codeword
+from oracles import TIE, exact_chunk_statistic_mean, pcg64_seeded_state, q_decode, sample_codeword
 
 Q0 = ProbVector(WZ1[0])
 Q1 = ProbVector(WZ1[1])
@@ -1606,120 +1606,119 @@ class TestPpmOutputKl:
             ppm_output_kl(PpmParams(4, 2), ProbVector(q0), ProbVector(q1))
 
 
+def chunk_instance(seed: int, ny: int, hole: int | None):
+    """A metric with ratios in [1/25, 25] and output laws with every entry at least 0.1/ny, but
+    one zero entry in p0 (hole 0) or p1 (hole 1) if asked."""
+    rng = np.random.default_rng(seed)
+    q = DecodingMetric(np.exp(rng.uniform(np.log(0.2), np.log(5.0), size=(2, ny))))
+    p = 0.9 * rng.dirichlet(np.ones(ny), size=2) + 0.1 / ny
+    if hole is not None:
+        p[hole, rng.integers(ny)] = 0.0
+        p[hole] /= p[hole].sum()
+    return q, ProbVector(p[0]), ProbVector(p[1])
+
+
+def analytic_bounds(q: DecodingMetric, p0: ProbVector, p1: ProbVector, w: int, s: float) -> tuple[float, float]:
+    """The sharp support interval [low, high] of S_w for w >= 2: of the average's w terms the active
+    one is 1, and the w-1 exponents of the others range over s (rhat(idle) - rhat(active))."""
+    r0, r1 = q.log_ratio[p0.support()], q.log_ratio[p1.support()]
+    log_w1 = math.log(w - 1)
+    low = math.log(w) - float(np.logaddexp(0.0, log_w1 + s * (r0.max() - r1.min())))
+    high = math.log(w) - float(np.logaddexp(0.0, log_w1 - s * (r1.max() - r0.min())))
+    return low, high
+
+
+chunk_cases = dict(
+    seed=st.integers(0, 2**32 - 1),
+    ny=st.integers(2, 4),
+    w=st.integers(1, 30),
+    s=st.floats(0.0, 4.0),
+    hole=st.sampled_from([None, 0, 1]),
+)
+
+
 class TestSStatistic:
+    """The chunk statistic's exact mean, chunk_statistic_mean."""
+
+    @pytest.mark.parametrize("w", [50, 100, 200, 400])
+    def test_matches_the_stars_and_bars_oracle(self, w):
+        inst = example1(3.0)
+        got = chunk_statistic_mean(inst.q, inst.p0, inst.p1, w, 1.0)
+        assert got == pytest.approx(exact_chunk_statistic_mean(inst.q, inst.p0, inst.p1, w, 1.0), rel=0, abs=1e-12)
+
     def test_constant_metric_collapses_to_zero(self):
         inst = example1()
-        rep = sample_s_statistic(
-            DecodingMetric(np.ones((2, 3))), inst.p0, inst.p1, w=8, s=2.0, samples=200, seed=50
-        )
-        assert rep.mean == 0.0
-        assert rep.stderr == 0.0
-        assert rep.sample_min == rep.sample_max == 0.0
-        assert rep.bound_low == rep.bound_high == 0.0
-
-    def test_every_sample_inside_the_analytic_bounds(self):
-        rng = np.random.default_rng(51)
-        for _ in range(30):
-            ny = int(rng.integers(2, 5))
-            q = DecodingMetric(np.exp(rng.uniform(np.log(0.2), np.log(5.0), size=(2, ny))))
-            p0 = ProbVector((0.9 * rng.dirichlet(np.ones(ny)) + 0.1 / ny))
-            p1 = ProbVector((0.9 * rng.dirichlet(np.ones(ny)) + 0.1 / ny))
-            rep = sample_s_statistic(
-                q, p0, p1,
-                w=int(rng.integers(2, 30)),
-                s=float(rng.uniform(0.0, 4.0)),
-                samples=400,
-                seed=int(rng.integers(1 << 31)),
-            )
-            assert rep.bound_low <= rep.sample_min + 1e-12
-            assert rep.sample_max <= rep.bound_high + 1e-12
-            assert rep.sample_min <= rep.mean <= rep.sample_max
+        assert chunk_statistic_mean(DecodingMetric(np.ones((2, 3))), inst.p0, inst.p1, w=8, s=2.0) == 0.0
 
     def test_disjoint_supports_pin_the_statistic_to_both_bounds(self):
-        # active output always symbol 0, idle always symbol 1: one possible
-        # sample value, and the support interval collapses onto it
+        # active output always symbol 0, idle always symbol 1: the law has one
+        # atom, and the support interval collapses onto it
         q = DecodingMetric(np.array([[0.9, 0.4], [0.3, 0.8]]))
-        rep = sample_s_statistic(
-            q, ProbVector([0.0, 1.0]), ProbVector([1.0, 0.0]), w=5, s=1.3, samples=64, seed=52
-        )
-        assert rep.bound_low == pytest.approx(rep.bound_high, abs=1e-15)
-        assert rep.sample_min == pytest.approx(rep.bound_low, abs=1e-12)
-        assert rep.sample_max == pytest.approx(rep.bound_high, abs=1e-12)
-        assert rep.stderr == pytest.approx(0.0, abs=1e-15)
+        p0, p1 = ProbVector([0.0, 1.0]), ProbVector([1.0, 0.0])
+        mean = chunk_statistic_mean(q, p0, p1, w=5, s=1.3)
+        atom = math.log(5) - math.log(1 + 4 * math.exp(1.3 * (q.log_ratio[1] - q.log_ratio[0])))
+        assert mean == pytest.approx(atom, rel=0, abs=1e-15)
+        low, high = analytic_bounds(q, p0, p1, 5, 1.3)
+        assert low == pytest.approx(atom, rel=0, abs=1e-15) and high == pytest.approx(atom, rel=0, abs=1e-15)
 
     def test_mean_is_near_the_tilt_value_for_wide_chunks(self):
         inst = example1(3.0)
-        rep = sample_s_statistic(
-            inst.q, inst.p0, inst.p1, w=400, s=1.0, samples=20_000, seed=53
-        )
-        assert abs(rep.mean - 0.4 * math.log(3)) < 0.05
+        assert abs(chunk_statistic_mean(inst.q, inst.p0, inst.p1, w=400, s=1.0) - 0.4 * math.log(3)) < 0.002
 
-    # recorded from one piece: every row's 32-bit uniforms drawn at once
-    # (u32_uniforms), sampled by searchsorted and scored as one block; rows are
-    # drawn and scored apart, so row chunks move no bit:
-    # (w, s, samples, seed) -> (mean, stderr, min, max)
-    SCORED_WHOLE = {
-        (400, 0.7, 20_000, 1): (
-            "0x1.98bd888d752a3p-2", "0x1.1d2c75e09825ep-8", "-0x1.94fce4b652f48p-1", "0x1.fde79f39cccf8p-1"
-        ),
-        (3, 1.3, 5000, 7): (
-            "0x1.094c1e1dd72d3p-2", "0x1.7bf2b41b6545fp-7", "-0x1.3d58605eabacep+1", "0x1.fac73e758bfa3p-1"
-        ),
-        (70_000, 0.5, 40, 3): (
-            "0x1.38cfa81febfd6p-2", "0x1.28b9e0b12ecfdp-4", "-0x1.c28d5177c9920p-2", "0x1.55151764bed80p-1"
-        ),
-    }
+    @settings(max_examples=100, deadline=None)
+    @given(**chunk_cases)
+    def test_every_sample_inside_the_analytic_bounds(self, seed, ny, w, s, hole):
+        # every value S_w takes, one per active output y and idle type N, and so the mean
+        q, p0, p1 = chunk_instance(seed, ny, hole)
+        w = max(w, 2)
+        low, high = analytic_bounds(q, p0, p1, w, s)
+        r, supp0 = q.log_ratio, p0.support()
+        counts = np.concatenate(list(_type_blocks(supp0.size, w - 1, 1 << 16)))
+        atoms = math.log(w) - np.log1p(counts @ np.exp(s * (r[supp0, None] - r[p1.support()])))
+        assert low - 1e-12 <= atoms.min() and atoms.max() <= high + 1e-12
+        assert low - 1e-12 <= chunk_statistic_mean(q, p0, p1, w, s) <= high + 1e-12
 
-    @pytest.mark.parametrize("key", sorted(SCORED_WHOLE))
-    def test_row_chunks_keep_the_bits(self, key):
-        w, s, samples, seed = key
-        inst = example1()
-        rep = sample_s_statistic(inst.q, inst.p0, inst.p1, w=w, s=s, samples=samples, seed=seed)
-        got = tuple(x.hex() for x in (rep.mean, rep.stderr, rep.sample_min, rep.sample_max))
-        assert got == self.SCORED_WHOLE[key]
+    @settings(max_examples=100, deadline=None)
+    @given(**chunk_cases)
+    def test_permuting_the_outputs_keeps_the_mean(self, seed, ny, w, s, hole):
+        q, p0, p1 = chunk_instance(seed, ny, hole)
+        perm = np.random.default_rng(seed).permutation(ny)
+        moved = chunk_statistic_mean(DecodingMetric(q.q[:, perm]), ProbVector(p0.probs[perm]), ProbVector(p1.probs[perm]), w, s)
+        assert moved == pytest.approx(chunk_statistic_mean(q, p0, p1, w, s), rel=1e-12, abs=1e-12)
 
-    def test_memory_is_one_sampling_chunk(self):
-        # a whole block of looked-up floats took 32 MiB here; sampling takes 1.25 MiB
-        # and each of the four float temporaries of a row chunk 512 KiB
-        inst = example1()
-        tracemalloc.start()
-        try:
-            sample_s_statistic(inst.q, inst.p0, inst.p1, w=400, s=0.7, samples=20_000, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+    @settings(max_examples=100, deadline=None)
+    @given(**chunk_cases, row=st.integers(0, 1), scale=st.floats(1e-3, 1e3))
+    def test_rescaling_a_metric_row_keeps_the_mean(self, seed, ny, w, s, hole, row, scale):
+        # S reads rhat only through its differences, which a row's scale leaves alone
+        q, p0, p1 = chunk_instance(seed, ny, hole)
+        scaled = q.q.copy()
+        scaled[row] *= scale
+        moved = chunk_statistic_mean(DecodingMetric(scaled), p0, p1, w, s)
+        assert moved == pytest.approx(chunk_statistic_mean(q, p0, p1, w, s), rel=1e-12, abs=1e-12)
 
-    def test_determinism(self):
-        inst = example1(3.0)
-        kw = dict(w=16, s=1.0, samples=500)
-        a = sample_s_statistic(inst.q, inst.p0, inst.p1, seed=54, **kw)
-        b = sample_s_statistic(inst.q, inst.p0, inst.p1, seed=54, **kw)
-        c = sample_s_statistic(inst.q, inst.p0, inst.p1, seed=55, **kw)
-        assert a.mean == b.mean
-        assert a.mean != c.mean
+    @settings(max_examples=50, deadline=None)
+    @given(**chunk_cases)
+    def test_zero_without_tilt_or_idle_outputs(self, seed, ny, w, s, hole):
+        q, p0, p1 = chunk_instance(seed, ny, hole)
+        assert chunk_statistic_mean(q, p0, p1, w, 0.0) == 0.0
+        assert chunk_statistic_mean(q, p0, p1, 1, s) == 0.0
 
     def test_validation(self):
         inst = example1(3.0)
         with pytest.raises(DomainError):
-            sample_s_statistic(inst.q, inst.p0, inst.p1, w=1, s=1.0, samples=100, seed=0)
+            chunk_statistic_mean(inst.q, inst.p0, inst.p1, w=0, s=1.0)
         with pytest.raises(DomainError):
-            sample_s_statistic(inst.q, inst.p0, inst.p1, w=4, s=-0.5, samples=100, seed=0)
-        with pytest.raises(DomainError):
-            sample_s_statistic(inst.q, inst.p0, inst.p1, w=4, s=1.0, samples=1, seed=0)
+            chunk_statistic_mean(inst.q, inst.p0, inst.p1, w=4, s=-0.5)
+        with pytest.raises(DimensionError):
+            chunk_statistic_mean(inst.q, ProbVector([0.5, 0.5]), ProbVector([0.4, 0.6]), w=4, s=1.0)
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError, match="cap"):
-                sample_s_statistic(inst.q, inst.p0, inst.p1, w=4, s=1.0, samples=MAX_CODEBOOK_BYTES // 8 + 1, seed=0)
+                chunk_statistic_mean(inst.q, inst.p0, inst.p1, w=10**6, s=1.0)  # C(10^6 + 1, 2) types
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        with pytest.raises(DimensionError):
-            sample_s_statistic(
-                inst.q, ProbVector([0.5, 0.5]), ProbVector([0.4, 0.6]), w=4, s=1.0,
-                samples=100, seed=0,
-            )
 
 
 class TestPrescribedLogSizes:
