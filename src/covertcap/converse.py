@@ -16,10 +16,10 @@ independent certification oracle.
 
 The minimum depends on the metric q only through its argmax table S_q
 (``maximal_sets(q)``), so ``upper_bound`` keeps its last solve, keyed
-by the channel, the table and the stopping rule.  One entry is enough: every
-entry of S_q is a step function of any one metric entry, so along a sweep
-equal tables come in consecutive runs.  A larger memo would also carry solves
-between unrelated calls in one process, which separate processes never share.
+by the channel and the table.  One entry is enough: every entry of S_q is a
+step function of any one metric entry, so along a sweep equal tables come in
+consecutive runs.  A larger memo would also carry solves between unrelated
+calls in one process, which separate processes never share.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ _ORACLE_BLOCK = 1 << 18  # entries of one cross-term block in the grid oracle
 _MAX_POINTS = 5_000_000  # most raw lattice points per input the grid oracle enumerates
 _MAX_PAIRS = 1 << 30  # most (m1, m0) raw lattice pairs the grid oracle scores
 _MAX_ITERS = 20000  # Frank-Wolfe steps per eps stage of the converse
+_GAP_TOL = 1e-8  # an eps stage of the converse stops at a duality gap below this
 _EPS_SCHEDULE = (1e-3, 1e-5, 1e-7)  # smoothing weights of the converse's warm-started stages
 _GAMMA_TOL = 2.0**-44  # line-search Newton stops on a step of at most this share of gmax
 
@@ -115,7 +116,7 @@ class UpperBoundResult:
     """Converse bound t * kl_value with the coupling that achieves it.
 
     ``converged`` is False when some eps stage stopped on _MAX_ITERS or on
-    a zero line-search step with the duality gap still at or above ``tol``;
+    a zero line-search step with the duality gap still at or above _GAP_TOL;
     ``fw_gap`` is the gap where the last stage stopped.
     """
 
@@ -185,12 +186,12 @@ def _line_search(m1, d1, m0t, d0, eps: float, gmax: float, slope0: float) -> flo
     return _newton_max(falling, 0.0, gmax, _GAMMA_TOL * gmax)
 
 
-def upper_bound(inst: CovertInstance, tol: float = 1e-8) -> UpperBoundResult:
+def upper_bound(inst: CovertInstance) -> UpperBoundResult:
     """Minimize D(m1 || m0) over maximal couplings; returns t * minimum.
 
     Pairwise Frank-Wolfe with exact line search (``_line_search``) on the
     smoothed objective D(m1 || (1-eps) m0 + eps uniform), run once per eps in
-    _EPS_SCHEDULE (warm-started), each stage stopping at duality gap < ``tol``
+    _EPS_SCHEDULE (warm-started), each stage stopping at duality gap < _GAP_TOL
     or after _MAX_ITERS steps.  Each step moves mass from the worst vertex of
     the current convex decomposition onto the linear-oracle vertex, which
     avoids the zig-zag stall of plain conditional gradients when the optimum
@@ -210,27 +211,23 @@ def upper_bound(inst: CovertInstance, tol: float = 1e-8) -> UpperBoundResult:
     clamped at 0: where the minimum is 0 the raw objective is float dust of
     either sign, and a divergence is never negative.  The diagonal guarantee
     caps kl_value at D(P1 || P0).  ``converged`` says whether every stage
-    reached ``tol``, which must be finite and positive.
+    reached _GAP_TOL.
 
-    The loop reads only W_Y, the table S_q and ``tol``, so the solve is
+    The loop reads only W_Y and the table S_q, so the solve is
     memoized on those (one entry, see the module docstring): a call whose
     metric has the previous call's table returns the previous coupling, gap
     and flag, scaled by its own t_delta; the coupling, checked once when
     solved, carries that solve's channel and table, equal to the hit's own.
     """
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise DomainError(f"tol must be a positive finite number, got {tol!r}")
     wp = _valid_weight(inst)
     table = maximal_sets(inst.q)
     w = inst.wy.w
-    minimizer, kl_value, gap, converged = _solve(w.tobytes(), w.shape, table.tobytes(), tol)
+    minimizer, kl_value, gap, converged = _solve(w.tobytes(), w.shape, table.tobytes())
     return UpperBoundResult(kl_value=kl_value, minimizer=minimizer, fw_gap=gap, t_delta=wp.t, converged=converged)
 
 
 @functools.lru_cache(maxsize=1)
-def _solve(
-    w_bytes: bytes, shape: tuple[int, int], allowed_bytes: bytes, tol: float
-) -> tuple[JointConditional, float, float, bool]:
+def _solve(w_bytes: bytes, shape: tuple[int, int], allowed_bytes: bytes) -> tuple[JointConditional, float, float, bool]:
     """upper_bound's (minimizer, kl_value, fw_gap, converged) from the bytes of W_Y and S_q."""
     w = np.frombuffer(w_bytes).reshape(shape)
     ny = shape[1]
@@ -271,7 +268,7 @@ def _solve(
             to_row = cell_base + _lmo_targets(grad, allowed, masked).ravel()
             to_sum = grad.take(to_row).sum()
             gap = float(np.multiply(grad, v, out=grad_v).sum() - to_sum)
-            if gap < tol:
+            if gap < _GAP_TOL:
                 break
             # away vertex: the active one the gradient most wants to leave
             away_sums = grad.take(active[:count]).sum(axis=1)

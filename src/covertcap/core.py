@@ -348,16 +348,25 @@ def _read_json_object(path: str, what: str) -> dict:
     """The JSON object in the file at ``path``, a ``what`` (named in the errors).
 
     Raises ChannelSpecError on a syntax error (with its line and column), on
-    a non-finite constant (NaN, Infinity), and on a top level that is not an
+    a non-finite constant (NaN, Infinity), on a key that appears twice in one
+    object (json keeps the last, silently), and on a top level that is not an
     object.
     """
 
     def reject(token: str) -> float:
         raise ChannelSpecError(f"non-finite constant {token!r} is not allowed in a {what}")
 
+    def unique(pairs: list) -> dict:
+        data = {}
+        for key, value in pairs:
+            if key in data:
+                raise ChannelSpecError(f"key {key!r} appears twice in a {what}")
+            data[key] = value
+        return data
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh, parse_constant=reject)
+            data = json.load(fh, parse_constant=reject, object_pairs_hook=unique)
         except json.JSONDecodeError as exc:
             raise ChannelSpecError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
     if not isinstance(data, dict):

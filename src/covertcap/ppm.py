@@ -257,14 +257,13 @@ def _sample_at_pulses(gen, t, cols, pulses, thr0, thr1) -> np.ndarray:
     into the (t, |cols|) outputs: every entry is inverse-CDF sampled at
     thresholds thr0, then the chunk's pulse entries are sampled again at thr1
     and overwrite theirs.  ``pulses`` holds the pulse entries' column indices:
-    for the same columns in every row, a 1-d array (a word of the decode
-    trials) or one index, or a (t, L) array of each row's own
-    (covertness_mc).  The outputs, and where the stream is left, are the same
-    for any chunk size.
+    a 1-d array for the same columns in every row (a word of the decode
+    trials), or a (t, L) array of each row's own (covertness_mc).  The
+    outputs, and where the stream is left, are the same for any chunk size.
     """
     y = np.empty((t, cols.size), dtype=np.min_scalar_type(max(thr0.size, thr1.size)))
     step = max(1, _SAMPLE_CHUNK // max(1, cols.size))
-    shared = np.ndim(pulses) < 2
+    shared = pulses.ndim == 1
     for lo in range(0, t, step):
         hi = min(lo + step, t)
         u = gen.bit_generator.random_raw((hi - lo, (cols.size + 1) // 2)).astype("<u8", copy=False).view("<u4")[:, : cols.size]
@@ -819,14 +818,18 @@ def chunk_statistic_mean(q: DecodingMetric, p0: ProbVector, p1: ProbVector, w: i
     return mean
 
 
-def prescribed_log_sizes(rate: float, t: float, kl_warden: float, n: int, eta1: float = 0.05, eta2: float = 0.05) -> tuple[float, float]:
+_ETA1 = 0.05  # rate backoff of prescribed_log_sizes' payload, in nats per sqrt(n)
+_ETA2 = 0.05  # margin of prescribed_log_sizes' payload-plus-key total, in nats per sqrt(n)
+
+
+def prescribed_log_sizes(rate: float, t: float, kl_warden: float, n: int) -> tuple[float, float]:
     """Reference (log |M|, log |K|) for blocklength n at achievable rate ``rate``.
 
-    The payload carries sqrt(n) (rate - eta1) nats; the key tops the total up
-    to sqrt(n) (t * kl_warden + eta2) when the adversary's channel is the more
+    The payload carries sqrt(n) (rate - _ETA1) nats; the key tops the total up
+    to sqrt(n) (t * kl_warden + _ETA2) when the adversary's channel is the more
     informative one.  Purely advisory for sizing simulations.
     """
     root = math.sqrt(n)
-    log_m = max(0.0, root * (rate - eta1))
-    log_mk = max(log_m, root * (t * kl_warden + eta2))
+    log_m = max(0.0, root * (rate - _ETA1))
+    log_mk = max(log_m, root * (t * kl_warden + _ETA2))
     return log_m, log_mk - log_m

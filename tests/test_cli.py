@@ -4,8 +4,11 @@ Every test drives ``main(argv)`` in-process; nothing shells out.  Exit-code
 contract: 0 success, 1 parse/IO, 2 validation/domain, 3 resource limits.
 """
 
+import argparse
+import ast
 import hashlib
 import importlib
+import inspect
 import json
 import math
 import os
@@ -18,7 +21,7 @@ import pytest
 
 import covertcap
 from covertcap import CovertnessReport, upper_bound_grid_oracle, weight_parameter
-from covertcap.cli import main
+from covertcap.cli import _build_parser, main
 
 from conftest import example1, random_instance
 
@@ -87,10 +90,15 @@ class TestCapacity:
         assert main(["capacity", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_seed_must_fit_u64(self, spec_file, capsys):
-        assert main(["capacity", spec_file, "--seed", "-1"]) == 2
-        assert main(["capacity", spec_file, "--seed", str(2**64)]) == 2
-        assert "64-bit" in capsys.readouterr().err
+    def test_duplicated_key_exits_1_naming_it(self, tmp_path, capsys):
+        # json keeps the last of two equal keys: this spec ran at delta = 0.3
+        text = json.dumps(EXAMPLE_SPEC)[:-1] + ', "delta": 0.3}'
+        path = tmp_path / "twice.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["capacity", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: key 'delta' appears twice in a channel spec"]
 
 
 class TestBounds:
@@ -312,6 +320,16 @@ class TestSimulate:
         assert main(["simulate", spec, config]) == 1
         assert "positive" in capsys.readouterr().err
 
+    def test_duplicated_config_key_exits_1_before_the_book(self, sim_files, tmp_path, capsys, monkeypatch):
+        spec, _ = sim_files
+        text = json.dumps(SIM_CONFIG)[:-1] + ', "trials_per_pair": 5}'
+        config = tmp_path / "twice.json"
+        config.write_text(text, encoding="utf-8")
+        monkeypatch.setattr("covertcap.cli.generate_codebook", lambda *args: pytest.fail("book built"))
+        assert main(["simulate", spec, str(config), "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: key 'trials_per_pair' appears twice in a simulation config"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -465,20 +483,16 @@ def test_unknown_command_is_a_usage_error(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv", [["bounds"], ["sweep", "--steps", "2"]], ids=["bounds", "sweep"])
-def test_tol_is_accepted_where_the_converse_runs(spec_file, capsys, argv):
-    assert main([*argv, spec_file, "--tol", "1e-6"]) == 0
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+@pytest.mark.parametrize("tol", ["1e-6", "inf", "nan", "-1", "0"])
 @pytest.mark.parametrize("argv", [["bounds"], ["sweep", "--steps", "2"]], ids=["bounds", "sweep"])
 def test_bad_tol_exits_2_with_one_error_line(spec_file, capsys, argv, tol):
-    # inf stopped every stage at once: bounds printed the diagonal bound as upper
-    assert main([*argv, spec_file, f"--tol={tol}"]) == 2
+    # the converse stops at its own gap tolerance: --tol is a usage error at any value
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, spec_file, f"--tol={tol}"])
+    assert exc.value.code == 2
     out, err = capsys.readouterr()
-    assert err.splitlines() == [f"error: tol must be a positive finite number, got {float(tol)!r}"]
-    assert out == ""  # sweep prints its header only once row 0 is computed
+    assert [line for line in err.splitlines() if "error:" in line] == [f"covertcap: error: unrecognized arguments: --tol={tol}"]
+    assert out == ""
 
 
 @pytest.mark.parametrize("command", ["capacity", "simulate"])
@@ -490,3 +504,47 @@ def test_tol_is_refused_where_no_converse_runs(tmp_path, capsys, command):
         main(argv + ["--tol", "1e-6"])
     assert exc.value.code == 2
     assert "--tol" in capsys.readouterr().err
+
+
+def test_capacity_refuses_seed(spec_file, capsys):
+    # capacity draws nothing at random
+    with pytest.raises(SystemExit) as exc:
+        main(["capacity", spec_file, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bounds", "sweep", "simulate"])
+def test_seed_must_fit_u64(spec_file, capsys, command):
+    # refused before the command runs, so simulate's config is never read
+    argv = [command, spec_file] + (["absent.json"] if command == "simulate" else [])
+    assert main([*argv, "--seed", "-1"]) == 2
+    assert main([*argv, "--seed", str(2**64)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: --seed must fit in an unsigned 64-bit integer"] * 2
+
+
+# options that no command reads yet: the benchmark harness passes them
+PENDING = {
+    ("bounds", "seed"),  # ROADMAP item 12
+    ("sweep", "seed"),  # ROADMAP item 12
+}
+
+
+def test_every_option_is_read_by_its_command():
+    """Each subcommand's ``cmd_*`` function reads ``args.<dest>`` of every option it takes."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    unread = set()
+    for name, parser in sub.choices.items():
+        func = parser.get_default("func")
+        read = {
+            node.attr
+            for node in ast.walk(ast.parse(inspect.getsource(func)))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args"
+        }
+        unread |= {
+            (name, action.dest)
+            for action in parser._actions
+            if action.option_strings and not isinstance(action, argparse._HelpAction) and action.dest not in read
+        }
+    assert sorted(unread - PENDING) == [], "options no command reads"
+    assert sorted(PENDING - unread) == [], "pending options now read or gone: drop them from PENDING"

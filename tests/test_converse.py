@@ -392,12 +392,7 @@ class TestUpperBound:
         with step_budget(1):
             res = upper_bound(random_instance(np.random.default_rng(0), ny=12))
         assert not res.converged
-        assert res.fw_gap >= 1e-8
-
-    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
-    def test_tol_must_be_positive_and_finite(self, tol):
-        with pytest.raises(DomainError, match="tol must be a positive finite number"):
-            upper_bound(example1(0.5), tol=tol)
+        assert res.fw_gap >= converse_module._GAP_TOL
 
     def test_invalid_instance_rejected(self):
         inst = CovertInstance(
@@ -466,7 +461,7 @@ def fresh_memo():
     """upper_bound's memo, cleared before and after the test.
 
     A test that patches a converse constant must use it: the memo's key holds
-    the instance and the stopping rule, not module constants.
+    the instance, not module constants.
     """
     converse_module._solve.cache_clear()
     yield converse_module._solve
@@ -485,9 +480,9 @@ def step_budget(steps: int):
         converse_module._solve.cache_clear()
 
 
-def solve_afresh(inst: CovertInstance, **kwargs):
+def solve_afresh(inst: CovertInstance):
     converse_module._solve.cache_clear()
-    return upper_bound(inst, **kwargs)
+    return upper_bound(inst)
 
 
 def result_bits(res) -> tuple:
@@ -584,7 +579,7 @@ def tie_points(q: np.ndarray, cell: tuple[int, int]) -> list[float]:
 
 
 class TestConverseMemo:
-    """upper_bound memoizes its last solve on (W_Y, S_q, tol)."""
+    """upper_bound memoizes its last solve on (W_Y, S_q)."""
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), descending=st.booleans())
@@ -643,14 +638,13 @@ class TestConverseMemo:
             assert res.t_delta == weight_parameter(other.delta, other.q0, other.q1).t
             assert result_bits(res) == result_bits(solve_afresh(other))
         assert result_bits(upper_bound(other_delta)) != result_bits(base)
-        # another channel or tolerance is another solve
+        # another channel is another solve
         swapped = CovertInstance(wy=Bdmc(inst.wy.w[::-1]), wz=inst.wz, q=inst.q, delta=inst.delta)
-        for other, kwargs in ((swapped, {}), (inst, {"tol": 1e-6})):
-            upper_bound(inst)
-            misses = fresh_memo.cache_info().misses
-            res = upper_bound(other, **kwargs)
-            assert fresh_memo.cache_info().misses == misses + 1
-            assert result_bits(res) == result_bits(solve_afresh(other, **kwargs))
+        upper_bound(inst)
+        misses = fresh_memo.cache_info().misses
+        res = upper_bound(swapped)
+        assert fresh_memo.cache_info().misses == misses + 1
+        assert result_bits(res) == result_bits(solve_afresh(swapped))
 
     def test_patched_constants_need_a_cleared_memo(self, fresh_memo, monkeypatch):
         inst = example1(0.5)

@@ -687,20 +687,20 @@ def one_shot_sample(gen, t, cols, pulses, thr0, thr1):
     """Outputs of one (t, |cols|) draw of uniforms and two inverse-CDF passes, as before draws were chunked."""
     u = u32_uniforms(gen, t, cols.size)
     y = np.searchsorted(thr0, u, side="right")
-    at = (slice(None), pulses) if np.ndim(pulses) < 2 else (np.arange(t)[:, None], pulses)
+    at = (slice(None), pulses) if pulses.ndim == 1 else (np.arange(t)[:, None], pulses)
     y[at] = np.searchsorted(thr1, u[at], side="right")
     return y
 
 
 def sampler_case(rng, t, width, ny, kind):
-    """(cols, pulses, thr0, thr1) for t rows on ``width`` columns: pulses shared by every row, per row, or one column."""
+    """(cols, pulses, thr0, thr1) for t rows on ``width`` columns: pulses shared by every row, per row, or one shared column."""
     thr0, thr1 = (_thresholds(p) for p in rng.dirichlet(np.ones(ny), size=2))
     cols = np.sort(rng.choice(3 * width + 1, size=width, replace=False))
     weight = int(rng.integers(0, width + 1))
     pulses = {
         "shared": lambda: np.sort(rng.choice(width, size=weight, replace=False)),
         "per_row": lambda: np.array([np.sort(rng.choice(width, size=weight, replace=False)) for _ in range(t)]).reshape(t, weight),
-        "single": lambda: int(rng.integers(0, width)),
+        "single": lambda: rng.integers(0, width, size=1),
     }[kind]()
     return cols, pulses, thr0, thr1
 
